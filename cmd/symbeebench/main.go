@@ -12,7 +12,6 @@
 //	symbeebench -stream -stream-out BENCH_stream.json -stream-baseline BENCH_stream.json
 //	symbeebench -kernel -kernel-out BENCH_kernel.json -kernel-baseline BENCH_kernel.json
 //	symbeebench -reliable -reliable-out BENCH_reliable.json
-//	symbeebench -multisender -multisender-out BENCH_multisender.json
 //	symbeebench -density -density-out BENCH_density.json
 package main
 
@@ -52,11 +51,6 @@ func main() {
 		reliableRuns  = flag.Int("reliable-runs", 100, "seeded soak runs per receive path")
 		reliableMsg   = flag.Int("reliable-msg", 4096, "message size in bytes for every reliability measurement")
 
-		msBench  = flag.Bool("multisender", false, "sweep the shared-medium scenario over 1/2/4/8 concurrent senders")
-		msOut    = flag.String("multisender-out", "BENCH_multisender.json", "file for the multi-sender JSON artifact (\"\" = don't write)")
-		msFrames = flag.Int("multisender-frames", 8, "frames each sender transmits")
-		msGap    = flag.Float64("multisender-gap", 2, "mean inter-frame gap in airtime multiples")
-
 		densityBench  = flag.Bool("density", false, "sweep the event-driven shared medium over large sender populations")
 		densityOut    = flag.String("density-out", "BENCH_density.json", "file for the density sweep JSON artifact (\"\" = don't write)")
 		densityFrames = flag.Int("density-frames", 4, "frames each sender transmits in the density sweep")
@@ -73,13 +67,6 @@ func main() {
 			err = runDensityBench(*seed, *densityFrames, *densityGap, widths, *densityOut)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "symbeebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *msBench {
-		if err := runMultiSenderBench(*seed, *msFrames, *msGap, *msOut); err != nil {
 			fmt.Fprintln(os.Stderr, "symbeebench:", err)
 			os.Exit(1)
 		}

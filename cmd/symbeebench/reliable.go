@@ -8,8 +8,8 @@ import (
 
 	"symbee/internal/channel"
 	"symbee/internal/cli"
+	"symbee/internal/link"
 	"symbee/internal/reliable"
-	"symbee/internal/stream"
 )
 
 // reliableRun is one loss point of a scheme's sweep in the JSON
@@ -82,34 +82,34 @@ type reliableArtifact struct {
 // profile and downlink, reporting the session report, the reverse
 // ledger and whether the message arrived intact.
 func reliableTransfer(msg []byte, faults channel.FaultConfig, streaming bool,
-	downlink reliable.DownlinkScheme, ackRepeat int) (*reliable.Report, reliable.ReverseStats, bool, error) {
-	m := stream.NewMetrics()
+	downlink reliable.DownlinkScheme, ackRepeat int) (*reliable.Report, link.DownlinkLedger, bool, error) {
+	m := link.NewMetrics()
 	cfg := reliable.DefaultSimConfig()
 	cfg.Faults = faults
 	cfg.Stream = streaming
 	cfg.Downlink = downlink
 	cfg.AckRepeat = ackRepeat
 	cfg.Metrics = m
-	link, err := reliable.NewSimLink(cfg)
+	sl, err := reliable.NewSimLink(cfg)
 	if err != nil {
-		return nil, reliable.ReverseStats{}, false, err
+		return nil, link.DownlinkLedger{}, false, err
 	}
-	defer link.Close()
+	defer sl.Close()
 	scfg := reliable.DefaultConfig()
 	scfg.Seed = faults.Seed
 	scfg.Metrics = m
-	s, err := reliable.NewSession(link, scfg)
+	s, err := reliable.NewSession(sl, scfg)
 	if err != nil {
-		return nil, reliable.ReverseStats{}, false, err
+		return nil, link.DownlinkLedger{}, false, err
 	}
 	rep, err := s.Send(context.Background(), msg)
 	if err != nil {
 		// Exhausted retries counts as undelivered, not a bench failure.
-		return rep, link.ReverseStats(), false, nil
+		return rep, sl.ReverseStats(), false, nil
 	}
-	msgs := link.Messages()
+	msgs := sl.Messages()
 	ok := len(msgs) == 1 && bytes.Equal(msgs[0], msg)
-	return rep, link.ReverseStats(), ok, nil
+	return rep, sl.ReverseStats(), ok, nil
 }
 
 func benchMessage(seed int64, n int) []byte {

@@ -27,6 +27,7 @@ import (
 
 	"symbee/internal/cli"
 	"symbee/internal/core"
+	"symbee/internal/link"
 	"symbee/internal/stream"
 	"symbee/internal/trace"
 	"symbee/internal/wifi"
@@ -103,7 +104,7 @@ func run(ctx context.Context, cfg replayConfig) error {
 		Workers:      cfg.workers,
 		QueueDepth:   cfg.queue,
 		DropWhenFull: cfg.drop,
-		OnEvent: func(ev stream.Event) {
+		OnEvent: func(ev link.Event) {
 			if cfg.quiet {
 				return
 			}

@@ -67,7 +67,7 @@ func captureHuntState(m *FrameMachine) huntState {
 func replayHunt(t *testing.T, d *Decoder, phases []float64, chunk int, scalar bool) ([]huntEvent, huntState) {
 	t.Helper()
 	m := mustMachine(t, d)
-	m.SetScalarHunt(scalar)
+	m.scalarHunt = scalar
 	var events []huntEvent
 	for off := 0; off < len(phases); off += chunk {
 		end := off + chunk

@@ -106,7 +106,8 @@ type FrameMachine struct {
 
 	// scalarHunt forces the per-sample reference hunt path instead of the
 	// batched kernel (huntbatch.go); the two are bit-identical and the
-	// equivalence tests diff them over randomized streams.
+	// in-package equivalence tests set it to diff them over randomized
+	// streams.
 	scalarHunt bool
 
 	lockEmitted bool
@@ -287,12 +288,6 @@ func (m *FrameMachine) advance() {
 		}
 	}
 }
-
-// SetScalarHunt selects between the batched hunt kernel (default) and
-// the per-sample reference path. The two are bit-identical; the switch
-// exists so the equivalence tests can diff them and so a regression can
-// be bisected in the field.
-func (m *FrameMachine) SetScalarHunt(v bool) { m.scalarHunt = v }
 
 // feedScanner streams buffered phases into the preamble scanner via the
 // batched hunt kernel, reporting whether the scan completed. It also

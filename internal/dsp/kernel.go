@@ -14,13 +14,6 @@ import (
 // sample rate, and offers sign/threshold classification that skips the
 // angle entirely.
 
-// UseExactPhase forces every phase-stream kernel back to math.Atan2.
-// It exists as a debugging escape hatch: flip it when bisecting whether
-// a decode difference stems from kernel error (it never should — see
-// FastAtan2MaxErr vs the π/10 decision margins). It is read once per
-// chunk/push and must not be toggled while streams are in flight.
-var UseExactPhase bool
-
 // FastAtan2MaxErr is the guaranteed absolute error bound of FastAtan2
 // against math.Atan2, in radians. The truncated degree-17 Chebyshev
 // expansion of atan on [0,1] is exact to 6.7e-9 (measured by the
@@ -111,19 +104,6 @@ func FastAtan2(y, x float64) float64 {
 		i |= 2
 	}
 	return math.Copysign(octSgn[i]*base+octOff[i], y)
-}
-
-// phaseOf returns ∠p through the configured kernel: FastAtan2 by
-// default, math.Atan2 when UseExactPhase is set. Hot loops should hoist
-// the flag read per chunk (see PhaseDiffStream); this helper is for
-// per-sample call sites.
-//
-//symbee:hotpath
-func phaseOf(p complex128) float64 {
-	if UseExactPhase {
-		return math.Atan2(imag(p), real(p))
-	}
-	return FastAtan2(imag(p), real(p))
 }
 
 // PhaseNegative reports whether ∠p decodes as a negative phase, with

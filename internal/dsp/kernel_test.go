@@ -169,42 +169,35 @@ func TestFastAtan2Seam(t *testing.T) {
 	}
 }
 
-// TestUseExactPhaseEscapeHatch verifies the debugging flag swaps both
-// stream kernels back to bit-exact math.Atan2 — and that batch and
-// incremental paths agree under either kernel.
-func TestUseExactPhaseEscapeHatch(t *testing.T) {
+// TestPhaseStreamFastKernel verifies both stream kernels run FastAtan2:
+// batch and incremental paths agree bit for bit, and every phase is
+// within the kernel's bound of math.Atan2.
+func TestPhaseStreamFastKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	x := make([]complex128, 300)
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	const lag = 16
-	for _, exact := range []bool{false, true} {
-		UseExactPhase = exact
-		batch := PhaseDiffStream(x, lag)
-		s, err := NewPhaseDiffStreamer(lag)
-		if err != nil {
-			t.Fatal(err)
+	batch := PhaseDiffStream(x, lag)
+	s, err := NewPhaseDiffStreamer(lag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := s.Process(x, nil)
+	if len(batch) != len(inc) {
+		t.Fatalf("batch %d phases, streamer %d", len(batch), len(inc))
+	}
+	for i := range batch {
+		if batch[i] != inc[i] {
+			t.Fatalf("phase %d: batch %v streamer %v", i, batch[i], inc[i])
 		}
-		inc := s.Process(x, nil)
-		if len(batch) != len(inc) {
-			t.Fatalf("exact=%v: batch %d phases, streamer %d", exact, len(batch), len(inc))
-		}
-		for i := range batch {
-			if batch[i] != inc[i] {
-				t.Fatalf("exact=%v: phase %d: batch %v streamer %v", exact, i, batch[i], inc[i])
-			}
-			p := x[i] * complex(real(x[i+lag]), -imag(x[i+lag]))
-			want := math.Atan2(imag(p), real(p))
-			if exact && batch[i] != want {
-				t.Fatalf("exact kernel phase %d = %v, want Atan2 = %v", i, batch[i], want)
-			}
-			if !exact && angErr(batch[i], want) > FastAtan2MaxErr {
-				t.Fatalf("fast kernel phase %d = %v, off Atan2 = %v by more than the bound", i, batch[i], want)
-			}
+		p := x[i] * complex(real(x[i+lag]), -imag(x[i+lag]))
+		want := math.Atan2(imag(p), real(p))
+		if angErr(batch[i], want) > FastAtan2MaxErr {
+			t.Fatalf("phase %d = %v, off Atan2 = %v by more than the bound", i, batch[i], want)
 		}
 	}
-	UseExactPhase = false
 }
 
 // TestPhaseNegative pins the atan2-free sign kernel to the Atan2

@@ -43,9 +43,8 @@ func WrapPhase(phi float64) float64 {
 // decoding consumes it directly (paper Eq. 1, with lag = 16 at 20 Msps and
 // lag = 32 at 40 Msps).
 //
-// Angles come from the phase kernel (FastAtan2 unless UseExactPhase is
-// set); the flag is read once per call, so a capture is computed with
-// one kernel throughout.
+// Angles come from the FastAtan2 phase kernel, within FastAtan2MaxErr
+// of math.Atan2.
 //
 // A non-positive lag, like an input shorter than lag+1 samples, admits
 // no phase pairs and returns nil.
@@ -54,13 +53,6 @@ func PhaseDiffStream(x []complex128, lag int) []float64 {
 		return nil
 	}
 	out := make([]float64, len(x)-lag)
-	if UseExactPhase {
-		for n := range out {
-			p := x[n] * complex(real(x[n+lag]), -imag(x[n+lag]))
-			out[n] = math.Atan2(imag(p), real(p))
-		}
-		return out
-	}
 	for n := range out {
 		p := x[n] * complex(real(x[n+lag]), -imag(x[n+lag]))
 		out[n] = FastAtan2(imag(p), real(p))

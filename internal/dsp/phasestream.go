@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // PhaseDiffStreamer computes the idle-listening phase stream
 // incrementally: IQ samples are pushed in arbitrarily sized chunks and
@@ -56,7 +53,7 @@ func (s *PhaseDiffStreamer) Push(x complex128) (phi float64, ok bool) {
 	// Same expression and kernel as PhaseDiffStream so the two paths
 	// agree to the last bit: p = x[n] · conj(x[n+lag]).
 	p := old * complex(real(x), -imag(x))
-	return phaseOf(p), true
+	return FastAtan2(imag(p), real(p)), true
 }
 
 // Process pushes every sample of in and appends the phases that become
@@ -84,34 +81,25 @@ func (s *PhaseDiffStreamer) Process(in []complex128, out []float64) []float64 {
 		return out
 	}
 	// Flat body: in[n] pairs with in[n-lag]. Same expression and kernel
-	// as Push so the two paths agree to the last bit; the kernel flag is
-	// hoisted so one chunk is computed with one kernel throughout.
+	// as Push so the two paths agree to the last bit.
 	lag := s.lag
-	if UseExactPhase {
-		for n := lag; n < len(in); n++ {
-			x := in[n]
-			p := in[n-lag] * complex(real(x), -imag(x))
-			out = append(out, math.Atan2(imag(p), real(p)))
-		}
-	} else {
-		n := lag
-		for ; n+4 <= len(in); n += 4 {
-			x0, x1, x2, x3 := in[n], in[n+1], in[n+2], in[n+3]
-			p0 := in[n-lag] * complex(real(x0), -imag(x0))
-			p1 := in[n-lag+1] * complex(real(x1), -imag(x1))
-			p2 := in[n-lag+2] * complex(real(x2), -imag(x2))
-			p3 := in[n-lag+3] * complex(real(x3), -imag(x3))
-			out = append(out,
-				FastAtan2(imag(p0), real(p0)),
-				FastAtan2(imag(p1), real(p1)),
-				FastAtan2(imag(p2), real(p2)),
-				FastAtan2(imag(p3), real(p3)))
-		}
-		for ; n < len(in); n++ {
-			x := in[n]
-			p := in[n-lag] * complex(real(x), -imag(x))
-			out = append(out, FastAtan2(imag(p), real(p)))
-		}
+	n := lag
+	for ; n+4 <= len(in); n += 4 {
+		x0, x1, x2, x3 := in[n], in[n+1], in[n+2], in[n+3]
+		p0 := in[n-lag] * complex(real(x0), -imag(x0))
+		p1 := in[n-lag+1] * complex(real(x1), -imag(x1))
+		p2 := in[n-lag+2] * complex(real(x2), -imag(x2))
+		p3 := in[n-lag+3] * complex(real(x3), -imag(x3))
+		out = append(out,
+			FastAtan2(imag(p0), real(p0)),
+			FastAtan2(imag(p1), real(p1)),
+			FastAtan2(imag(p2), real(p2)),
+			FastAtan2(imag(p3), real(p3)))
+	}
+	for ; n < len(in); n++ {
+		x := in[n]
+		p := in[n-lag] * complex(real(x), -imag(x))
+		out = append(out, FastAtan2(imag(p), real(p)))
 	}
 	// The ring ends up holding the last lag samples, oldest first.
 	copy(s.ring, in[len(in)-lag:])

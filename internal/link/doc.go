@@ -4,27 +4,30 @@
 // source → phase-extraction kernel → preamble scan / frame machine →
 // optional coding/ARQ hooks → application sink — from reusable stages.
 //
-// Before this package the repository wired that pipeline three times:
-// the batch decoder (internal/core), the streaming worker pool
-// (internal/stream) and the reliable-delivery harness
-// (internal/reliable) each assembled DSP, framing and metrics slightly
-// differently. Those are now three presets of the same Stack:
+// Every receive path in the repository is one of three presets of the
+// same Stack:
 //
 //   - NewBatch: unbounded machine history, whole-capture semantics —
-//     bit-identical to the historical Decoder.DecodeFrame batch entry
-//     (the golden-trace equivalence tests pin this).
-//   - NewStreaming: IQ front-end plus bounded history, the per-stream
-//     configuration internal/stream runs one of per pool shard.
+//     bit-identical to core's Decoder.DecodeFrame batch entry (the
+//     golden-trace equivalence tests pin this).
+//   - NewStreaming: IQ front-end plus bounded history. The public
+//     symbee.Receiver is this stack, and the internal/stream pool runs
+//     one per open stream.
 //   - NewReliable: phase-fed bounded-history stack the ARQ SimLink
 //     drives over internal/channel, with the decode-gate pad helper.
 //
 // The Stack's push path keeps the repository's zero-alloc steady-state
 // guarantee (//symbee:hotpath roots, pinned by AllocsPerRun tests), and
-// every stage reports into the one Metrics registry that the streaming
-// pool and the reliability layer previously kept separate copies of.
+// every stage reports into the one Metrics registry shared by the
+// receivers, the pool and the reliability layer.
 //
-// On top of the unified stack, multisender.go provides the shared-medium
-// scenario layer: N seeded ZigBee senders with independent CFO/SFO,
-// timing and gain offsets superposed into a single WiFi receiver
-// capture, with per-sender delivery and collision accounting.
+// The downlink half of a duplex link lives here too: DownStack models
+// the serial WiFi→ZigBee ack channel as TimedLayer stages, Duplex pairs
+// it with an uplink Stack, and DownlinkLedger is its ack accounting.
+//
+// RunMedium (medium.go) is the shared-medium scenario entry point: the
+// internal/medium engine synthesizes N seeded ZigBee senders with
+// independent CFO/SFO, timing and gain offsets into one capture, a
+// streaming Stack receives it, and decoded frames are credited back to
+// their senders for per-sender delivery and collision accounting.
 package link

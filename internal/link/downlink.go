@@ -27,8 +27,9 @@ import (
 //	timed sinks     TimedLayer consumers, terminated by the built-in
 //	                TimedCollector the owner Drains through Arrivals
 //
-// Every stage reports LayerStats; the cross-stage ack ledger the
-// reliability layer publishes as ReverseStats is assembled by Ledger.
+// Every stage reports LayerStats; the cross-stage ack ledger, which the
+// reliability layer publishes through SimLink.ReverseStats, is
+// assembled by Ledger.
 
 // DownTiming pins a downlink's per-copy occupancy as explicit
 // durations: the wall-clock span one ack copy holds the reverse
@@ -385,8 +386,8 @@ func (f *reverseFault) Close() error { return nil }
 // Stats implements Layer.
 func (f *reverseFault) Stats() LayerStats { return f.stats }
 
-// DownlinkLedger is the cross-stage ack accounting of a DownStack — the
-// provenance of the reliability layer's ReverseStats.
+// DownlinkLedger is the cross-stage ack accounting of a DownStack; the
+// reliability layer's SimLink.ReverseStats returns it as is.
 type DownlinkLedger struct {
 	// AcksSent counts committed ack copies put on the air.
 	AcksSent int

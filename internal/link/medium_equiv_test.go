@@ -17,21 +17,17 @@ import (
 // order, so this is exact equality, not statistical agreement).
 func TestMediumLinkEquivalence(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
-		cfg := MultiSenderConfig{
-			Senders:         n,
-			FramesPerSender: 4,
-			Seed:            3,
-			SNRdB:           20,
-			MeanGapAirtimes: 1.5,
-			CFOJitterHz:     20e3,
-			SFOppm:          10,
-			GainSpreadDB:    3,
-		}
+		cfg := medium.Defaults()
+		cfg.Senders = n
+		cfg.FramesPerSender = 4
+		cfg.Seed = 3
+		cfg.MeanGapAirtimes = 1.5
+		cfg.CFOJitterHz, cfg.SFOppm, cfg.GainSpreadDB = 20e3, 10, 3
 		want, err := referenceMultiSender(cfg)
 		if err != nil {
 			t.Fatalf("N=%d reference: %v", n, err)
 		}
-		got, err := RunMultiSender(cfg)
+		got, err := runComparable(cfg)
 		if err != nil {
 			t.Fatalf("N=%d engine: %v", n, err)
 		}
@@ -46,20 +42,18 @@ func TestMediumLinkEquivalence(t *testing.T) {
 // chunk size (the render window and receive chunk are the same knob in
 // the engine; neither may shift the outcome).
 func TestMediumLinkEquivalenceOddChunk(t *testing.T) {
-	cfg := MultiSenderConfig{
-		Senders:         4,
-		FramesPerSender: 3,
-		Seed:            17,
-		MeanGapAirtimes: 1,
-		CFOJitterHz:     15e3,
-		GainSpreadDB:    2,
-		ChunkSamples:    1009, // prime, never aligned with airtime
-	}
+	cfg := medium.Defaults()
+	cfg.Senders = 4
+	cfg.FramesPerSender = 3
+	cfg.Seed = 17
+	cfg.MeanGapAirtimes = 1
+	cfg.CFOJitterHz, cfg.GainSpreadDB = 15e3, 2
+	cfg.ChunkSamples = 1009 // prime, never aligned with airtime
 	want, err := referenceMultiSender(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunMultiSender(cfg)
+	got, err := runComparable(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +61,18 @@ func TestMediumLinkEquivalenceOddChunk(t *testing.T) {
 		t.Errorf("odd chunk: engine report differs from dense reference:\nengine:    %+v\nreference: %+v",
 			got, want)
 	}
+}
+
+// runComparable runs cfg through RunMedium and clears the engine's
+// memory accounting, the only report fields the dense reference has no
+// counterpart for.
+func runComparable(cfg medium.Config) (*medium.Report, error) {
+	rep, err := RunMedium(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	rep.PeakOverlap, rep.PeakWindowSamples = 0, 0
+	return rep, nil
 }
 
 // TestMediumDensityDeterminism pins the density-sweep seed contract at

@@ -1,13 +1,12 @@
 package link
 
-// The dense reference implementation of the shared-medium scenario:
-// the historical RunMultiSender, which materializes every sender's
-// every waveform and superposes them into one whole capture before
-// receiving it. It is kept test-only as the ground truth the
-// event-driven medium engine must reproduce bit-for-bit
-// (TestMediumLinkEquivalence); production code routes through
-// internal/medium, whose memory is bounded by overlap width instead of
-// total airtime.
+// The dense reference implementation of the shared-medium scenario: it
+// materializes every sender's every waveform and superposes them into
+// one whole capture before receiving it. It is kept test-only as the
+// ground truth the event-driven medium engine behind RunMedium must
+// reproduce bit-for-bit (TestMediumLinkEquivalence); production code
+// routes through internal/medium, whose memory is bounded by overlap
+// width instead of total airtime.
 
 import (
 	"math"
@@ -16,6 +15,7 @@ import (
 	"symbee/internal/channel"
 	"symbee/internal/core"
 	"symbee/internal/dsp"
+	"symbee/internal/medium"
 	"symbee/internal/splitmix"
 	"symbee/internal/wifi"
 )
@@ -34,27 +34,15 @@ type refTransmission struct {
 
 // referenceMultiSender is the dense implementation: draw all
 // schedules, materialize and superpose every waveform, AWGN the whole
-// capture, then stream it into one receive stack.
-func referenceMultiSender(cfg MultiSenderConfig) (*MultiSenderReport, error) {
+// capture, then stream it into one receive stack. It reports every
+// medium.Report field except the engine's own memory accounting
+// (PeakOverlap, PeakWindowSamples), which a dense capture has no
+// counterpart for. Sender identities must fit one byte (N ≤ 256).
+func referenceMultiSender(cfg medium.Config) (*medium.Report, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	p := cfg.Params
-	if p.BitPeriod == 0 {
-		p = core.Params20()
-	}
-	if cfg.Senders < 1 || cfg.FramesPerSender < 1 {
-		return nil, errNoSenders
-	}
-	if cfg.DataBytes == 0 {
-		cfg.DataBytes = 4
-	}
-	if cfg.SNRdB == 0 {
-		cfg.SNRdB = 20
-	}
-	if cfg.MeanGapAirtimes == 0 {
-		cfg.MeanGapAirtimes = 4
-	}
-	if cfg.ChunkSamples <= 0 {
-		cfg.ChunkSamples = 4096
-	}
 	phy, err := core.NewLink(p, 0)
 	if err != nil {
 		return nil, err
@@ -73,7 +61,7 @@ func referenceMultiSender(cfg MultiSenderConfig) (*MultiSenderReport, error) {
 
 // refBuildSchedules draws every sender's frame placements and impaired
 // waveforms up front — O(senders · frames · airtime) memory.
-func refBuildSchedules(cfg MultiSenderConfig, phy *core.Link) ([]*refTransmission, error) {
+func refBuildSchedules(cfg medium.Config, phy *core.Link) ([]*refTransmission, error) {
 	var txs []*refTransmission
 	for s := 0; s < cfg.Senders; s++ {
 		rng := splitmix.New(cfg.Seed, s)
@@ -158,7 +146,7 @@ func refMarkCollisions(txs []*refTransmission) {
 // refSuperpose lays every impaired waveform onto one shared capture
 // and adds unit receiver noise, with a decode-gate pad after the final
 // transmission.
-func refSuperpose(cfg MultiSenderConfig, p core.Params, txs []*refTransmission) []complex128 {
+func refSuperpose(cfg medium.Config, p core.Params, txs []*refTransmission) []complex128 {
 	total := 0
 	for _, tx := range txs {
 		if tx.end > total {
@@ -179,12 +167,12 @@ func refSuperpose(cfg MultiSenderConfig, p core.Params, txs []*refTransmission) 
 
 // refReceiveAll runs the capture through one streaming-preset Stack in
 // chunks and matches decoded frames back to their transmissions.
-func refReceiveAll(cfg MultiSenderConfig, p core.Params, capture []complex128, txs []*refTransmission) error {
+func refReceiveAll(cfg medium.Config, p core.Params, capture []complex128, txs []*refTransmission) error {
 	dec, err := core.NewDecoder(p, wifi.CanonicalCompensation)
 	if err != nil {
 		return err
 	}
-	st, err := NewStreaming(dec, 0, cfg.Metrics)
+	st, err := NewStreaming(dec, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -222,8 +210,8 @@ func refReceiveAll(cfg MultiSenderConfig, p core.Params, capture []complex128, t
 
 // refReport folds the per-transmission outcomes into the scenario
 // report.
-func refReport(cfg MultiSenderConfig, p core.Params, capture []complex128, txs []*refTransmission) *MultiSenderReport {
-	per := make([]SenderStats, cfg.Senders)
+func refReport(cfg medium.Config, p core.Params, capture []complex128, txs []*refTransmission) *medium.Report {
+	per := make([]medium.SenderStats, cfg.Senders)
 	for i := range per {
 		per[i].Sender = i
 	}
@@ -251,15 +239,19 @@ func refReport(cfg MultiSenderConfig, p core.Params, capture []complex128, txs [
 	}
 	duration := float64(len(capture)) / p.SampleRate
 	total := cfg.Senders * cfg.FramesPerSender
-	return &MultiSenderReport{
-		Senders:         cfg.Senders,
-		FramesPerSender: cfg.FramesPerSender,
-		Seed:            cfg.Seed,
-		DurationSec:     duration,
-		Delivered:       delivered,
-		Collisions:      collisions,
-		GoodputBps:      float64(delivered*cfg.DataBytes*8) / duration,
-		CollisionRate:   float64(collisions) / float64(total),
-		PerSender:       per,
+	return &medium.Report{
+		Senders:              cfg.Senders,
+		FramesPerSender:      cfg.FramesPerSender,
+		Seed:                 cfg.Seed,
+		OfferedLoadPerSender: cfg.OfferedLoadPerSender(),
+		DurationSec:          duration,
+		AirtimeSamples:       txs[0].end - txs[0].start,
+		TotalSamples:         len(capture),
+		Delivered:            delivered,
+		Collisions:           collisions,
+		GoodputBps:           float64(delivered*cfg.DataBytes*8) / duration,
+		CollisionRate:        float64(collisions) / float64(total),
+		DeliveryRate:         float64(delivered) / float64(total),
+		PerSender:            per,
 	}
 }

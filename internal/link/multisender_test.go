@@ -4,17 +4,24 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"symbee/internal/medium"
 )
+
+// scenario returns the baseline medium configuration for n senders
+// transmitting frames frames each.
+func scenario(n, frames int, seed int64) medium.Config {
+	cfg := medium.Defaults()
+	cfg.Senders = n
+	cfg.FramesPerSender = frames
+	cfg.Seed = seed
+	return cfg
+}
 
 // TestMultiSenderSingle pins the degenerate scenario: one sender on a
 // quiet channel delivers everything and collides with nobody.
 func TestMultiSenderSingle(t *testing.T) {
-	rep, err := RunMultiSender(MultiSenderConfig{
-		Senders:         1,
-		FramesPerSender: 4,
-		Seed:            1,
-		SNRdB:           20,
-	})
+	rep, err := RunMedium(scenario(1, 4, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,17 +44,10 @@ func TestMultiSenderSingle(t *testing.T) {
 // a crowded schedule, and at least the uncollided share of each sender's
 // frames is delivered.
 func TestMultiSenderContention(t *testing.T) {
-	rep, err := RunMultiSender(MultiSenderConfig{
-		Senders:         4,
-		FramesPerSender: 4,
-		Seed:            3,
-		SNRdB:           20,
-		MeanGapAirtimes: 1.5,
-		CFOJitterHz:     20e3,
-		SFOppm:          10,
-		GainSpreadDB:    3,
-		Metrics:         NewMetrics(),
-	})
+	cfg := scenario(4, 4, 3)
+	cfg.MeanGapAirtimes = 1.5
+	cfg.CFOJitterHz, cfg.SFOppm, cfg.GainSpreadDB = 20e3, 10, 3
+	rep, err := RunMedium(cfg, NewMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,19 +82,14 @@ func TestMultiSenderContention(t *testing.T) {
 // TestMultiSenderDeterminism pins the seed contract: equal seeds
 // reproduce the scenario bit-for-bit, different seeds differ somewhere.
 func TestMultiSenderDeterminism(t *testing.T) {
-	cfg := MultiSenderConfig{
-		Senders:         2,
-		FramesPerSender: 3,
-		Seed:            17,
-		MeanGapAirtimes: 2,
-		CFOJitterHz:     15e3,
-		GainSpreadDB:    2,
-	}
-	a, err := RunMultiSender(cfg)
+	cfg := scenario(2, 3, 17)
+	cfg.MeanGapAirtimes = 2
+	cfg.CFOJitterHz, cfg.GainSpreadDB = 15e3, 2
+	a, err := RunMedium(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMultiSender(cfg)
+	b, err := RunMedium(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +98,12 @@ func TestMultiSenderDeterminism(t *testing.T) {
 	}
 }
 
-// TestMultiSenderValidation pins the config error surface.
+// TestMultiSenderValidation pins that RunMedium validates its config
+// before building anything (medium's own tests cover every rule).
 func TestMultiSenderValidation(t *testing.T) {
-	if _, err := RunMultiSender(MultiSenderConfig{}); err == nil {
-		t.Error("zero config accepted")
-	}
-	if _, err := RunMultiSender(MultiSenderConfig{
-		Senders: 1, FramesPerSender: 1, DataBytes: 99,
-	}); err == nil {
+	cfg := scenario(1, 1, 0)
+	cfg.DataBytes = 99
+	if _, err := RunMedium(cfg, nil); err == nil {
 		t.Error("oversized DataBytes accepted")
 	}
 }

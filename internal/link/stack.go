@@ -33,7 +33,7 @@ type Spec struct {
 	// The default is the bounded-retention streaming configuration.
 	Batch bool
 	// Stream tags emitted events with a stream identity (pool shards
-	// demultiplex on it); see also SetStream.
+	// demultiplex on it).
 	Stream uint64
 	// Phase layers run between the front-end and the frame machine, in
 	// order.
@@ -151,10 +151,6 @@ func NewStreaming(d *core.Decoder, stream uint64, m *Metrics) (*Stack, error) {
 func NewReliable(d *core.Decoder, m *Metrics) (*Stack, error) {
 	return New(Spec{Decoder: d, Metrics: m})
 }
-
-// SetStream retags the events the stack emits with a new stream
-// identity (pool shards reuse stacks across logical streams).
-func (s *Stack) SetStream(id uint64) { s.stream = id }
 
 // Stream returns the stack's stream identity tag.
 func (s *Stack) Stream() uint64 { return s.stream }

@@ -7,11 +7,11 @@ import (
 	"symbee/internal/core"
 )
 
-// Config parameterizes one shared-medium scenario. Unlike the legacy
-// link.MultiSenderConfig, no field doubles as a sentinel: every value
-// is taken literally, so a genuine 0 dB scenario (SNRdB = 0) and a
-// back-to-back schedule (MeanGapAirtimes = 0) are both representable.
-// Start from Defaults() and override what the scenario needs.
+// Config parameterizes one shared-medium scenario. No field doubles as
+// a sentinel: every value is taken literally, so a genuine 0 dB
+// scenario (SNRdB = 0) and a back-to-back schedule (MeanGapAirtimes =
+// 0) are both representable. Start from Defaults() and override what
+// the scenario needs; link.RunMedium runs it.
 type Config struct {
 	// Params is the receiver parameter set (explicit; Defaults() fills
 	// core.Params20).

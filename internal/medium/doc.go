@@ -2,10 +2,10 @@
 // ZigBee senders contend for one channel into a single WiFi receiver,
 // with the capture synthesized lazily instead of materialized whole.
 //
-// The legacy scenario (internal/link.RunMultiSender before this
-// package) rendered every sender's every frame up front and superposed
-// them into one slice — O(senders · frames · airtime) memory, which
-// caps populations at a room (N ≤ 8). Here the same scenario is a
+// A dense simulator would render every sender's every frame up front
+// and superpose them into one slice — O(senders · frames · airtime)
+// memory, which caps populations at a room (N ≤ 8); internal/link keeps
+// exactly that as its test-only reference. Here the same scenario is a
 // discrete-event system:
 //
 //   - Each sender is a lazily-advanced schedule source: its private

@@ -47,7 +47,7 @@
 // SimLink runs the protocol over the real PHY — modulator, channel
 // fault injector (internal/channel.FaultInjector: seeded i.i.d. frame
 // loss, periodic burst jamming, CFO drift ramps, ack loss) and either
-// the batch decoder or the streaming receiver (internal/stream) — under
+// the batch or the bounded-history streaming link stack — under
 // a virtual clock, so a 100-run soak over a 4 KiB message takes seconds
 // and is bit-reproducible.
 package reliable

@@ -156,36 +156,3 @@ func ackEvents(evs []link.TimedEvent) []AckEvent {
 	}
 	return out
 }
-
-// ReverseStats summarizes one transport's reverse-channel activity. It
-// is assembled from the downlink stack's cross-stage ledger
-// (link.DownStack.Ledger).
-type ReverseStats struct {
-	// AcksSent counts committed ack copies put on the air.
-	AcksSent int
-	// AcksCoalesced counts acks superseded by a newer cumulative ack
-	// before their transmission started.
-	AcksCoalesced int
-	// AcksDropped counts copies lost on the reverse path.
-	AcksDropped int
-	// AckCollisions counts copies destroyed by an overlapping forward
-	// frame.
-	AckCollisions int
-	// ForwardCollisions counts forward frames destroyed by an
-	// overlapping ack burst.
-	ForwardCollisions int
-	// Airtime is the reverse on-air time spent.
-	Airtime time.Duration
-}
-
-// reverseStats converts a downlink stack ledger to the transport form.
-func reverseStats(l link.DownlinkLedger) ReverseStats {
-	return ReverseStats{
-		AcksSent:          l.AcksSent,
-		AcksCoalesced:     l.AcksCoalesced,
-		AcksDropped:       l.AcksDropped,
-		AckCollisions:     l.AckCollisions,
-		ForwardCollisions: l.ForwardCollisions,
-		Airtime:           l.Airtime,
-	}
-}

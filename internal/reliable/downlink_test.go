@@ -8,7 +8,6 @@ import (
 
 	"symbee/internal/channel"
 	"symbee/internal/link"
-	"symbee/internal/stream"
 )
 
 func TestDownlinkSchemeTable(t *testing.T) {
@@ -122,19 +121,19 @@ func TestSimLinkReverseCollisions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("PHY soak skipped in -short mode")
 	}
-	run := func() (*Report, ReverseStats) {
+	run := func() (*Report, link.DownlinkLedger) {
 		cfg := DefaultSimConfig()
 		cfg.Faults = channel.FaultConfig{Seed: 5}
-		m := stream.NewMetrics()
+		m := link.NewMetrics()
 		cfg.Metrics = m
-		link, err := NewSimLink(cfg)
+		sl, err := NewSimLink(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer link.Close()
+		defer sl.Close()
 		scfg := cfgSeed(5)
 		scfg.Metrics = m
-		s, err := NewSession(link, scfg)
+		s, err := NewSession(sl, scfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,10 +142,10 @@ func TestSimLinkReverseCollisions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v (report %+v)", err, rep)
 		}
-		if msgs := link.Messages(); len(msgs) != 1 || !bytes.Equal(msgs[0], msg) {
+		if msgs := sl.Messages(); len(msgs) != 1 || !bytes.Equal(msgs[0], msg) {
 			t.Fatal("message not delivered intact through collisions")
 		}
-		return rep, link.ReverseStats()
+		return rep, sl.ReverseStats()
 	}
 	rep, stats := run()
 	if stats.AcksSent == 0 || stats.Airtime == 0 {

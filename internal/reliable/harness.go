@@ -170,8 +170,8 @@ func (l *SimLink) Duplex() *link.Duplex { return l.duplex }
 
 // ReverseStats reports the downlink's ack ledger: copies sent, airtime
 // spent, coalesced, dropped and collided.
-func (l *SimLink) ReverseStats() ReverseStats {
-	return reverseStats(l.duplex.Down().Ledger())
+func (l *SimLink) ReverseStats() link.DownlinkLedger {
+	return l.duplex.Down().Ledger()
 }
 
 // AckLatency implements Transport.
@@ -262,7 +262,7 @@ func (l *SimLink) receive(capture []complex128) *core.Frame {
 
 // terminalEvent scans drained stack events for the capture's outcome:
 // the decoded frame, or whether a locked preamble failed to decode.
-func terminalEvent(events []Event) (frame *core.Frame, failed bool) {
+func terminalEvent(events []link.Event) (frame *core.Frame, failed bool) {
 	for _, ev := range events {
 		switch ev.Kind {
 		case core.EventFrame:
@@ -273,9 +273,6 @@ func terminalEvent(events []Event) (frame *core.Frame, failed bool) {
 	}
 	return frame, failed
 }
-
-// Event aliases the link stack event consumed by the harness.
-type Event = link.Event
 
 // Close flushes the streaming receive path, if any.
 func (l *SimLink) Close() {

@@ -45,7 +45,7 @@ type reverseChannel struct {
 	busyUntil time.Duration // serial transmitter: when the last copy ends
 	pending   *pendingAck
 	inFlight  []ackCopy
-	stats     ReverseStats
+	stats     link.DownlinkLedger
 }
 
 func (rc *reverseChannel) latency() time.Duration { return rc.base + rc.wall }
@@ -272,7 +272,7 @@ func TestDownlinkLayeredEquivalence(t *testing.T) {
 				if ref.latency() != stk.Latency() {
 					t.Fatalf("seed %d: latency %v vs %v", seed, ref.latency(), stk.Latency())
 				}
-				if got := reverseStats(stk.Ledger()); got != ref.stats {
+				if got := stk.Ledger(); got != ref.stats {
 					t.Fatalf("seed %d: ledger %+v vs %+v", seed, got, ref.stats)
 				}
 			}

@@ -8,7 +8,7 @@ import (
 	"strconv"
 	"testing"
 
-	"symbee/internal/stream"
+	"symbee/internal/link"
 )
 
 // soakRuns returns how many seeded runs each soak subtest executes.
@@ -37,20 +37,20 @@ func soakMessage(seed int64) []byte {
 // unless the message arrives intact.
 func soakRun(t *testing.T, seed int64, streaming bool) *Report {
 	t.Helper()
-	m := stream.NewMetrics()
+	m := link.NewMetrics()
 	cfg := DefaultSimConfig()
 	cfg.Faults = ProfileSoak(seed)
 	cfg.Stream = streaming
 	cfg.Metrics = m
-	link, err := NewSimLink(cfg)
+	sl, err := NewSimLink(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer link.Close()
+	defer sl.Close()
 	scfg := DefaultConfig()
 	scfg.Seed = seed
 	scfg.Metrics = m
-	s, err := NewSession(link, scfg)
+	s, err := NewSession(sl, scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func soakRun(t *testing.T, seed int64, streaming bool) *Report {
 	if err != nil {
 		t.Fatalf("seed %d: %v (report %+v)", seed, err, rep)
 	}
-	msgs := link.Messages()
+	msgs := sl.Messages()
 	if len(msgs) != 1 || !bytes.Equal(msgs[0], msg) {
 		t.Fatalf("seed %d: message not delivered intact (%d messages)", seed, len(msgs))
 	}
-	if rs := link.ReverseStats(); rs.AcksSent == 0 || rs.Airtime == 0 {
+	if rs := sl.ReverseStats(); rs.AcksSent == 0 || rs.Airtime == 0 {
 		t.Fatalf("seed %d: reverse channel never transmitted (%+v)", seed, rs)
 	}
 	return rep
@@ -115,20 +115,20 @@ func TestARQBidirectionalSoak(t *testing.T) {
 	for seed := int64(0); seed < int64(runs); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			m := stream.NewMetrics()
+			m := link.NewMetrics()
 			cfg := DefaultSimConfig()
 			cfg.Faults = ProfileBidir(seed)
 			cfg.AckRepeat = 2
 			cfg.Metrics = m
-			link, err := NewSimLink(cfg)
+			sl, err := NewSimLink(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer link.Close()
+			defer sl.Close()
 			scfg := DefaultConfig()
 			scfg.Seed = seed
 			scfg.Metrics = m
-			s, err := NewSession(link, scfg)
+			s, err := NewSession(sl, scfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,11 +137,11 @@ func TestARQBidirectionalSoak(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v (report %+v)", seed, err, rep)
 			}
-			msgs := link.Messages()
+			msgs := sl.Messages()
 			if len(msgs) != 1 || !bytes.Equal(msgs[0], msg) {
 				t.Fatalf("seed %d: message not delivered intact (%d messages)", seed, len(msgs))
 			}
-			rs := link.ReverseStats()
+			rs := sl.ReverseStats()
 			if rs.AcksSent == 0 {
 				t.Fatalf("seed %d: reverse channel idle", seed)
 			}
@@ -168,13 +168,13 @@ func TestARQOverheadCleanChannel(t *testing.T) {
 		cfg := DefaultSimConfig()
 		cfg.Downlink = DownlinkIdeal
 		cfg.Stream = streaming
-		link, err := NewSimLink(cfg)
+		sl, err := NewSimLink(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		scfg := DefaultConfig()
 		scfg.Seed = 1
-		s, err := NewSession(link, scfg)
+		s, err := NewSession(sl, scfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestARQOverheadCleanChannel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream=%v: %v", streaming, err)
 		}
-		if msgs := link.Messages(); len(msgs) != 1 || !bytes.Equal(msgs[0], msg) {
+		if msgs := sl.Messages(); len(msgs) != 1 || !bytes.Equal(msgs[0], msg) {
 			t.Fatalf("stream=%v: message not delivered", streaming)
 		}
 		baseline := PlainAirtime(len(msg))
@@ -194,7 +194,7 @@ func TestARQOverheadCleanChannel(t *testing.T) {
 			t.Fatalf("stream=%v: clean channel produced %d retransmits %d timeouts",
 				streaming, rep.Retransmits, rep.Timeouts)
 		}
-		link.Close()
+		sl.Close()
 	}
 }
 
@@ -205,19 +205,19 @@ func TestARQHarshProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short mode")
 	}
-	m := stream.NewMetrics()
+	m := link.NewMetrics()
 	cfg := DefaultSimConfig()
 	cfg.Faults = ProfileHarsh(3)
 	cfg.Metrics = m
-	link, err := NewSimLink(cfg)
+	sl, err := NewSimLink(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer link.Close()
+	defer sl.Close()
 	scfg := DefaultConfig()
 	scfg.Seed = 3
 	scfg.Metrics = m
-	s, err := NewSession(link, scfg)
+	s, err := NewSession(sl, scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +226,10 @@ func TestARQHarshProfile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (report %+v)", err, rep)
 	}
-	if msgs := link.Messages(); len(msgs) != 1 || !bytes.Equal(msgs[0], msg) {
+	if msgs := sl.Messages(); len(msgs) != 1 || !bytes.Equal(msgs[0], msg) {
 		t.Fatal("message not delivered intact")
 	}
-	lost, jammed, _ := link.FaultStats()
+	lost, jammed, _ := sl.FaultStats()
 	if lost == 0 || jammed == 0 {
 		t.Fatalf("harsh profile exercised nothing: lost=%d jammed=%d", lost, jammed)
 	}

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"symbee/internal/core"
+	"symbee/internal/link"
 	"symbee/internal/wifi"
 )
 
 // TestSteadyStateZeroAlloc is the zero-alloc guarantee of the sustained
-// ingest path: once a receiver is warm (scratch grown, machine history
+// ingest path: once a stack is warm (scratch grown, machine history
 // at its retention bound), pushing IQ and draining events on the
 // idle-listening/hunting steady state allocates nothing — instrumented
 // or not. This is the state a live receiver spends almost all its time
@@ -23,16 +24,13 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		metrics *Metrics
+		metrics *link.Metrics
 	}{
 		{"uninstrumented", nil},
-		{"instrumented", NewMetrics()},
+		{"instrumented", link.NewMetrics()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := NewReceiver(p, wifi.CanonicalCompensation, tc.metrics)
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := newStack(t, p, wifi.CanonicalCompensation, tc.metrics)
 			// Warm-up: grow every ring, scratch and retained-history
 			// buffer to steady state on the exact chunk we will measure.
 			for i := 0; i < 50; i++ {
@@ -59,10 +57,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 func TestFrameReplayAllocBudget(t *testing.T) {
 	p := core.Params20()
 	iq := benchCapture(t, p)
-	r, err := NewReceiver(p, wifi.CanonicalCompensation, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newStack(t, p, wifi.CanonicalCompensation, nil)
 	const chunk = 4096
 	replay := func() (frames int) {
 		for off := 0; off < len(iq); off += chunk {

@@ -6,8 +6,23 @@ import (
 
 	"symbee/internal/channel"
 	"symbee/internal/core"
+	"symbee/internal/link"
 	"symbee/internal/wifi"
 )
+
+// newStack builds the streaming-preset stack a pool session runs.
+func newStack(tb testing.TB, p core.Params, compensation float64, m *link.Metrics) *link.Stack {
+	tb.Helper()
+	d, err := core.NewDecoder(p, compensation)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := link.NewStreaming(d, 0, m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
 
 func benchCapture(b testing.TB, p core.Params) []complex128 {
 	b.Helper()
@@ -37,10 +52,7 @@ func benchCapture(b testing.TB, p core.Params) []complex128 {
 func BenchmarkStreamThroughput(b *testing.B) {
 	p := core.Params20()
 	iq := benchCapture(b, p)
-	r, err := NewReceiver(p, wifi.CanonicalCompensation, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := newStack(b, p, wifi.CanonicalCompensation, nil)
 	const chunk = 4096
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -71,10 +83,7 @@ func BenchmarkStreamThroughputNoise(b *testing.B) {
 	for i := range iq {
 		iq[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	r, err := NewReceiver(p, wifi.CanonicalCompensation, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := newStack(b, p, wifi.CanonicalCompensation, nil)
 	const chunk = 4096
 	b.ReportAllocs()
 	b.ResetTimer()

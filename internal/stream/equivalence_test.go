@@ -7,6 +7,7 @@ import (
 
 	"symbee/internal/channel"
 	"symbee/internal/core"
+	"symbee/internal/link"
 	"symbee/internal/testutil"
 	"symbee/internal/wifi"
 )
@@ -81,15 +82,12 @@ func equivalenceCaptures(t *testing.T) []capture {
 	return caps
 }
 
-// replayIQ pushes the capture through a fresh Receiver in chunks of the
-// given size and returns every event.
-func replayIQ(t *testing.T, c capture, chunk int) []Event {
+// replayIQ pushes the capture through a fresh streaming stack in chunks
+// of the given size and returns every event.
+func replayIQ(t *testing.T, c capture, chunk int) []link.Event {
 	t.Helper()
-	r, err := NewReceiver(c.params, c.compensation, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []Event
+	r := newStack(t, c.params, c.compensation, nil)
+	var events []link.Event
 	for off := 0; off < len(c.iq); off += chunk {
 		end := off + chunk
 		if end > len(c.iq) {
@@ -103,18 +101,15 @@ func replayIQ(t *testing.T, c capture, chunk int) []Event {
 }
 
 // replayPhases runs the same stream through the phase-input path.
-func replayPhases(t *testing.T, c capture, chunk int) []Event {
+func replayPhases(t *testing.T, c capture, chunk int) []link.Event {
 	t.Helper()
 	fe, err := wifi.NewFrontEnd(c.params.SampleRate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	phases := fe.PhaseStream(c.iq)
-	r, err := NewReceiver(c.params, c.compensation, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []Event
+	r := newStack(t, c.params, c.compensation, nil)
+	var events []link.Event
 	for off := 0; off < len(phases); off += chunk {
 		end := off + chunk
 		if end > len(phases) {
@@ -127,7 +122,7 @@ func replayPhases(t *testing.T, c capture, chunk int) []Event {
 	return append(events, r.Drain()...)
 }
 
-func diffEvents(t *testing.T, label string, got, want []Event) {
+func diffEvents(t *testing.T, label string, got, want []link.Event) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d events, want %d (got %+v, want %+v)", label, len(got), len(want), got, want)
@@ -182,7 +177,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			batch, batchErr := l.Decoder().DecodeFrame(l.Phases(c.iq))
-			var first *Event
+			var first *link.Event
 			for i := range want {
 				if want[i].Kind == core.EventFrame {
 					first = &want[i]
@@ -215,13 +210,10 @@ func TestStreamingMatchesBatch(t *testing.T) {
 }
 
 // TestReceiverBoundedOnNoise checks the hunting memory bound end to end
-// through the Receiver (IQ path included).
+// through the streaming stack (IQ path included).
 func TestReceiverBoundedOnNoise(t *testing.T) {
 	p := core.Params20()
-	r, err := NewReceiver(p, 0, NewMetrics())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newStack(t, p, 0, link.NewMetrics())
 	rng := rand.New(rand.NewSource(33))
 	chunk := make([]complex128, 4096)
 	for i := 0; i < 100; i++ {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"symbee/internal/core"
+	"symbee/internal/link"
 )
 
 // Chunk is one unit of ingestion: a slab of IQ samples or phase values
@@ -49,10 +50,10 @@ type Config struct {
 	// OnEvent, when set, receives every stream event. It is called from
 	// worker goroutines (one call at a time per stream, but concurrent
 	// across streams) and must be fast or thread-safe accordingly.
-	OnEvent func(Event)
+	OnEvent func(link.Event)
 	// Metrics receives stage instrumentation; nil allocates a private
 	// registry (retrievable via Pool.Metrics).
-	Metrics *Metrics
+	Metrics *link.Metrics
 }
 
 // DefaultConfig returns the baseline pool configuration: the 20 Msps
@@ -74,15 +75,14 @@ func (c Config) Validate() error {
 
 // Pool is the sharded streaming receiver: N worker goroutines, each
 // owning the sessions of the streams sharded to it, fed by bounded
-// channels. Each session is one streaming-preset link.Stack (wrapped as
-// a Receiver). Stream state is touched only by its owning worker, so
+// channels. Each session is one streaming-preset link.Stack. Stream state is touched only by its owning worker, so
 // the decode hot path takes no locks; the only synchronization is the
 // channel handoff and the atomic metrics.
 type Pool struct {
 	cfg     Config
 	decoder *core.Decoder
 	workers []*worker
-	metrics *Metrics
+	metrics *link.Metrics
 	wg      sync.WaitGroup
 	closed  bool          //symbee:guardedby mu
 	mu      sync.RWMutex  // guards closed: Ingest holds R, Close holds W
@@ -91,7 +91,7 @@ type Pool struct {
 
 type worker struct {
 	in       chan Chunk
-	sessions map[uint64]*Receiver
+	sessions map[uint64]*link.Stack
 	pool     *Pool
 }
 
@@ -108,7 +108,7 @@ func NewPool(cfg Config) (*Pool, error) {
 		cfg.QueueDepth = 64
 	}
 	if cfg.Metrics == nil {
-		cfg.Metrics = NewMetrics()
+		cfg.Metrics = link.NewMetrics()
 	}
 	d, err := core.NewDecoder(cfg.Params, cfg.Compensation)
 	if err != nil {
@@ -119,7 +119,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	for i := range p.workers {
 		w := &worker{
 			in:       make(chan Chunk, cfg.QueueDepth),
-			sessions: make(map[uint64]*Receiver),
+			sessions: make(map[uint64]*link.Stack),
 			pool:     p,
 		}
 		p.workers[i] = w
@@ -155,7 +155,7 @@ func NewPoolContext(ctx context.Context, cfg Config) (*Pool, error) {
 }
 
 // Metrics returns the pool's registry.
-func (p *Pool) Metrics() *Metrics { return p.metrics }
+func (p *Pool) Metrics() *link.Metrics { return p.metrics }
 
 // Workers returns the shard count.
 func (p *Pool) Workers() int { return len(p.workers) }
@@ -225,9 +225,10 @@ func (w *worker) run() {
 		w.process(c)
 	}
 	// Channel closed: flush whatever sessions remain so no buffered
-	// frame is lost at shutdown.
+	// frame is lost at shutdown. Session stacks have no sinks besides
+	// the collector, so Flush cannot fail.
 	for id, r := range w.sessions {
-		r.Flush()
+		_ = r.Flush()
 		w.emit(r)
 		delete(w.sessions, id)
 		w.pool.metrics.StreamsFlushed.Add(1)
@@ -239,15 +240,14 @@ func (w *worker) process(c Chunk) {
 	r, ok := w.sessions[c.Stream]
 	if !ok {
 		var err error
-		r, err = NewReceiverFromDecoder(w.pool.decoder, w.pool.metrics)
+		r, err = link.NewStreaming(w.pool.decoder, c.Stream, w.pool.metrics)
 		if err != nil {
 			// The shared decoder was already validated when the pool was
-			// built, so a receiver for it cannot fail; count the chunk as
+			// built, so a stack for it cannot fail; count the chunk as
 			// dropped rather than crash the worker if it somehow does.
 			w.pool.metrics.Drops.Add(1)
 			return
 		}
-		r.setStream(c.Stream)
 		w.sessions[c.Stream] = r
 		w.pool.metrics.StreamsOpened.Add(1)
 	}
@@ -264,7 +264,7 @@ func (w *worker) process(c Chunk) {
 		}
 	}
 	if c.Flush {
-		r.Flush()
+		_ = r.Flush() // cannot fail: see run
 		delete(w.sessions, c.Stream)
 		w.pool.metrics.StreamsFlushed.Add(1)
 	}
@@ -272,7 +272,7 @@ func (w *worker) process(c Chunk) {
 	w.pool.metrics.ChunkNanos.Observe(float64(wallNow().Sub(start)))
 }
 
-func (w *worker) emit(r *Receiver) {
+func (w *worker) emit(r *link.Stack) {
 	events := r.Drain()
 	if w.pool.cfg.OnEvent == nil {
 		return

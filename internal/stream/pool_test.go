@@ -9,6 +9,7 @@ import (
 
 	"symbee/internal/channel"
 	"symbee/internal/core"
+	"symbee/internal/link"
 	"symbee/internal/testutil"
 	"symbee/internal/wifi"
 )
@@ -58,7 +59,7 @@ func TestPoolDecodesConcurrentStreams(t *testing.T) {
 		Compensation: wifi.CanonicalCompensation,
 		Workers:      3,
 		QueueDepth:   8,
-		OnEvent: func(ev Event) {
+		OnEvent: func(ev link.Event) {
 			if ev.Kind == core.EventFrame {
 				mu.Lock()
 				frames[ev.Stream] = append(frames[ev.Stream], ev.Frame)
@@ -122,7 +123,7 @@ func TestPoolCloseFlushesOpenStreams(t *testing.T) {
 		Params:       p,
 		Compensation: wifi.CanonicalCompensation,
 		Workers:      2,
-		OnEvent: func(ev Event) {
+		OnEvent: func(ev link.Event) {
 			if ev.Kind == core.EventFrame {
 				mu.Lock()
 				got = append(got, ev.Frame)

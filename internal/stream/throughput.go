@@ -2,6 +2,7 @@ package stream
 
 import (
 	"symbee/internal/core"
+	"symbee/internal/link"
 )
 
 // ThroughputReport summarizes one single-stream replay measurement.
@@ -23,12 +24,16 @@ type ThroughputReport struct {
 }
 
 // MeasureThroughput replays the IQ capture through one uninstrumented
-// Receiver in chunks of the given size, looping the capture until at
+// streaming stack in chunks of the given size, looping the capture until at
 // least minSamples have been pushed, and reports the sustained rate.
 // It is the measurement backing BenchmarkStreamThroughput and the
 // stream mode of cmd/symbeebench.
 func MeasureThroughput(p core.Params, compensation float64, iq []complex128, chunk int, minSamples uint64) (ThroughputReport, error) {
-	r, err := NewReceiver(p, compensation, nil)
+	d, err := core.NewDecoder(p, compensation)
+	if err != nil {
+		return ThroughputReport{}, err
+	}
+	r, err := link.NewStreaming(d, 0, nil)
 	if err != nil {
 		return ThroughputReport{}, err
 	}

@@ -47,23 +47,13 @@ func TestPhaseStreamMatchesManualComputation(t *testing.T) {
 	if len(ph) != 100-16 {
 		t.Fatalf("len = %d", len(ph))
 	}
-	// The default path runs the fast phase kernel: manual Atan2 values
-	// must agree within its documented bound.
+	// The front-end runs the fast phase kernel: manual Atan2 values must
+	// agree within its documented bound.
 	for n := range ph {
 		p := x[n] * complex(real(x[n+16]), -imag(x[n+16]))
 		want := math.Atan2(imag(p), real(p))
 		if math.Abs(ph[n]-want) > dsp.FastAtan2MaxErr {
 			t.Fatalf("ph[%d] = %v, want %v within %v", n, ph[n], want, dsp.FastAtan2MaxErr)
-		}
-	}
-	// Under the exactness escape hatch the stream is bit-identical to
-	// the manual computation.
-	dsp.UseExactPhase = true
-	defer func() { dsp.UseExactPhase = false }()
-	for n, v := range f.PhaseStream(x) {
-		p := x[n] * complex(real(x[n+16]), -imag(x[n+16]))
-		if want := math.Atan2(imag(p), real(p)); v != want {
-			t.Fatalf("exact ph[%d] = %v, want %v", n, v, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"symbee/internal/channel"
+	"symbee/internal/link"
 	"symbee/internal/reliable"
 )
 
@@ -28,7 +29,7 @@ type (
 	// DownlinkScheme selects the WiFi→ZigBee reverse-channel model.
 	DownlinkScheme = reliable.DownlinkScheme
 	// ReverseStats is a transport's reverse-channel ledger.
-	ReverseStats = reliable.ReverseStats
+	ReverseStats = link.DownlinkLedger
 	// SimLink runs frames through the simulated PHY and a modeled ack
 	// downlink.
 	SimLink = reliable.SimLink
@@ -184,11 +185,11 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 	}
 	tx := o.transport
 	if tx == nil {
-		link, err := NewSimLink(o.sim)
+		sl, err := NewSimLink(o.sim)
 		if err != nil {
 			return nil, err
 		}
-		tx = link
+		tx = sl
 	}
 	return reliable.NewSession(tx, o.cfg)
 }

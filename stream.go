@@ -4,26 +4,27 @@ import (
 	"context"
 
 	"symbee/internal/core"
+	"symbee/internal/link"
 	"symbee/internal/stream"
 )
 
-// Streaming re-exports: the real-time receiver pipeline of
-// internal/stream through the public surface.
+// Streaming re-exports: the streaming receive stack of internal/link and
+// the worker pool of internal/stream through the public surface.
 type (
 	// Receiver is a single-stream incremental receiver: push IQ or
 	// phase chunks, drain decode events.
-	Receiver = stream.Receiver
+	Receiver = link.Stack
 	// Pool is the sharded multi-stream receiver: N workers, each owning
 	// the sessions of the streams hashed to it.
 	Pool = stream.Pool
 	// Chunk is one unit of pool ingestion.
 	Chunk = stream.Chunk
 	// Metrics is the pipeline instrumentation registry.
-	Metrics = stream.Metrics
+	Metrics = link.Metrics
 	// MetricsSnapshot is the JSON-stable point-in-time metrics state.
-	MetricsSnapshot = stream.Snapshot
+	MetricsSnapshot = link.Snapshot
 	// Event is one decode occurrence (lock, frame, error) on one stream.
-	Event = stream.Event
+	Event = link.Event
 	// StreamEventKind discriminates Event kinds.
 	StreamEventKind = core.StreamEventKind
 )
@@ -40,7 +41,7 @@ const (
 
 // NewMetrics returns a zeroed metrics registry, shareable across
 // receivers, pools and reliable sessions.
-var NewMetrics = stream.NewMetrics
+var NewMetrics = link.NewMetrics
 
 // streamOptions is the resolved option state shared by NewReceiver and
 // NewPool.
@@ -67,8 +68,9 @@ func WithCompensation(c float64) StreamOption {
 	return func(o *streamOptions) { o.cfg.Compensation = c }
 }
 
-// WithMetrics shares an external metrics registry instead of allocating
-// a private one.
+// WithMetrics instruments the receiver or pool with an external metrics
+// registry. Without it a receiver is uninstrumented and a pool keeps a
+// private registry (Pool.Metrics).
 func WithMetrics(m *Metrics) StreamOption {
 	return func(o *streamOptions) { o.cfg.Metrics = m }
 }
@@ -117,7 +119,7 @@ func resolveStreamOptions(opts []StreamOption) streamOptions {
 // NewReceiver builds a single-stream incremental receiver for the given
 // parameter set: push IQ (or phase) chunks of any size, drain events.
 // It decodes exactly what a batch decode of the concatenated stream
-// would.
+// would. It skips all metrics accounting unless WithMetrics is given.
 //
 //	rx, err := symbee.NewReceiver(symbee.Params20(), symbee.WithCompensation(0))
 //	rx.PushIQ(capture)
@@ -125,11 +127,11 @@ func resolveStreamOptions(opts []StreamOption) streamOptions {
 //	for _, ev := range rx.Drain() { ... }
 func NewReceiver(p Params, opts ...StreamOption) (*Receiver, error) {
 	o := resolveStreamOptions(opts)
-	o.cfg.Params = p
-	if o.cfg.Metrics == nil {
-		o.cfg.Metrics = NewMetrics()
+	d, err := core.NewDecoder(p, o.cfg.Compensation)
+	if err != nil {
+		return nil, err
 	}
-	return stream.NewReceiver(o.cfg.Params, o.cfg.Compensation, o.cfg.Metrics)
+	return link.NewStreaming(d, 0, o.cfg.Metrics)
 }
 
 // NewPool builds the sharded multi-stream receiver pool. With no
