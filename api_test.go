@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -203,5 +204,19 @@ func TestNewPoolContextCancellation(t *testing.T) {
 	defer mu.Unlock()
 	if len(frames) != 1 || !bytes.Equal(frames[0].Data, want.Data) {
 		t.Fatalf("decoded %d frames, want the one ingested before cancel", len(frames))
+	}
+}
+
+// A rejected pool configuration reports its layer prefix once: the
+// context wrapper must not re-wrap NewPool's already-prefixed error.
+func TestNewPoolErrorPrefix(t *testing.T) {
+	pool, err := NewPool(WithParams(Params{}))
+	if err == nil {
+		pool.Close()
+		t.Fatal("NewPool with zero Params succeeded")
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "stream: ") || strings.Count(msg, "stream:") != 1 {
+		t.Errorf("error %q, want exactly one leading stream: prefix", msg)
 	}
 }

@@ -89,7 +89,7 @@ func run(input *cli.Input, nBits int, snr, cfo float64, seed int64) error {
 		return nil
 	}
 
-	frame, err := symbee.DecodeBatch(dec, phases)
+	frame, err := dec.DecodeFrame(phases)
 	if err != nil {
 		return err
 	}

@@ -128,7 +128,7 @@ func scanSymBee(tr *trace.Trace) error {
 		return nil
 	}
 	fmt.Printf("SymBee (WiFi side): preamble at phase index %d\n", anchor)
-	if f, err := symbee.DecodeBatch(link.Decoder(), phases); err == nil {
+	if f, err := link.Decoder().DecodeFrame(phases); err == nil {
 		fmt.Printf("  frame: seq=%d flags=%X data=%q\n", f.Seq, f.Flags, f.Data)
 	} else {
 		fmt.Printf("  frame decode: %v (raw-bit message? try symbeerx -bits N)\n", err)

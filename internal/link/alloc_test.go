@@ -49,41 +49,3 @@ func TestStackSteadyStateZeroAlloc(t *testing.T) {
 		})
 	}
 }
-
-// TestStackWithSinkZeroAlloc extends the guarantee to a stack with an
-// extra event sink and a phase layer in the chain: the layered dispatch
-// itself must not allocate either.
-func TestStackWithSinkZeroAlloc(t *testing.T) {
-	p := core.Params20()
-	rng := rand.New(rand.NewSource(56))
-	noise := make([]complex128, 4096)
-	for i := range noise {
-		noise[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	dec, err := core.NewDecoder(p, wifi.CanonicalCompensation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := &countingPhaseLayer{stats: LayerStats{Name: "counting"}}
-	sink := NewCallback(nil)
-	st, err := New(Spec{
-		Decoder:  dec,
-		FrontEnd: true,
-		Phase:    []PhaseLayer{probe},
-		Sinks:    []EventLayer{sink},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		st.PushIQ(noise)
-		st.Drain()
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		st.PushIQ(noise)
-		st.Drain()
-	})
-	if allocs != 0 {
-		t.Errorf("layered steady-state PushIQ+Drain allocates %.1f times per chunk, want 0", allocs)
-	}
-}

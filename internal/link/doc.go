@@ -1,8 +1,8 @@
-// Package link is the composable SymBee receive stack: one explicit
-// Layer contract (typed input/output, per-layer stats) and a Stack
-// composer that assembles the paper's layered pipeline — PHY sample
-// source → phase-extraction kernel → preamble scan / frame machine →
-// optional coding/ARQ hooks → application sink — from reusable stages.
+// Package link is the SymBee receive stack: one concrete Stack that
+// runs the paper's fixed pipeline — IQ samples → ∠p[n] phase front-end
+// (dsp.PhaseDiffStreamer) → preamble scan / frame machine
+// (core.FrameMachine) → a reused queue of decode events the owner
+// Drains.
 //
 // Every receive path in the repository is one of three presets of the
 // same Stack:
@@ -18,12 +18,13 @@
 //
 // The Stack's push path keeps the repository's zero-alloc steady-state
 // guarantee (//symbee:hotpath roots, pinned by AllocsPerRun tests), and
-// every stage reports into the one Metrics registry shared by the
+// its stages report into the one Metrics registry shared by the
 // receivers, the pool and the reliability layer.
 //
 // The downlink half of a duplex link lives here too: DownStack models
-// the serial WiFi→ZigBee ack channel as TimedLayer stages, Duplex pairs
-// it with an uplink Stack, and DownlinkLedger is its ack accounting.
+// the serial WiFi→ZigBee ack channel as a fixed coalescer → occupancy →
+// reverse-fault chain, Duplex pairs it with an uplink Stack, and
+// DownlinkLedger is its ack accounting.
 //
 // RunMedium (medium.go) is the shared-medium scenario entry point: the
 // internal/medium engine synthesizes N seeded ZigBee senders with

@@ -9,27 +9,24 @@ import (
 )
 
 // This file is the downlink half of the duplex link architecture: the
-// serial WiFi→ZigBee reverse channel decomposed into the same layered
-// discipline as the forward decode Stack. A DownStack is discrete-event
-// and clockless — callers push ack generations at forward-frame
-// delivery instants and pull arrivals with explicit `now` stamps — so
-// it composes with both virtual and wall clocks, exactly like the
-// reverse-channel model it replaces. The stages, bottom to top:
+// serial WiFi→ZigBee reverse channel as a fixed chain of stages. A
+// DownStack is discrete-event and clockless — callers push ack
+// generations at forward-frame delivery instants and pull arrivals with
+// explicit `now` stamps — so it composes with both virtual and wall
+// clocks, exactly like the reverse-channel model it replaces. The
+// stages, bottom to top:
 //
 //	coalescer       ack serializer: one pending slot, newer cumulative
 //	                acks replace a queued unstarted older one
-//	occupancy       scheme occupancy & busy-queue: per-copy wall/air
-//	                quanta and the serial transmitter's busy horizon
-//	                (schemeOccupancy from ctc.Downlink timing, or the
-//	                explicit idealOccupancy no-op)
+//	occupancy       per-copy wall/air quanta and the serial transmitter's
+//	                busy horizon (from ctc.Downlink timing, explicit
+//	                DownTiming, or all zero for the ideal downlink)
 //	reverseFault    per-copy loss draws and the half-duplex forward/ack
 //	                collision model
-//	timed sinks     TimedLayer consumers, terminated by the built-in
-//	                TimedCollector the owner Drains through Arrivals
 //
-// Every stage reports LayerStats; the cross-stage ack ledger, which the
-// reliability layer publishes through SimLink.ReverseStats, is
-// assembled by Ledger.
+// Arrivals land in a reused queue the owner reads through Arrivals; the
+// cross-stage ack ledger, which the reliability layer publishes through
+// SimLink.ReverseStats, is assembled by Ledger.
 
 // DownTiming pins a downlink's per-copy occupancy as explicit
 // durations: the wall-clock span one ack copy holds the reverse
@@ -43,8 +40,8 @@ type DownTiming struct {
 
 // DownSpec assembles a DownStack. Exactly one timing source applies:
 // Downlink resolves a ctc operating point, Timing states the quanta
-// directly, and leaving both nil builds the explicit ideal no-op
-// occupancy stage (instant, free, collision-less acks).
+// directly, and leaving both nil builds the ideal downlink — zero
+// quanta, so acks are instant, free and collision-less.
 type DownSpec struct {
 	// Downlink is the resolved ctc ack-downlink timing model.
 	Downlink *ctc.Downlink
@@ -58,9 +55,6 @@ type DownSpec struct {
 	// Collide draws the half-duplex collision outcomes (nil = never
 	// collides). Callers seed it from their collision RNG stream.
 	Collide *rand.Rand
-	// Sinks are additional timed-event consumers ahead of the built-in
-	// collector.
-	Sinks []TimedLayer
 }
 
 // DownSpec validation errors.
@@ -70,6 +64,23 @@ var (
 	// ErrDownTiming reports both timing sources set at once.
 	ErrDownTiming = errors.New("link: DownSpec.Downlink and DownSpec.Timing are mutually exclusive")
 )
+
+// TimedEvent is one cumulative acknowledgment arriving on the reverse
+// channel, stamped with its generation and arrival instants on the
+// shared virtual clock. Where Event carries what was decoded,
+// TimedEvent carries when.
+type TimedEvent struct {
+	// Seq is the cumulative next-expected sequence number.
+	Seq byte
+	// Gen is when the ack was generated on the link clock — the end of
+	// the forward frame that triggered it. It stands in for the token a
+	// real downlink would carry, and lets the consumer tell a fresh ack
+	// from a stale one that spent its latency in flight.
+	Gen time.Duration
+	// At is when the ack finished arriving (its last reverse-channel
+	// symbol landed).
+	At time.Duration
+}
 
 // downCopy is one committed reverse-channel transmission of an ack.
 type downCopy struct {
@@ -90,22 +101,14 @@ type pendingTimed struct {
 }
 
 // coalescer is the ack serializer stage: it owns the single pending
-// slot of the serial reverse transmitter. In counts acks offered, Out
-// counts acks committed downstream; the difference is what coalescing
-// (and any still-pending ack) absorbed.
+// slot of the serial reverse transmitter.
 type coalescer struct {
 	pending   *pendingTimed
 	coalesced int
-	stats     LayerStats
-}
-
-func newCoalescer() *coalescer {
-	return &coalescer{stats: LayerStats{Name: "coalescer"}}
 }
 
 // put queues p, replacing (and counting) a still-pending older ack.
 func (c *coalescer) put(p pendingTimed) {
-	c.stats.In++
 	if c.pending != nil {
 		c.coalesced++
 	}
@@ -120,71 +123,24 @@ func (c *coalescer) take(now time.Duration) *pendingTimed {
 		return nil
 	}
 	c.pending = nil
-	c.stats.Out++
 	return p
 }
 
-// peek returns the queued ack without committing it.
-func (c *coalescer) peek() *pendingTimed { return c.pending }
-
-// Name implements Layer.
-func (c *coalescer) Name() string { return "coalescer" }
-
-// Flush implements Layer; commitment follows simulated time, never
-// end-of-stream.
-func (c *coalescer) Flush() error { return nil }
-
-// Close implements Layer.
-func (c *coalescer) Close() error { return nil }
-
-// Stats implements Layer.
-func (c *coalescer) Stats() LayerStats { return c.stats }
-
-// occupancy is the scheme occupancy & busy-queue stage: it owns the
-// per-copy quanta and the serial transmitter's busy horizon. In counts
-// acks committed, Out counts copies put on the air.
-type occupancy interface {
-	Layer
-	// quanta reports the per-copy wall span, on-air time and turnaround.
-	quanta() (wall, air, base time.Duration)
-	// copies is how many copies each committed ack transmits.
-	copies() int
-	// startFor schedules an ack generated at gen: after the turnaround,
-	// or when the transmitter frees up, whichever is later.
-	startFor(gen time.Duration) time.Duration
-	// commit accounts one ack's copies starting at start and advances
-	// the busy horizon past them.
-	commit(start time.Duration)
-}
-
-// schemeOccupancy is the modeled occupancy stage: real wall/air/base
-// quanta resolved from a ctc operating point or stated explicitly.
-type schemeOccupancy struct {
-	label           string
+// occupancy is the busy-queue stage: it owns the per-copy quanta and
+// the serial transmitter's busy horizon. The ideal downlink is this
+// stage with all quanta zero: acks start the instant they are generated
+// (or the previous one is committed), cost no air and hold the channel
+// for no time.
+type occupancy struct {
 	wall, air, base time.Duration
 	repeat          int
 	busyUntil       time.Duration
-	stats           LayerStats
+	sent            int // copies put on the air
 }
 
-func newSchemeOccupancy(label string, wall, air, base time.Duration, repeat int) *schemeOccupancy {
-	name := "occupancy:" + label
-	return &schemeOccupancy{
-		label: label, wall: wall, air: air, base: base, repeat: repeat,
-		stats: LayerStats{Name: name},
-	}
-}
-
-// Name implements Layer.
-func (o *schemeOccupancy) Name() string { return o.stats.Name }
-
-func (o *schemeOccupancy) quanta() (time.Duration, time.Duration, time.Duration) {
-	return o.wall, o.air, o.base
-}
-
-func (o *schemeOccupancy) copies() int { return o.repeat }
-
-func (o *schemeOccupancy) startFor(gen time.Duration) time.Duration {
+// startFor schedules an ack generated at gen: after the turnaround, or
+// when the transmitter frees up, whichever is later.
+func (o *occupancy) startFor(gen time.Duration) time.Duration {
 	start := gen + o.base
 	if o.busyUntil > start {
 		start = o.busyUntil
@@ -192,73 +148,16 @@ func (o *schemeOccupancy) startFor(gen time.Duration) time.Duration {
 	return start
 }
 
-func (o *schemeOccupancy) commit(start time.Duration) {
-	o.stats.In++
-	o.stats.Out += uint64(o.repeat)
+// commit accounts one ack's copies starting at start and advances the
+// busy horizon past them.
+func (o *occupancy) commit(start time.Duration) {
+	o.sent += o.repeat
 	o.busyUntil = start + time.Duration(o.repeat)*o.wall
 }
 
-// Flush implements Layer.
-func (o *schemeOccupancy) Flush() error { return nil }
-
-// Close implements Layer.
-func (o *schemeOccupancy) Close() error { return nil }
-
-// Stats implements Layer.
-func (o *schemeOccupancy) Stats() LayerStats { return o.stats }
-
-// idealOccupancy is the explicit no-op occupancy stage behind the ideal
-// downlink: acks cost no air, occupy no wall time and turn around
-// instantly. It runs the same pending/busy protocol as schemeOccupancy
-// with zero quanta, so the ideal baseline follows the identical
-// discrete-event path instead of special-cased branches in harness or
-// session code.
-type idealOccupancy struct {
-	repeat    int
-	busyUntil time.Duration
-	stats     LayerStats
-}
-
-func newIdealOccupancy(repeat int) *idealOccupancy {
-	return &idealOccupancy{repeat: repeat, stats: LayerStats{Name: "occupancy:ideal"}}
-}
-
-// Name implements Layer.
-func (o *idealOccupancy) Name() string { return o.stats.Name }
-
-func (o *idealOccupancy) quanta() (time.Duration, time.Duration, time.Duration) {
-	return 0, 0, 0
-}
-
-func (o *idealOccupancy) copies() int { return o.repeat }
-
-func (o *idealOccupancy) startFor(gen time.Duration) time.Duration {
-	if o.busyUntil > gen {
-		return o.busyUntil
-	}
-	return gen
-}
-
-func (o *idealOccupancy) commit(start time.Duration) {
-	o.stats.In++
-	o.stats.Out += uint64(o.repeat)
-	o.busyUntil = start
-}
-
-// Flush implements Layer.
-func (o *idealOccupancy) Flush() error { return nil }
-
-// Close implements Layer.
-func (o *idealOccupancy) Close() error { return nil }
-
-// Stats implements Layer.
-func (o *idealOccupancy) Stats() LayerStats { return o.stats }
-
 // reverseFault is the per-copy loss + half-duplex collision stage: it
 // owns the in-flight copies, draws their reverse loss on admission and
-// resolves collisions with forward frames. In counts copies admitted,
-// Out counts copies delivered upward, Errs counts copies destroyed
-// (reverse loss or collision).
+// resolves collisions with forward frames.
 type reverseFault struct {
 	dropCopy func() bool
 	collide  *rand.Rand
@@ -267,30 +166,14 @@ type reverseFault struct {
 
 	inFlight                                  []downCopy
 	dropped, ackCollisions, forwardCollisions int
-	stats                                     LayerStats
-}
-
-func newReverseFault(dropCopy func() bool, collide *rand.Rand, wall, air time.Duration) *reverseFault {
-	f := &reverseFault{
-		dropCopy: dropCopy,
-		collide:  collide,
-		wall:     wall,
-		stats:    LayerStats{Name: "reversefault"},
-	}
-	if wall > 0 {
-		f.duty = float64(air) / float64(wall)
-	}
-	return f
 }
 
 // admit puts one committed copy in flight, drawing its reverse loss.
 // forceDrop short-circuits the draw (scripted loss consumes no RNG).
 func (f *reverseFault) admit(c downCopy, forceDrop bool) {
-	f.stats.In++
 	if forceDrop || (f.dropCopy != nil && f.dropCopy()) {
 		c.dropped = true
 		f.dropped++
-		f.stats.Errs++
 	}
 	f.inFlight = append(f.inFlight, c)
 }
@@ -304,7 +187,8 @@ func (f *reverseFault) admit(c downCopy, forceDrop bool) {
 // span the frame covers). Both draws come from the collision stream and
 // are consumed for every overlapping pair, killed or not, so one
 // outcome never shifts the next pair's draw. It reports whether the
-// forward frame was destroyed.
+// forward frame was destroyed. A zero-wall (ideal) downlink draws
+// nothing.
 func (f *reverseFault) collideForward(start, end time.Duration) bool {
 	if f.collide == nil || f.wall <= 0 {
 		return false
@@ -333,15 +217,14 @@ func (f *reverseFault) collideForward(start, end time.Duration) bool {
 		if copyDraw < float64(hi-lo)/float64(c.end-c.start) && !c.dropped {
 			c.dropped = true
 			f.ackCollisions++
-			f.stats.Errs++
 		}
 	}
 	return killed
 }
 
-// drain emits every copy that has fully arrived by now, in arrival
-// order, skipping destroyed ones, and keeps the rest in flight.
-func (f *reverseFault) drain(now time.Duration, emit func(TimedEvent)) {
+// drain appends to out every copy that has fully arrived by now, in
+// arrival order, skipping destroyed ones, and keeps the rest in flight.
+func (f *reverseFault) drain(now time.Duration, out []TimedEvent) []TimedEvent {
 	keep := f.inFlight[:0]
 	for _, c := range f.inFlight {
 		if c.end > now {
@@ -351,10 +234,10 @@ func (f *reverseFault) drain(now time.Duration, emit func(TimedEvent)) {
 		if c.dropped {
 			continue
 		}
-		f.stats.Out++
-		emit(TimedEvent{Kind: TimedAck, Seq: c.seq, Gen: c.gen, At: c.end})
+		out = append(out, TimedEvent{Seq: c.seq, Gen: c.gen, At: c.end})
 	}
 	f.inFlight = keep
+	return out
 }
 
 // nextEnd reports the earliest surviving in-flight arrival after now.
@@ -373,18 +256,6 @@ func (f *reverseFault) nextEnd(now time.Duration) (time.Duration, bool) {
 	}
 	return best, true
 }
-
-// Name implements Layer.
-func (f *reverseFault) Name() string { return "reversefault" }
-
-// Flush implements Layer; arrivals follow simulated time.
-func (f *reverseFault) Flush() error { return nil }
-
-// Close implements Layer.
-func (f *reverseFault) Close() error { return nil }
-
-// Stats implements Layer.
-func (f *reverseFault) Stats() LayerStats { return f.stats }
 
 // DownlinkLedger is the cross-stage ack accounting of a DownStack; the
 // reliability layer's SimLink.ReverseStats returns it as is.
@@ -406,17 +277,15 @@ type DownlinkLedger struct {
 	Airtime time.Duration
 }
 
-// DownStack is the downlink half of a duplex link: the layered,
-// discrete-event model of a serial ack reverse channel. Like Stack it
-// is owned by one goroutine; callers stamp every method with the
-// current simulated time, and time must be monotone across calls.
+// DownStack is the downlink half of a duplex link: the discrete-event
+// model of a serial ack reverse channel. Like Stack it is owned by one
+// goroutine; callers stamp every method with the current simulated
+// time, and time must be monotone across calls.
 type DownStack struct {
-	coal   *coalescer
-	occ    occupancy
-	fault  *reverseFault
-	sinks  []TimedLayer
-	sink   *TimedCollector
-	closed bool
+	coal    coalescer
+	occ     occupancy
+	fault   reverseFault
+	arrived []TimedEvent
 }
 
 // NewDownStack assembles the downlink stack described by spec.
@@ -427,26 +296,21 @@ func NewDownStack(spec DownSpec) (*DownStack, error) {
 	if spec.Downlink != nil && spec.Timing != nil {
 		return nil, ErrDownTiming
 	}
-	var occ occupancy
+	var t DownTiming // zero quanta: the ideal downlink
 	switch {
 	case spec.Downlink != nil:
 		sec := func(x float64) time.Duration { return time.Duration(x * float64(time.Second)) }
 		dl := spec.Downlink
-		occ = newSchemeOccupancy(dl.SchemeName(),
-			sec(dl.AckWall()), sec(dl.AckAir()), sec(dl.BaseLatency()), spec.Repeat)
+		t = DownTiming{Wall: sec(dl.AckWall()), Air: sec(dl.AckAir()), Base: sec(dl.BaseLatency())}
 	case spec.Timing != nil:
-		occ = newSchemeOccupancy("fixed",
-			spec.Timing.Wall, spec.Timing.Air, spec.Timing.Base, spec.Repeat)
-	default:
-		occ = newIdealOccupancy(spec.Repeat)
+		t = *spec.Timing
 	}
-	wall, air, _ := occ.quanta()
 	s := &DownStack{
-		coal:  newCoalescer(),
-		occ:   occ,
-		fault: newReverseFault(spec.DropCopy, spec.Collide, wall, air),
-		sinks: spec.Sinks,
-		sink:  NewTimedCollector(),
+		occ:   occupancy{wall: t.Wall, air: t.Air, base: t.Base, repeat: spec.Repeat},
+		fault: reverseFault{dropCopy: spec.DropCopy, collide: spec.Collide, wall: t.Wall},
+	}
+	if t.Wall > 0 {
+		s.fault.duty = float64(t.Air) / float64(t.Wall)
 	}
 	return s, nil
 }
@@ -463,9 +327,8 @@ func (s *DownStack) Advance(now time.Duration) {
 	if p == nil {
 		return
 	}
-	wall, _, _ := s.occ.quanta()
-	n := s.occ.copies()
-	for k := 0; k < n; k++ {
+	wall := s.occ.wall
+	for k := 0; k < s.occ.repeat; k++ {
 		s.fault.admit(downCopy{
 			seq:   p.seq,
 			gen:   p.gen,
@@ -497,23 +360,13 @@ func (s *DownStack) CollideForward(start, end time.Duration) bool {
 }
 
 // Arrivals drains every ack that has fully arrived by now, in arrival
-// order, through the configured sinks into the built-in collector. The
-// returned slice is the collector's reused queue: valid until the next
-// drain.
+// order. The returned slice is the stack's reused queue: valid until
+// the next drain; consumers that buffer across drains must copy the
+// elements out.
 func (s *DownStack) Arrivals(now time.Duration) []TimedEvent {
 	s.Advance(now)
-	s.fault.drain(now, s.emit)
-	return s.sink.Drain()
-}
-
-// emit pushes one arrival through the sink chain. Sink errors are
-// recorded in the sinks' own stats; arrival delivery never blocks on
-// them.
-func (s *DownStack) emit(ev TimedEvent) {
-	for _, l := range s.sinks {
-		_ = l.OnTimed(ev)
-	}
-	_ = s.sink.OnTimed(ev)
+	s.arrived = s.fault.drain(now, s.arrived[:0])
+	return s.arrived
 }
 
 // NextArrival reports when the next ack will finish arriving, if any is
@@ -524,9 +377,8 @@ func (s *DownStack) emit(ev TimedEvent) {
 func (s *DownStack) NextArrival(now time.Duration) (time.Duration, bool) {
 	s.Advance(now)
 	best, ok := s.fault.nextEnd(now)
-	if p := s.coal.peek(); p != nil && !p.drop {
-		wall, _, _ := s.occ.quanta()
-		if first := p.start + wall; !ok || first < best {
+	if p := s.coal.pending; p != nil && !p.drop {
+		if first := p.start + s.occ.wall; !ok || first < best {
 			best, ok = first, true
 		}
 	}
@@ -540,64 +392,17 @@ func (s *DownStack) NextArrival(now time.Duration) (time.Duration, bool) {
 // turnaround plus one copy's span (the ack decodes when its last symbol
 // lands).
 func (s *DownStack) Latency() time.Duration {
-	wall, _, base := s.occ.quanta()
-	return base + wall
+	return s.occ.base + s.occ.wall
 }
 
 // Ledger assembles the cross-stage ack accounting.
 func (s *DownStack) Ledger() DownlinkLedger {
-	_, air, _ := s.occ.quanta()
-	sent := int(s.occ.Stats().Out)
 	return DownlinkLedger{
-		AcksSent:          sent,
+		AcksSent:          s.occ.sent,
 		AcksCoalesced:     s.coal.coalesced,
 		AcksDropped:       s.fault.dropped,
 		AckCollisions:     s.fault.ackCollisions,
 		ForwardCollisions: s.fault.forwardCollisions,
-		Airtime:           time.Duration(sent) * air,
+		Airtime:           time.Duration(s.occ.sent) * s.occ.air,
 	}
-}
-
-// LayerStats reports every stage's accounting, bottom to top.
-func (s *DownStack) LayerStats() []LayerStats {
-	out := []LayerStats{s.coal.Stats(), s.occ.Stats(), s.fault.Stats()}
-	for _, l := range s.sinks {
-		out = append(out, l.Stats())
-	}
-	return append(out, s.sink.Stats())
-}
-
-// Flush implements the stack-level flush: stage flushes only —
-// commitment and arrival follow simulated time, never end-of-stream.
-func (s *DownStack) Flush() error {
-	for _, l := range s.layers() {
-		if err := l.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close closes every stage; a closed stack keeps reporting stats.
-func (s *DownStack) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	var firstErr error
-	for _, l := range s.layers() {
-		if err := l.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// layers lists the stages bottom to top.
-func (s *DownStack) layers() []Layer {
-	out := []Layer{s.coal, s.occ, s.fault}
-	for _, l := range s.sinks {
-		out = append(out, l)
-	}
-	return append(out, s.sink)
 }

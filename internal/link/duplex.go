@@ -15,7 +15,7 @@ var (
 
 // Duplex pairs an uplink decode Stack with a downlink DownStack on one
 // shared virtual clock: the forward path pushes IQ/phases down the
-// decode pipeline while acks ride the layered reverse channel back, and
+// decode pipeline while acks ride the reverse channel back, and
 // the half-duplex coupling between them — a forward frame colliding
 // with an ack burst on the air — is resolved here. The duplex owns
 // neither clock nor goroutine: like its halves it is discrete-event,
@@ -50,26 +50,4 @@ func (d *Duplex) Down() *DownStack { return d.down }
 func (d *Duplex) ForwardCollides(start, end time.Duration) bool {
 	d.down.Advance(end)
 	return d.down.CollideForward(start, end)
-}
-
-// LayerStats reports every stage of both halves, uplink first.
-func (d *Duplex) LayerStats() []LayerStats {
-	return append(d.up.LayerStats(), d.down.LayerStats()...)
-}
-
-// Flush flushes both halves.
-func (d *Duplex) Flush() error {
-	if err := d.up.Flush(); err != nil {
-		return err
-	}
-	return d.down.Flush()
-}
-
-// Close closes both halves.
-func (d *Duplex) Close() error {
-	err := d.up.Close()
-	if derr := d.down.Close(); err == nil {
-		err = derr
-	}
-	return err
 }

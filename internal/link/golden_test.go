@@ -187,9 +187,9 @@ func checkFrame(t *testing.T, label string, got, want *core.Frame) {
 
 // TestGoldenTraceEquivalence is the bit-exactness regression gate of the
 // layered refactor: every committed fixture must decode byte-for-byte
-// identically through (a) the historical reference entrypoint, (b) the
-// Stack batch preset via DecodeBatch, (c) a chunk-fed batch stack at
-// every golden chunk size, and (d) — for IQ fixtures — the streaming
+// identically through (a) the historical reference entrypoint, (b) a
+// chunk-fed batch stack at every golden chunk size (including the whole
+// capture in one push), and (c) — for IQ fixtures — the streaming
 // preset at every golden chunk size.
 func TestGoldenTraceEquivalence(t *testing.T) {
 	var cases []goldenCase
@@ -220,12 +220,6 @@ func TestGoldenTraceEquivalence(t *testing.T) {
 				t.Fatalf("reference decode: %v", err)
 			}
 			checkFrame(t, "reference", ref, want)
-
-			got, err := DecodeBatch(dec, phases)
-			if err != nil {
-				t.Fatalf("DecodeBatch: %v", err)
-			}
-			checkFrame(t, "DecodeBatch", got, want)
 
 			for _, chunk := range goldenChunks {
 				n := chunk

@@ -18,6 +18,15 @@ var (
 	ErrClosed = errors.New("link: stack closed")
 )
 
+// Event is one occurrence on one stream: a preamble lock, a decoded
+// frame, or a decode failure. It wraps core.StreamEvent with the stream
+// identity so multi-stream consumers (the pool, scenario harnesses) can
+// demultiplex.
+type Event struct {
+	Stream uint64
+	core.StreamEvent
+}
+
 // Spec selects the stages of a Stack. The zero value is invalid: a
 // Decoder is required (share one across stacks — pool shards do — or
 // build one with core.NewDecoder).
@@ -29,66 +38,33 @@ type Spec struct {
 	// Without it the stack is phase-fed: PushIQ reports ErrNoFrontEnd.
 	FrontEnd bool
 	// Batch selects unbounded frame-machine history: whole-capture
-	// semantics, bit-identical to the historical batch decode entry.
+	// semantics, bit-identical to core's Decoder.DecodeFrame.
 	// The default is the bounded-retention streaming configuration.
 	Batch bool
 	// Stream tags emitted events with a stream identity (pool shards
 	// demultiplex on it).
 	Stream uint64
-	// Phase layers run between the front-end and the frame machine, in
-	// order.
-	Phase []PhaseLayer
-	// Sinks receive every event, in order, before the built-in
-	// collector.
-	Sinks []EventLayer
 	// Metrics receives stage instrumentation; nil leaves the stack
 	// uninstrumented (the hot path then skips all accounting).
 	Metrics *Metrics
 }
 
-// frontEnd is the built-in IQ→phase stage.
-type frontEnd struct {
-	phaser *dsp.PhaseDiffStreamer
-	stats  LayerStats
-}
-
-func (f *frontEnd) Name() string      { return "frontend" }
-func (f *frontEnd) Flush() error      { return nil } // the lag tail never completes, as in batch PhaseDiffStream
-func (f *frontEnd) Close() error      { return nil }
-func (f *frontEnd) Stats() LayerStats { return f.stats }
-
-// frameStage is the built-in preamble-scan / frame-machine stage.
-type frameStage struct {
-	machine *core.FrameMachine
-	stats   LayerStats
-}
-
-func (f *frameStage) Name() string { return "frame" }
-func (f *frameStage) Flush() error {
-	f.machine.Flush()
-	return nil
-}
-func (f *frameStage) Close() error      { return nil }
-func (f *frameStage) Stats() LayerStats { return f.stats }
-
-// Stack is one assembled receive pipeline: optional IQ front-end,
-// optional phase layers, the preamble-scan/frame-machine stage, and a
-// chain of event sinks ending in the built-in Collector. It accepts IQ
-// or phase chunks of any size and emits events exactly as a batch
-// decode of the concatenated stream would. A Stack is owned by one
-// goroutine (its pool worker or harness); it is not safe for concurrent
-// use.
+// Stack is one assembled receive pipeline: the optional IQ front-end
+// (dsp.PhaseDiffStreamer), the preamble-scan/frame machine
+// (core.FrameMachine), and a reused queue of pending events the owner
+// Drains. It accepts IQ or phase chunks of any size and emits events
+// exactly as a batch decode of the concatenated stream would. A Stack is
+// owned by one goroutine (its pool worker or harness); it is not safe
+// for concurrent use.
 type Stack struct {
-	dec       *core.Decoder
-	front     *frontEnd // nil when phase-fed
-	phase     []PhaseLayer
-	frame     *frameStage
-	sinks     []EventLayer // user sinks then the collector, in dispatch order
-	collector *Collector
-	metrics   *Metrics
-	stream    uint64
-	scratch   []float64
-	closed    bool
+	dec     *core.Decoder
+	phaser  *dsp.PhaseDiffStreamer // nil when phase-fed
+	machine *core.FrameMachine
+	pending []Event
+	metrics *Metrics
+	stream  uint64
+	scratch []float64
+	closed  bool
 }
 
 // New assembles a stack from the spec.
@@ -107,22 +83,17 @@ func New(spec Spec) (*Stack, error) {
 		return nil, fmt.Errorf("link: %w", err)
 	}
 	s := &Stack{
-		dec:       spec.Decoder,
-		phase:     spec.Phase,
-		frame:     &frameStage{machine: machine, stats: LayerStats{Name: "frame"}},
-		collector: NewCollector(),
-		metrics:   spec.Metrics,
-		stream:    spec.Stream,
+		dec:     spec.Decoder,
+		machine: machine,
+		metrics: spec.Metrics,
+		stream:  spec.Stream,
 	}
 	if spec.FrontEnd {
-		phaser, err := dsp.NewPhaseDiffStreamer(spec.Decoder.Params().Lag)
+		s.phaser, err = dsp.NewPhaseDiffStreamer(spec.Decoder.Params().Lag)
 		if err != nil {
 			return nil, fmt.Errorf("link: %w", err)
 		}
-		s.front = &frontEnd{phaser: phaser, stats: LayerStats{Name: "frontend"}}
 	}
-	s.sinks = append(s.sinks, spec.Sinks...)
-	s.sinks = append(s.sinks, s.collector)
 	return s, nil
 }
 
@@ -133,7 +104,7 @@ var errNilDecoder = errors.New("spec needs a Decoder")
 
 // NewBatch returns the whole-capture preset: phase-fed, unbounded
 // machine history. Push one capture, Flush, Drain — bit-identical to
-// the historical Decoder.DecodeFrame batch entry at any chunking.
+// core's Decoder.DecodeFrame at any chunking.
 func NewBatch(d *core.Decoder, m *Metrics) (*Stack, error) {
 	return New(Spec{Decoder: d, Batch: true, Metrics: m})
 }
@@ -159,25 +130,22 @@ func (s *Stack) Stream() uint64 { return s.stream }
 func (s *Stack) Decoder() *core.Decoder { return s.dec }
 
 // PushIQ consumes a chunk of IQ samples: the front-end turns them into
-// phases, which run through the phase layers into the frame machine;
-// resulting events fan out to the sinks. Pushing into a flushed stack
-// reports core.ErrFlushed.
+// phases for the frame machine, and resulting events join the pending
+// queue. Pushing into a flushed stack reports core.ErrFlushed.
 //
 //symbee:hotpath
 func (s *Stack) PushIQ(iq []complex128) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.front == nil {
+	if s.phaser == nil {
 		return ErrNoFrontEnd
 	}
 	var start time.Time
 	if s.metrics != nil {
 		start = wallNow()
 	}
-	s.scratch = s.front.phaser.Process(iq, s.scratch[:0])
-	s.front.stats.In += uint64(len(iq))
-	s.front.stats.Out += uint64(len(s.scratch))
+	s.scratch = s.phaser.Process(iq, s.scratch[:0])
 	var mid time.Time
 	if s.metrics != nil {
 		mid = wallNow()
@@ -185,13 +153,11 @@ func (s *Stack) PushIQ(iq []complex128) error {
 		s.metrics.PhasesProduced.Add(uint64(len(s.scratch)))
 		s.metrics.PhaseNanos.Observe(float64(mid.Sub(start)))
 	}
-	err := s.pushFrame(s.scratch)
+	err := s.machine.PushChunk(s.scratch)
 	if s.metrics != nil {
 		s.metrics.DecodeNanos.Observe(float64(wallNow().Sub(mid)))
 	}
-	if derr := s.dispatch(); err == nil {
-		err = derr
-	}
+	s.dispatch()
 	return err
 }
 
@@ -208,42 +174,22 @@ func (s *Stack) PushPhases(phases []float64) error {
 	if s.metrics != nil {
 		start = wallNow()
 	}
-	err := s.pushFrame(phases)
+	err := s.machine.PushChunk(phases)
 	if s.metrics != nil {
 		s.metrics.PhasesIn.Add(uint64(len(phases)))
 		s.metrics.DecodeNanos.Observe(float64(wallNow().Sub(start)))
 	}
-	if derr := s.dispatch(); err == nil {
-		err = derr
-	}
+	s.dispatch()
 	return err
 }
 
-// pushFrame runs phases through the phase layers and into the frame
-// machine.
-//
-//symbee:hotpath
-func (s *Stack) pushFrame(phases []float64) error {
-	for _, l := range s.phase {
-		out, err := l.ProcessPhases(phases)
-		if err != nil {
-			return err
-		}
-		phases = out
-	}
-	s.frame.stats.In += uint64(len(phases))
-	return s.frame.machine.PushChunk(phases)
-}
-
-// dispatch moves freshly produced machine events through the sink
-// chain, tagging them with the stream identity and folding counts into
+// dispatch moves freshly produced machine events onto the pending
+// queue, tagging them with the stream identity and folding counts into
 // the shared metrics exactly once per event.
 //
 //symbee:hotpath
-func (s *Stack) dispatch() error {
-	var firstErr error
-	for _, ev := range s.frame.machine.Events() {
-		s.frame.stats.Out++
+func (s *Stack) dispatch() {
+	for _, ev := range s.machine.Events() {
 		if s.metrics != nil {
 			switch ev.Kind {
 			case core.EventLock:
@@ -254,109 +200,61 @@ func (s *Stack) dispatch() error {
 				s.metrics.FramesFailed.Add(1)
 			}
 		}
-		e := Event{Stream: s.stream, StreamEvent: ev}
-		for _, l := range s.sinks {
-			if err := l.OnEvent(e); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
+		s.pending = append(s.pending, Event{Stream: s.stream, StreamEvent: ev})
 	}
-	return firstErr
 }
 
-// Flush ends the stream: every layer forces its pending decision with
-// the data at hand (the frame machine decodes a truncated tail exactly
-// as the batch path does at the end of a capture), and the resulting
-// events are dispatched.
+// Flush ends the stream: the frame machine forces its pending decision
+// with the data at hand (decoding a truncated tail exactly as the batch
+// path does at the end of a capture), and the resulting events join the
+// pending queue. The front-end's lag tail never completes, as in batch
+// PhaseDiffStream.
 func (s *Stack) Flush() error {
-	var firstErr error
-	if s.front != nil {
-		if err := s.front.Flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, l := range s.phase {
-		if err := l.Flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	s.frame.machine.Flush()
-	if err := s.dispatch(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	for _, l := range s.sinks {
-		if err := l.Flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	s.machine.Flush()
+	s.dispatch()
+	return nil
 }
 
 // Reset returns the stack to a fresh hunting state at stream index 0,
 // reusing every retained buffer: the reliable harness resets one batch
 // stack per capture instead of building a machine per frame.
 func (s *Stack) Reset() {
-	if s.front != nil {
-		s.front.phaser.Reset()
+	if s.phaser != nil {
+		s.phaser.Reset()
 	}
-	s.frame.machine.Reset()
-	s.collector.pending = s.collector.pending[:0]
+	s.machine.Reset()
+	s.pending = s.pending[:0]
 	s.closed = false
 }
 
-// Close flushes the stack and closes every layer; further pushes report
-// ErrClosed (Reset reopens it).
+// Close flushes the stack; further pushes report ErrClosed (Reset
+// reopens it).
 func (s *Stack) Close() error {
 	if s.closed {
 		return nil
 	}
 	err := s.Flush()
 	s.closed = true
-	for _, l := range s.layers() {
-		if cerr := l.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
 	return err
 }
 
 // Drain returns the events produced since the last call, tagged with
-// the stack's stream identity. The returned slice is the built-in
-// collector's internal queue and is reused: it stays valid only until
-// the next PushIQ/PushPhases/Flush on this stack.
-func (s *Stack) Drain() []Event { return s.collector.Drain() }
+// the stack's stream identity. The returned slice is the stack's
+// internal queue and is reused: it stays valid only until the next
+// PushIQ/PushPhases/Flush on this stack. Consumers that buffer events
+// across pushes must copy the elements out (Frame pointers remain valid
+// indefinitely).
+func (s *Stack) Drain() []Event {
+	out := s.pending
+	s.pending = s.pending[:0]
+	return out
+}
 
 // State returns the frame machine's stage (for diagnostics).
-func (s *Stack) State() core.MachineState { return s.frame.machine.State() }
+func (s *Stack) State() core.MachineState { return s.machine.State() }
 
 // Buffered returns the machine's retained history length in phases.
-func (s *Stack) Buffered() int { return s.frame.machine.Buffered() }
-
-// layers returns every stage bottom-up.
-func (s *Stack) layers() []Layer {
-	out := make([]Layer, 0, 2+len(s.phase)+len(s.sinks))
-	if s.front != nil {
-		out = append(out, s.front)
-	}
-	for _, l := range s.phase {
-		out = append(out, l)
-	}
-	out = append(out, s.frame)
-	for _, l := range s.sinks {
-		out = append(out, l)
-	}
-	return out
-}
-
-// LayerStats reports the per-layer accounting, bottom-up.
-func (s *Stack) LayerStats() []LayerStats {
-	ls := s.layers()
-	out := make([]LayerStats, len(ls))
-	for i, l := range ls {
-		out[i] = l.Stats()
-	}
-	return out
-}
+func (s *Stack) Buffered() int { return s.machine.Buffered() }
 
 // PadHorizon returns the number of zero phases that force the frame
 // machine's pending decode gate open after a capture: the largest span
@@ -365,30 +263,4 @@ func (s *Stack) LayerStats() []LayerStats {
 // threshold, so the pad cannot cause a false lock.
 func PadHorizon(p core.Params, slackPeriods int) int {
 	return core.DecodeGateSpan(p) + slackPeriods*p.BitPeriod
-}
-
-// DecodeBatch runs one whole phase capture through the batch preset and
-// returns the first terminal event — the Stack form of the historical
-// Decoder.DecodeFrame entry (which remains in core as the reference
-// implementation the golden-trace equivalence tests compare against).
-func DecodeBatch(d *core.Decoder, phases []float64) (*core.Frame, error) {
-	st, err := NewBatch(d, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.PushPhases(phases); err != nil {
-		return nil, err
-	}
-	if err := st.Flush(); err != nil {
-		return nil, err
-	}
-	for _, ev := range st.Drain() {
-		switch ev.Kind {
-		case core.EventFrame:
-			return ev.Frame, nil
-		case core.EventDecodeError:
-			return nil, ev.Err
-		}
-	}
-	return nil, core.ErrNoPreamble
 }

@@ -67,10 +67,33 @@ func frameEqual(a, b *core.Frame) bool {
 	return true
 }
 
-// TestDecodeBatchMatchesDecodeFrame pins the tentpole equivalence: the
-// Stack batch preset and the historical core.Decoder.DecodeFrame are the
-// same decoder — identical frames on success, identical error classes on
-// failure.
+// batchDecode pushes one whole capture through a fresh batch stack,
+// flushes it, and returns its first terminal event (nil when the capture
+// held no preamble).
+func batchDecode(t *testing.T, dec *core.Decoder, phases []float64) *Event {
+	t.Helper()
+	st, err := NewBatch(dec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PushPhases(phases); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range st.Drain() {
+		if ev.Kind == core.EventFrame || ev.Kind == core.EventDecodeError {
+			return &ev
+		}
+	}
+	return nil
+}
+
+// TestDecodeBatchMatchesDecodeFrame pins the batch preset's defining
+// equivalence: a NewBatch push/flush/drain and core.Decoder.DecodeFrame
+// are the same decoder — identical frames on success, and no terminal
+// event where DecodeFrame finds no preamble.
 func TestDecodeBatchMatchesDecodeFrame(t *testing.T) {
 	p := core.Params20()
 	dec, err := core.NewDecoder(p, 0)
@@ -79,24 +102,29 @@ func TestDecodeBatchMatchesDecodeFrame(t *testing.T) {
 	}
 	phases, want := testCapture(t, p, 3, "hello link")
 	ref, refErr := dec.DecodeFrame(phases)
-	got, gotErr := DecodeBatch(dec, phases)
-	if refErr != nil || gotErr != nil {
-		t.Fatalf("decode errors: ref %v, stack %v", refErr, gotErr)
+	if refErr != nil {
+		t.Fatalf("reference decode: %v", refErr)
 	}
-	if !frameEqual(ref, got) || !frameEqual(got, want) {
-		t.Fatalf("frames differ: ref %+v, stack %+v, want %+v", ref, got, want)
+	ev := batchDecode(t, dec, phases)
+	if ev == nil || ev.Kind != core.EventFrame {
+		t.Fatalf("batch stack terminal event %+v, want a frame", ev)
+	}
+	if !frameEqual(ref, ev.Frame) || !frameEqual(ev.Frame, want) {
+		t.Fatalf("frames differ: ref %+v, stack %+v, want %+v", ref, ev.Frame, want)
 	}
 
-	// Pure noise: both paths must agree there is no preamble.
+	// Pure noise: DecodeFrame finds no preamble, and the stack emits no
+	// terminal event.
 	rng := rand.New(rand.NewSource(11))
 	noise := make([]float64, 40_000)
 	for i := range noise {
 		noise[i] = rng.NormFloat64() * 0.3
 	}
-	_, refErr = dec.DecodeFrame(noise)
-	_, gotErr = DecodeBatch(dec, noise)
-	if !errors.Is(refErr, core.ErrNoPreamble) || !errors.Is(gotErr, core.ErrNoPreamble) {
-		t.Fatalf("noise decode: ref %v, stack %v, want both ErrNoPreamble", refErr, gotErr)
+	if _, refErr = dec.DecodeFrame(noise); !errors.Is(refErr, core.ErrNoPreamble) {
+		t.Fatalf("noise reference decode: %v, want ErrNoPreamble", refErr)
+	}
+	if ev := batchDecode(t, dec, noise); ev != nil {
+		t.Fatalf("noise batch stack emitted %+v, want no terminal event", ev)
 	}
 }
 
@@ -143,93 +171,6 @@ func TestStreamingChunkInvariance(t *testing.T) {
 		if len(frames) != 1 || !frameEqual(frames[0], want) {
 			t.Fatalf("chunk %d: got %d frame(s) %+v, want 1 × %+v", chunk, len(frames), frames, want)
 		}
-	}
-}
-
-// countingPhaseLayer is a pass-through PhaseLayer recording traffic.
-type countingPhaseLayer struct {
-	stats LayerStats
-}
-
-func (l *countingPhaseLayer) Name() string      { return "counting" }
-func (l *countingPhaseLayer) Flush() error      { return nil }
-func (l *countingPhaseLayer) Close() error      { return nil }
-func (l *countingPhaseLayer) Stats() LayerStats { return l.stats }
-func (l *countingPhaseLayer) ProcessPhases(in []float64) ([]float64, error) {
-	l.stats.In += uint64(len(in))
-	l.stats.Out += uint64(len(in))
-	return in, nil
-}
-
-// TestStackLayersAndStats exercises a custom assembly: a pass-through
-// phase layer and a callback sink, with per-layer accounting visible
-// through LayerStats.
-func TestStackLayersAndStats(t *testing.T) {
-	p := core.Params20()
-	phases, want := testCapture(t, p, 1, "layers")
-	dec, err := core.NewDecoder(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := &countingPhaseLayer{stats: LayerStats{Name: "counting"}}
-	var seen []Event
-	cb := NewCallback(func(ev Event) { seen = append(seen, ev) })
-	st, err := New(Spec{
-		Decoder: dec,
-		Batch:   true,
-		Stream:  5,
-		Phase:   []PhaseLayer{probe},
-		Sinks:   []EventLayer{cb},
-		Metrics: NewMetrics(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PushPhases(phases); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var frame *core.Frame
-	for _, ev := range st.Drain() {
-		if ev.Kind == core.EventFrame {
-			frame = ev.Frame
-		}
-	}
-	if !frameEqual(frame, want) {
-		t.Fatalf("collector frame %+v, want %+v", frame, want)
-	}
-	var cbFrame *core.Frame
-	for _, ev := range seen {
-		if ev.Stream != 5 {
-			t.Fatalf("callback event stream %d, want 5", ev.Stream)
-		}
-		if ev.Kind == core.EventFrame {
-			cbFrame = ev.Frame
-		}
-	}
-	if !frameEqual(cbFrame, want) {
-		t.Fatalf("callback frame %+v, want %+v", cbFrame, want)
-	}
-	stats := st.LayerStats()
-	byName := map[string]LayerStats{}
-	for _, ls := range stats {
-		byName[ls.Name] = ls
-	}
-	if got := byName["counting"].In; got != uint64(len(phases)) {
-		t.Errorf("phase layer saw %d phases, want %d", got, len(phases))
-	}
-	if byName["frame"].In != uint64(len(phases)) {
-		t.Errorf("frame layer saw %d phases, want %d", byName["frame"].In, len(phases))
-	}
-	if byName["frame"].Out == 0 || byName["collector"].In != byName["frame"].Out {
-		t.Errorf("event accounting: frame out %d, collector in %d",
-			byName["frame"].Out, byName["collector"].In)
-	}
-	if byName["callback"].In != byName["collector"].In {
-		t.Errorf("sink fan-out unequal: callback %d, collector %d",
-			byName["callback"].In, byName["collector"].In)
 	}
 }
 

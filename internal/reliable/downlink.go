@@ -14,14 +14,14 @@ import (
 // carries acknowledgments back to the sender. The non-ideal schemes are
 // the packet-level side channels of internal/ctc, resolved through
 // ctc.NewDownlink at their published operating points with one-byte
-// cumulative acks; the model itself is the layered link.DownStack.
+// cumulative acks; the model itself is link.DownStack.
 type DownlinkScheme int
 
 const (
 	// DownlinkIdeal is the legacy free-reverse-channel assumption: acks
 	// arrive the instant the forward frame is delivered, cost no air,
-	// never collide, and occupy the transmitter for no time (the
-	// downlink stack's explicit no-op occupancy stage). It exists so
+	// never collide, and occupy the transmitter for no time (a downlink
+	// stack with zero occupancy quanta). It exists so
 	// the clean-channel overhead baseline stays measurable.
 	DownlinkIdeal DownlinkScheme = iota
 	// DownlinkCMorse carries acks by C-Morse duration modulation:
@@ -45,7 +45,7 @@ const (
 
 // downlinkTable is the single source of truth tying the DownlinkScheme
 // enum to the ctc registry: the bench-artifact name and the scheme
-// constructor (nil marks the ideal no-op downlink). String,
+// constructor (nil marks the ideal zero-quanta downlink). String,
 // DownlinkSchemes, Modeled and the stack resolver all index it, so the
 // enum and the registry cannot drift.
 var downlinkTable = [...]struct {
@@ -87,8 +87,8 @@ var errDownlink = errors.New("reliable: unknown downlink scheme")
 
 // downlink resolves the scheme's ack-downlink timing model at its
 // published operating point with one-byte cumulative acks. The ideal
-// baseline resolves to nil: link.NewDownStack turns that into the
-// explicit no-op occupancy stage.
+// baseline resolves to nil: link.NewDownStack turns that into zero
+// occupancy quanta.
 func (d DownlinkScheme) downlink() (*ctc.Downlink, error) {
 	if d < 0 || int(d) >= len(downlinkTable) {
 		return nil, fmt.Errorf("%w: %d", errDownlink, d)
@@ -104,7 +104,7 @@ func (d DownlinkScheme) downlink() (*ctc.Downlink, error) {
 	return dl, nil
 }
 
-// newDownStack builds the layered downlink stack for the scheme.
+// newDownStack builds the downlink stack for the scheme.
 // repeat ≥ 1 is the caller's responsibility (SimConfig.Validate
 // enforces it).
 func (d DownlinkScheme) newDownStack(repeat int, dropCopy func() bool, collide *rand.Rand) (*link.DownStack, error) {
@@ -137,22 +137,19 @@ type AckEvent struct {
 }
 
 // ackEvents converts the downlink stack's timed arrivals to the
-// transport's AckEvent form. The input slice is the stack collector's
-// reused queue, so the conversion copies everything out.
+// transport's AckEvent form. The input slice is the stack's reused
+// arrival queue, so the conversion copies everything out.
 func ackEvents(evs []link.TimedEvent) []AckEvent {
 	if len(evs) == 0 {
 		return nil
 	}
-	out := make([]AckEvent, 0, len(evs))
-	for _, ev := range evs {
-		if ev.Kind != link.TimedAck {
-			continue
-		}
-		out = append(out, AckEvent{
+	out := make([]AckEvent, len(evs))
+	for i, ev := range evs {
+		out[i] = AckEvent{
 			Ack:         Ack{NextSeq: ev.Seq},
 			GeneratedAt: ev.Gen,
 			At:          ev.At,
-		})
+		}
 	}
 	return out
 }

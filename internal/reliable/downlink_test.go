@@ -163,11 +163,14 @@ func TestSimLinkReverseCollisions(t *testing.T) {
 	}
 }
 
-// TestSimLinkLayerStats checks the duplex surfaces per-stage accounting
-// for both halves: the uplink decode stages and the downlink's
-// coalescer → occupancy → fault → sink chain.
+// TestSimLinkLayerStats checks the duplex's reverse ledger over a full
+// C-Morse transfer: acks go out, and the airtime is exactly one
+// C-Morse ack's air per copy sent.
 func TestSimLinkLayerStats(t *testing.T) {
 	cfg := DefaultSimConfig()
+	if cfg.Downlink != DownlinkCMorse {
+		t.Fatalf("default downlink %v, want cmorse", cfg.Downlink)
+	}
 	l, err := NewSimLink(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -180,30 +183,17 @@ func TestSimLinkLayerStats(t *testing.T) {
 	if _, err := s.Send(context.Background(), testMessage(100)); err != nil {
 		t.Fatal(err)
 	}
-	stats := l.Duplex().LayerStats()
-	byName := map[string]bool{}
-	for _, st := range stats {
-		byName[st.Name] = true
+	dl, err := DownlinkCMorse.downlink()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"frame", "coalescer", "occupancy:C-Morse", "reversefault", "timedsink"} {
-		if !byName[want] {
-			t.Errorf("missing layer %q in %v", want, stats)
-		}
+	air := time.Duration(dl.AckAir() * float64(time.Second))
+	led := l.ReverseStats()
+	if led.AcksSent == 0 {
+		t.Fatalf("no acks sent over a full transfer: %+v", led)
 	}
-	var coal, sink link.LayerStats
-	for _, st := range stats {
-		switch st.Name {
-		case "coalescer":
-			coal = st
-		case "timedsink":
-			sink = st
-		}
-	}
-	if coal.In == 0 || coal.Out == 0 {
-		t.Errorf("coalescer idle over a full transfer: %+v", coal)
-	}
-	if sink.Out == 0 {
-		t.Errorf("ack sink idle over a full transfer: %+v", sink)
+	if want := time.Duration(led.AcksSent) * air; led.Airtime != want {
+		t.Errorf("airtime %v, want %d copies × %v = %v", led.Airtime, led.AcksSent, air, want)
 	}
 }
 

@@ -65,10 +65,10 @@ func (c SimConfig) Validate() error {
 // modulator, fault-injected channel, WiFi phase-extraction front end
 // and the duplex's uplink decode Stack (batch or streaming preset) —
 // and the ARQ receive side, then the resulting cumulative ack rides
-// the duplex's layered downlink stack back. Acks cost reverse airtime,
+// the duplex's downlink stack back. Acks cost reverse airtime,
 // arrive one downlink-latency late, can be lost on the reverse path
 // and can collide with forward frames; the DownlinkIdeal scheme builds
-// the stack's explicit no-op occupancy stage for baselines.
+// the stack with zero occupancy quanta for baselines.
 type SimLink struct {
 	phy     *core.Link
 	dec     *core.Decoder
@@ -164,8 +164,8 @@ func (l *SimLink) Messages() [][]byte { return l.arq.Messages() }
 // FaultStats reports the injector's lost/jammed/drifted frame counts.
 func (l *SimLink) FaultStats() (lost, jammed, drifted int) { return l.inj.Stats() }
 
-// Duplex returns the layered duplex pipeline the link runs over (for
-// per-stage stats and tests).
+// Duplex returns the duplex pipeline the link runs over (for ledger
+// inspection and tests).
 func (l *SimLink) Duplex() *link.Duplex { return l.duplex }
 
 // ReverseStats reports the downlink's ack ledger: copies sent, airtime

@@ -137,7 +137,7 @@ func NewPool(cfg Config) (*Pool, error) {
 func NewPoolContext(ctx context.Context, cfg Config) (*Pool, error) {
 	p, err := NewPool(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
+		return nil, err
 	}
 	if ctx != nil && ctx.Done() != nil {
 		// The watcher joins itself: it exits through the p.done arm once

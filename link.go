@@ -8,18 +8,16 @@ import "symbee/internal/link"
 // harness — is one configuration of the same Stack.
 type (
 	// Stack is the composed receive pipeline: optional IQ front end →
-	// phase layers → frame machine → event sinks.
+	// frame machine → pending event queue.
 	Stack = link.Stack
 	// StackSpec configures a custom Stack assembly.
 	StackSpec = link.Spec
-	// LayerStats is one pipeline layer's in/out/error accounting.
-	LayerStats = link.LayerStats
 	// Duplex pairs an uplink decode Stack with a downlink ack stack
 	// behind one composed surface — the full link of the reliable
 	// transport.
 	Duplex = link.Duplex
-	// DownStack is the layered reverse channel: ack coalescer → scheme
-	// occupancy → loss/collision fault stage → timed sinks.
+	// DownStack is the reverse channel: ack coalescer → occupancy →
+	// loss/collision fault stage → arrival queue.
 	DownStack = link.DownStack
 	// DownSpec configures a DownStack assembly.
 	DownSpec = link.DownSpec
@@ -28,11 +26,9 @@ type (
 	DownTiming = link.DownTiming
 	// DownlinkLedger is the DownStack's cross-stage accounting.
 	DownlinkLedger = link.DownlinkLedger
-	// TimedEvent is one timestamped event (an ack arrival) emitted by
-	// the downlink stack.
+	// TimedEvent is one timestamped ack arrival emitted by the downlink
+	// stack.
 	TimedEvent = link.TimedEvent
-	// TimedLayer is a sink stage for timestamped downlink events.
-	TimedLayer = link.TimedLayer
 )
 
 var (
@@ -44,14 +40,8 @@ var (
 	// NewStreamingStack is the bounded-history incremental preset used
 	// by pool sessions (IQ front end included).
 	NewStreamingStack = link.NewStreaming
-	// DecodeBatch runs one whole capture of phase values through a batch
-	// stack and returns the first decoded frame — the Stack form of
-	// Decoder.DecodeFrame.
-	DecodeBatch = link.DecodeBatch
-	// NewDownStack assembles a layered downlink ack stack from a spec.
+	// NewDownStack assembles a downlink ack stack from a spec.
 	NewDownStack = link.NewDownStack
 	// NewDuplex pairs an uplink Stack with a DownStack.
 	NewDuplex = link.NewDuplex
-	// NewTimedCallback adapts a function into a TimedLayer sink.
-	NewTimedCallback = link.NewTimedCallback
 )

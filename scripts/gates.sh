@@ -5,9 +5,10 @@
 # POSIX sh; no shebang — this file is sourced, not executed.
 
 # Link-stack bit-exactness gate (DESIGN.md §11): committed golden
-# fixtures through every stack configuration at every chunk size, plus
-# the warm-ingest zero-alloc pins.
-LINK_EQUIVALENCE_RUN='TestGoldenTraceEquivalence|TestStreamingChunkInvariance|TestStackSteadyStateZeroAlloc|TestStackWithSinkZeroAlloc'
+# fixtures through the reference DecodeFrame and the batch and streaming
+# stack presets at every chunk size, stream tagging under any chunking,
+# plus the warm-ingest zero-alloc pin.
+LINK_EQUIVALENCE_RUN='TestGoldenTraceEquivalence|TestStreamingChunkInvariance|TestStackSteadyStateZeroAlloc'
 
 # Batched idle-hunt kernel gate (DESIGN.md §13): the chunked batch path
 # must match the per-sample reference scanner bit for bit, and the warm
@@ -18,7 +19,7 @@ HUNT_EQUIVALENCE_RUN='TestHuntScalarBatchEquivalence|TestHuntBatchZeroAlloc'
 # synthesizer must reproduce the dense reference bit-for-bit.
 MEDIUM_EQUIVALENCE_RUN='TestMediumLinkEquivalence'
 
-# Duplex downlink equivalence gate (DESIGN.md §15): the layered
+# Duplex downlink equivalence gate (DESIGN.md §15): the staged
 # link.DownStack must match the retired monolithic reverseChannel bit
 # for bit over 100 randomized seeds (the reference survives verbatim in
 # internal/reliable as a test-only pin), and the committed downlink
