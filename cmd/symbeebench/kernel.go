@@ -19,10 +19,9 @@ import (
 // kernelRates is one measurement row: million phase extractions per
 // second for each kernel variant under one worker configuration.
 type kernelRates struct {
-	Workers      int     `json:"workers"`
-	ExactMsps    float64 `json:"exact_msps"`
-	FastMsps     float64 `json:"fast_msps"`
-	ClassifyMsps float64 `json:"classify_msps"`
+	Workers   int     `json:"workers"`
+	ExactMsps float64 `json:"exact_msps"`
+	FastMsps  float64 `json:"fast_msps"`
 	// Speedup is FastMsps/ExactMsps — the machine-independent figure the
 	// CI regression gate compares (absolute Msps varies with the runner).
 	Speedup float64 `json:"speedup"`
@@ -45,11 +44,10 @@ type kernelBenchArtifact struct {
 const kernelRegressionTolerance = 0.20
 
 // runKernelBench measures the phase-extraction kernels in isolation:
-// exact math.Atan2, the polynomial FastAtan2, and the atan2-free
-// PhaseClassifier sign test, single-core and one-loop-per-CPU. The
-// inputs are the lag products a real receiver feeds the kernel
-// (x[n]·conj(x[n+lag]) over noise), so branch behavior matches the
-// idle-listening workload rather than a friendly sweep.
+// exact math.Atan2 and the polynomial FastAtan2, single-core and
+// one-loop-per-CPU. The inputs are the lag products a real receiver
+// feeds the kernel (x[n]·conj(x[n+lag]) over noise), so branch behavior
+// matches the idle-listening workload rather than a friendly sweep.
 func runKernelBench(seed int64, samples int, outPath, baselinePath string) error {
 	p := core.Params20()
 	rng := rand.New(rand.NewSource(seed))
@@ -70,10 +68,6 @@ func runKernelBench(seed int64, samples int, outPath, baselinePath string) error
 		}
 	}
 
-	cls, err := dsp.NewPhaseClassifier(0, core.StablePhase-0.1)
-	if err != nil {
-		return err
-	}
 	exact := func() float64 {
 		s := 0.0
 		for _, v := range prod {
@@ -87,15 +81,6 @@ func runKernelBench(seed int64, samples int, outPath, baselinePath string) error
 			s += dsp.FastAtan2(imag(v), real(v))
 		}
 		return s
-	}
-	classify := func() float64 {
-		n := 0
-		for _, v := range prod {
-			if cls.Above(v) {
-				n++
-			}
-		}
-		return float64(n)
 	}
 
 	fmt.Printf("phase kernel bench: %d lag-product samples per pass\n", samples)
@@ -130,14 +115,13 @@ func runKernelBench(seed int64, samples int, outPath, baselinePath string) error
 
 	row := func(workers int) kernelRates {
 		r := kernelRates{
-			Workers:      workers,
-			ExactMsps:    measure(workers, exact),
-			FastMsps:     measure(workers, fast),
-			ClassifyMsps: measure(workers, classify),
+			Workers:   workers,
+			ExactMsps: measure(workers, exact),
+			FastMsps:  measure(workers, fast),
 		}
 		r.Speedup = r.FastMsps / r.ExactMsps
-		fmt.Printf("  %d worker(s): exact %.1f Msps, fast %.1f Msps (%.2fx), classify %.1f Msps\n",
-			r.Workers, r.ExactMsps, r.FastMsps, r.Speedup, r.ClassifyMsps)
+		fmt.Printf("  %d worker(s): exact %.1f Msps, fast %.1f Msps (%.2fx)\n",
+			r.Workers, r.ExactMsps, r.FastMsps, r.Speedup)
 		return r
 	}
 	art := kernelBenchArtifact{

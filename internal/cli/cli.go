@@ -99,12 +99,12 @@ func ReadRawIQ(r io.Reader) ([]complex128, error) {
 	var iq []complex128
 	buf := make([]byte, 8)
 	for {
-		if _, err := io.ReadFull(br, buf); err != nil {
+		if n, err := io.ReadFull(br, buf); err != nil {
 			if errors.Is(err, io.EOF) {
 				return iq, nil
 			}
 			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil, fmt.Errorf("raw input ends mid-sample (%d bytes over)", len(buf))
+				return nil, fmt.Errorf("raw input ends mid-sample (%d bytes over)", n)
 			}
 			return nil, err
 		}

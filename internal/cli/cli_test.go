@@ -55,8 +55,12 @@ func TestReadRawIQ(t *testing.T) {
 			t.Fatalf("sample %d: got %v, want %v", i, got[i], want[i])
 		}
 	}
-	if _, err := ReadRawIQ(bytes.NewReader([]byte{1, 2, 3})); err == nil {
+	_, err = ReadRawIQ(bytes.NewReader([]byte{1, 2, 3}))
+	if err == nil {
 		t.Fatal("truncated raw input accepted, want mid-sample error")
+	}
+	if !strings.Contains(err.Error(), "(3 bytes over)") {
+		t.Errorf("truncation error %q does not name the 3 stray bytes", err)
 	}
 }
 

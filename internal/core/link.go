@@ -120,9 +120,3 @@ func (l *Link) ReceiveBits(capture []complex128, n int) ([]byte, error) {
 func (l *Link) ReceiveFrame(capture []complex128) (*Frame, error) {
 	return l.decoder.DecodeFrame(l.Phases(capture))
 }
-
-// PacketAirtime returns the on-air duration of a ZigBee packet carrying
-// nBits SymBee bits (preamble included), in seconds.
-func (l *Link) PacketAirtime(nBits int) float64 {
-	return zigbee.Airtime(PreambleBits + nBits)
-}

@@ -235,58 +235,30 @@ func TestOccupancyMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestDownlinkTimingModel pins the one-byte ack occupancy the
+// reliability layer's reverse channel is built on.
 func TestDownlinkTimingModel(t *testing.T) {
-	d, err := NewDownlink(DefaultDownlink(NewCMorse()))
+	wall, air, err := NewCMorse().Occupancy(8)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if d.SchemeName() != "C-Morse" {
-		t.Errorf("scheme = %s", d.SchemeName())
 	}
 	// 8 bits at the published point: 8·((0.576+1.728)/2 + 3.5) ms wall,
 	// 8·1.152 ms air.
-	if w := d.AckWall(); math.Abs(w-37.216e-3) > 1e-6 {
-		t.Errorf("wall = %v, want ≈37.2 ms", w)
+	if math.Abs(wall-37.216e-3) > 1e-6 {
+		t.Errorf("wall = %v, want ≈37.2 ms", wall)
 	}
-	if a := d.AckAir(); math.Abs(a-9.216e-3) > 1e-6 {
-		t.Errorf("air = %v, want ≈9.2 ms", a)
-	}
-	if d.Duty() <= 0 || d.Duty() >= 1 {
-		t.Errorf("duty = %v", d.Duty())
-	}
-	if d.Latency() != d.BaseLatency()+d.AckWall() {
-		t.Errorf("latency %v != base %v + wall %v", d.Latency(), d.BaseLatency(), d.AckWall())
+	if math.Abs(air-9.216e-3) > 1e-6 {
+		t.Errorf("air = %v, want ≈9.2 ms", air)
 	}
 	// FreeBee is far slower but far lower duty.
-	fb, err := NewDownlink(DefaultDownlink(NewFreeBee()))
+	fbWall, fbAir, err := NewFreeBee().Occupancy(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fb.AckWall() <= d.AckWall() {
-		t.Errorf("FreeBee wall %v should exceed C-Morse wall %v", fb.AckWall(), d.AckWall())
+	if fbWall <= wall {
+		t.Errorf("FreeBee wall %v should exceed C-Morse wall %v", fbWall, wall)
 	}
-	if fb.Duty() >= d.Duty() {
-		t.Errorf("FreeBee duty %v should be below C-Morse duty %v", fb.Duty(), d.Duty())
-	}
-}
-
-func TestDownlinkConfigValidate(t *testing.T) {
-	cases := []DownlinkConfig{
-		{},
-		{Scheme: NewCMorse(), AckBits: 0, Repeat: 1},
-		{Scheme: NewCMorse(), AckBits: 8, BaseLatency: -1e-3, Repeat: 1},
-		{Scheme: NewCMorse(), AckBits: 8, Repeat: 0},
-		{Scheme: &CMorse{Dot: 1e-3, Dash: 0.5e-3, Gap: 1e-3}, AckBits: 8, Repeat: 1},
-	}
-	for i, c := range cases {
-		if c.Validate() == nil {
-			t.Errorf("case %d: expected validation error", i)
-		}
-		if _, err := NewDownlink(c); err == nil {
-			t.Errorf("case %d: NewDownlink accepted invalid config", i)
-		}
-	}
-	if err := DefaultDownlink(NewFreeBee()).Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
+	if fbAir/fbWall >= air/wall {
+		t.Errorf("FreeBee duty %v should be below C-Morse duty %v", fbAir/fbWall, air/wall)
 	}
 }

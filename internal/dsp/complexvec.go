@@ -34,16 +34,6 @@ func Scale(x []complex128, a float64) []complex128 {
 	return x
 }
 
-// AddTo adds src into dst element-wise over the shorter of the two
-// lengths, dst[i] += src[i], and returns the number of samples added.
-func AddTo(dst, src []complex128) int {
-	n := min(len(dst), len(src))
-	for i := 0; i < n; i++ {
-		dst[i] += src[i]
-	}
-	return n
-}
-
 // MixInto adds src into dst starting at offset, clipping src to the part
 // that fits. It returns the number of samples mixed.
 func MixInto(dst, src []complex128, offset int) int {

@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // This file is the phase kernel layer: the per-sample primitives behind
 // the idle-listening stream ∠(x[n]·x*[n+lag]) that every receiver path
@@ -11,8 +8,7 @@ import (
 // it only ever consumes signs and coarse thresholds of these phases
 // (decision margins are multiples of π/10, see DESIGN.md §8), so the
 // kernel trades the last ~8 digits of math.Atan2 for a ~2.5× higher
-// sample rate, and offers sign/threshold classification that skips the
-// angle entirely.
+// sample rate.
 
 // FastAtan2MaxErr is the guaranteed absolute error bound of FastAtan2
 // against math.Atan2, in radians. The truncated degree-17 Chebyshev
@@ -104,78 +100,4 @@ func FastAtan2(y, x float64) float64 {
 		i |= 2
 	}
 	return math.Copysign(octSgn[i]*base+octOff[i], y)
-}
-
-// PhaseNegative reports whether ∠p decodes as a negative phase, with
-// exactly math.Atan2's sign convention: true iff imag(p) < 0, or
-// imag(p) is −0 with real(p) < 0 (the −π seam). This is the SymBee bit
-// decision (§IV-C, boundary at 0) computed without any arc tangent — a
-// bit-exact replacement for Atan2(...) < 0, not an approximation.
-//
-//symbee:hotpath
-func PhaseNegative(p complex128) bool {
-	im := imag(p)
-	return im < 0 || (im == 0 && math.Signbit(im) && real(p) < 0)
-}
-
-// PhaseClassifier classifies the compensated phase wrap(∠p + rotation)
-// against a symmetric magnitude threshold without computing the angle:
-// the rotation is applied as a complex multiply by e^{j·rotation} and
-// both tests reduce to sign and squared-cosine comparisons on the
-// rotated components. It implements the 84-sample run check of
-// Appendix A — only |φ| ≷ τ and the sign of φ matter there, never the
-// angle itself — at a few multiplies per sample.
-//
-// The classifications agree with the atan2 path except within the
-// rotation's own rounding (≲ 1 ulp of the component magnitudes) of the
-// exact decision boundary; noise alone moves samples across a boundary
-// by incomparably more.
-type PhaseClassifier struct {
-	rot     complex128
-	cosThr  float64
-	cos2Thr float64 // sign(cosThr) · cosThr²
-}
-
-// NewPhaseClassifier builds a classifier for the given compensation
-// rotation (radians added to every phase, e.g. +4π/5 for the canonical
-// ZigBee/WiFi channel pair) and threshold τ ∈ [0, π].
-func NewPhaseClassifier(rotation, threshold float64) (PhaseClassifier, error) {
-	if threshold < 0 || threshold > math.Pi {
-		return PhaseClassifier{}, fmt.Errorf("dsp: NewPhaseClassifier threshold %v outside [0, π]", threshold)
-	}
-	c := math.Cos(threshold)
-	return PhaseClassifier{
-		rot:     complex(math.Cos(rotation), math.Sin(rotation)),
-		cosThr:  c,
-		cos2Thr: math.Copysign(c*c, c),
-	}, nil
-}
-
-// Negative reports whether the compensated phase is negative — the bit
-// decision of §IV-C after CFO compensation, atan2-free.
-//
-//symbee:hotpath
-func (c PhaseClassifier) Negative(p complex128) bool {
-	return PhaseNegative(p * c.rot)
-}
-
-// Above reports whether |wrap(∠p + rotation)| ≥ τ. Using r = p·e^{jθ}:
-// |φ| ≥ τ ⇔ cos φ ≤ cos τ ⇔ real(r) ≤ cos τ · |r|, which resolves with
-// signs and one squared comparison — no square root, no arc tangent.
-//
-//symbee:hotpath
-func (c PhaseClassifier) Above(p complex128) bool {
-	r := p * c.rot
-	re, im := real(r), imag(r)
-	mag2 := re*re + im*im
-	if mag2 == 0 {
-		// ∠0 is 0 by Atan2 convention: above only for τ = 0.
-		return c.cosThr >= 1
-	}
-	if c.cosThr >= 0 {
-		// re ≤ cosτ·|r|: certainly true when re ≤ 0, else compare squares.
-		return re <= 0 || re*re <= c.cos2Thr*mag2
-	}
-	// cosτ < 0: re must be negative and large enough in magnitude.
-	return re < 0 && re*re >= -c.cos2Thr*mag2
 }

@@ -200,87 +200,6 @@ func TestPhaseStreamFastKernel(t *testing.T) {
 	}
 }
 
-// TestPhaseNegative pins the atan2-free sign kernel to the Atan2
-// convention over random products and every signed-zero corner.
-func TestPhaseNegative(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	for i := 0; i < 500_000; i++ {
-		p := complex(rng.NormFloat64(), rng.NormFloat64())
-		want := math.Atan2(imag(p), real(p)) < 0
-		if PhaseNegative(p) != want {
-			t.Fatalf("PhaseNegative(%v) = %v, want %v", p, !want, want)
-		}
-	}
-	negZero := math.Copysign(0, -1)
-	for _, tc := range []struct {
-		p    complex128
-		want bool
-	}{
-		{complex(1, 0), false},
-		{complex(-1, 0), false},      // +π is nonnegative
-		{complex(-1, negZero), true}, // −π seam
-		{complex(1, negZero), false}, // −0 phase: not < 0
-		{complex(0, 0), false},
-		{complex(0, -1), true},
-		{complex(0, 1), false},
-	} {
-		if got := PhaseNegative(tc.p); got != tc.want {
-			t.Errorf("PhaseNegative(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-}
-
-// TestPhaseClassifier checks sign and threshold classification against
-// the exact wrap(atan2+rotation) reference, away from the decision
-// boundaries (the classifier is allowed ~1 ulp of rotation rounding at
-// the boundary itself, which the margin here dwarfs).
-func TestPhaseClassifier(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, rot := range []float64{0, 4 * math.Pi / 5, -4 * math.Pi / 5, 1.1} {
-		for _, thr := range []float64{0, math.Pi / 10, 4 * math.Pi / 5 * 0.9, math.Pi} {
-			cl, err := NewPhaseClassifier(rot, thr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 200_000; i++ {
-				p := complex(rng.NormFloat64(), rng.NormFloat64())
-				phi := WrapPhase(math.Atan2(imag(p), real(p)) + rot)
-				const margin = 1e-9
-				if math.Abs(math.Abs(phi)-thr) > margin {
-					want := math.Abs(phi) >= thr
-					if got := cl.Above(p); got != want {
-						t.Fatalf("rot=%g thr=%g: Above(%v) = %v, want %v (φ=%v)", rot, thr, p, got, want, phi)
-					}
-				}
-				if math.Abs(phi) > margin && math.Abs(math.Abs(phi)-math.Pi) > margin {
-					want := phi < 0
-					if got := cl.Negative(p); got != want {
-						t.Fatalf("rot=%g thr=%g: Negative(%v) = %v, want %v (φ=%v)", rot, thr, p, got, want, phi)
-					}
-				}
-			}
-		}
-	}
-	// Zero product: ∠0 = 0 by convention.
-	cl, err := NewPhaseClassifier(0, math.Pi/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl.Above(0) {
-		t.Error("Above(0) with τ=π/2 should be false")
-	}
-	clZero, err := NewPhaseClassifier(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !clZero.Above(0) {
-		t.Error("Above(0) with τ=0 should be true")
-	}
-	if _, err := NewPhaseClassifier(0, -1); err == nil {
-		t.Error("expected error for threshold outside [0, π]")
-	}
-}
-
 func BenchmarkFastAtan2(b *testing.B) {
 	rng := rand.New(rand.NewSource(22))
 	ys := make([]float64, 1<<14)
@@ -313,31 +232,4 @@ func BenchmarkExactAtan2(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(ys)*b.N)/b.Elapsed().Seconds()/1e6, "Msps")
-}
-
-// classifySink keeps the classifier loop observable (a write-only local
-// slice lets the compiler elide the work and report fantasy rates).
-var classifySink int
-
-func BenchmarkPhaseClassify(b *testing.B) {
-	rng := rand.New(rand.NewSource(22))
-	ps := make([]complex128, 1<<14)
-	for i := range ps {
-		ps[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	cl, err := NewPhaseClassifier(4*math.Pi/5, 4*math.Pi/5*0.9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		for j := range ps {
-			if cl.Above(ps[j]) {
-				n++
-			}
-		}
-	}
-	classifySink += n
-	b.ReportMetric(float64(len(ps)*b.N)/b.Elapsed().Seconds()/1e6, "Msps")
 }

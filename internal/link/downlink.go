@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"time"
-
-	"symbee/internal/ctc"
 )
 
 // This file is the downlink half of the duplex link architecture: the
@@ -19,8 +17,8 @@ import (
 //	coalescer       ack serializer: one pending slot, newer cumulative
 //	                acks replace a queued unstarted older one
 //	occupancy       per-copy wall/air quanta and the serial transmitter's
-//	                busy horizon (from ctc.Downlink timing, explicit
-//	                DownTiming, or all zero for the ideal downlink)
+//	                busy horizon (DownTiming; all zero for the ideal
+//	                downlink)
 //	reverseFault    per-copy loss draws and the half-duplex forward/ack
 //	                collision model
 //
@@ -28,26 +26,19 @@ import (
 // cross-stage ack ledger, which the reliability layer publishes through
 // SimLink.ReverseStats, is assembled by Ledger.
 
-// DownTiming pins a downlink's per-copy occupancy as explicit
-// durations: the wall-clock span one ack copy holds the reverse
-// channel, the on-air time within it, and the fixed turnaround before
-// the first copy can start. Tests and scripted transports use it to
-// state quanta exactly; production links resolve a *ctc.Downlink
-// instead.
+// DownTiming is a downlink's per-copy occupancy: the wall-clock span
+// one ack copy holds the reverse channel, the on-air time within it,
+// and the fixed turnaround before the first copy can start. The zero
+// value is the ideal downlink — acks are instant, free and
+// collision-less.
 type DownTiming struct {
 	Wall, Air, Base time.Duration
 }
 
-// DownSpec assembles a DownStack. Exactly one timing source applies:
-// Downlink resolves a ctc operating point, Timing states the quanta
-// directly, and leaving both nil builds the ideal downlink — zero
-// quanta, so acks are instant, free and collision-less.
+// DownSpec assembles a DownStack.
 type DownSpec struct {
-	// Downlink is the resolved ctc ack-downlink timing model.
-	Downlink *ctc.Downlink
-	// Timing overrides the quanta with explicit durations (tests,
-	// scripted links). Mutually exclusive with Downlink.
-	Timing *DownTiming
+	// Timing is the per-copy occupancy (zero = the ideal downlink).
+	Timing DownTiming
 	// Repeat transmits each committed ack this many times (≥ 1).
 	Repeat int
 	// DropCopy is the per-copy reverse loss draw (nil = lossless).
@@ -57,13 +48,8 @@ type DownSpec struct {
 	Collide *rand.Rand
 }
 
-// DownSpec validation errors.
-var (
-	// ErrDownRepeat reports a non-positive ack repetition count.
-	ErrDownRepeat = errors.New("link: DownSpec.Repeat must be at least 1")
-	// ErrDownTiming reports both timing sources set at once.
-	ErrDownTiming = errors.New("link: DownSpec.Downlink and DownSpec.Timing are mutually exclusive")
-)
+// ErrDownRepeat reports a non-positive ack repetition count.
+var ErrDownRepeat = errors.New("link: DownSpec.Repeat must be at least 1")
 
 // TimedEvent is one cumulative acknowledgment arriving on the reverse
 // channel, stamped with its generation and arrival instants on the
@@ -293,18 +279,7 @@ func NewDownStack(spec DownSpec) (*DownStack, error) {
 	if spec.Repeat < 1 {
 		return nil, ErrDownRepeat
 	}
-	if spec.Downlink != nil && spec.Timing != nil {
-		return nil, ErrDownTiming
-	}
-	var t DownTiming // zero quanta: the ideal downlink
-	switch {
-	case spec.Downlink != nil:
-		sec := func(x float64) time.Duration { return time.Duration(x * float64(time.Second)) }
-		dl := spec.Downlink
-		t = DownTiming{Wall: sec(dl.AckWall()), Air: sec(dl.AckAir()), Base: sec(dl.BaseLatency())}
-	case spec.Timing != nil:
-		t = *spec.Timing
-	}
+	t := spec.Timing
 	s := &DownStack{
 		occ:   occupancy{wall: t.Wall, air: t.Air, base: t.Base, repeat: spec.Repeat},
 		fault: reverseFault{dropCopy: spec.DropCopy, collide: spec.Collide, wall: t.Wall},

@@ -130,7 +130,7 @@ func runDownScenario(t *testing.T, sc downScenario, step time.Duration) downGold
 	t.Helper()
 	spec := DownSpec{Repeat: sc.repeat}
 	if !sc.ideal {
-		spec.Timing = &DownTiming{Wall: sc.wall, Air: sc.air, Base: sc.base}
+		spec.Timing = DownTiming{Wall: sc.wall, Air: sc.air, Base: sc.base}
 	}
 	if sc.lossSeed != 0 {
 		r := splitmix.New(sc.lossSeed, splitmix.ReverseStream)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"symbee/internal/core"
-	"symbee/internal/ctc"
 	"symbee/internal/splitmix"
 )
 
@@ -15,7 +14,7 @@ import (
 func fixedDown(t *testing.T, wall, air, base time.Duration, repeat int) *DownStack {
 	t.Helper()
 	s, err := NewDownStack(DownSpec{
-		Timing: &DownTiming{Wall: wall, Air: air, Base: base},
+		Timing: DownTiming{Wall: wall, Air: air, Base: base},
 		Repeat: repeat,
 	})
 	if err != nil {
@@ -31,17 +30,7 @@ func TestDownSpecValidation(t *testing.T) {
 	if _, err := NewDownStack(DownSpec{Repeat: -1}); !errors.Is(err, ErrDownRepeat) {
 		t.Errorf("negative Repeat: %v, want ErrDownRepeat", err)
 	}
-	// The two timing sources are mutually exclusive; a DownTiming
-	// alongside a resolved ctc downlink must be rejected. A nil-nil pair
-	// is the ideal downlink (zero quanta).
-	dl, err := ctc.NewDownlink(ctc.DefaultDownlink(ctc.NewCMorse()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDownStack(DownSpec{Repeat: 1, Timing: &DownTiming{},
-		Downlink: dl}); !errors.Is(err, ErrDownTiming) {
-		t.Errorf("both timing sources: %v, want ErrDownTiming", err)
-	}
+	// The zero DownTiming is the ideal downlink (zero quanta).
 	s, err := NewDownStack(DownSpec{Repeat: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +99,7 @@ func TestDownStackCollisionModel(t *testing.T) {
 	const trials = 4000
 	run := func(seed int64, overlapFrac float64) (fwd, ack int) {
 		s, err := NewDownStack(DownSpec{
-			Timing:  &DownTiming{Wall: 10 * time.Millisecond, Air: 5 * time.Millisecond},
+			Timing:  DownTiming{Wall: 10 * time.Millisecond, Air: 5 * time.Millisecond},
 			Repeat:  1,
 			Collide: splitmix.New(seed, splitmix.CollisionStream),
 		})
@@ -182,7 +171,7 @@ func TestDownStackLayerStats(t *testing.T) {
 	drops := []bool{true, false, false}
 	i := 0
 	s, err := NewDownStack(DownSpec{
-		Timing:   &DownTiming{Wall: 10 * time.Millisecond, Air: 2 * time.Millisecond},
+		Timing:   DownTiming{Wall: 10 * time.Millisecond, Air: 2 * time.Millisecond},
 		Repeat:   1,
 		DropCopy: func() bool { d := drops[i%len(drops)]; i++; return d },
 	})
@@ -218,7 +207,7 @@ func TestDuplexComposer(t *testing.T) {
 		t.Errorf("nil downlink: %v", err)
 	}
 	down, err := NewDownStack(DownSpec{
-		Timing:  &DownTiming{Wall: 10 * time.Millisecond, Air: 5 * time.Millisecond},
+		Timing:  DownTiming{Wall: 10 * time.Millisecond, Air: 5 * time.Millisecond},
 		Repeat:  1,
 		Collide: splitmix.New(3, splitmix.CollisionStream),
 	})

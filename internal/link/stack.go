@@ -13,7 +13,7 @@ import (
 var (
 	// ErrNoFrontEnd reports IQ pushed into a stack built without the
 	// front-end stage (phase-fed presets).
-	ErrNoFrontEnd = errors.New("link: stack has no IQ front-end (push phases, or set Spec.FrontEnd)")
+	ErrNoFrontEnd = errors.New("link: stack has no IQ front-end (push phases, or build it with NewStreaming)")
 	// ErrClosed reports input pushed into a closed stack.
 	ErrClosed = errors.New("link: stack closed")
 )
@@ -25,28 +25,6 @@ var (
 type Event struct {
 	Stream uint64
 	core.StreamEvent
-}
-
-// Spec selects the stages of a Stack. The zero value is invalid: a
-// Decoder is required (share one across stacks — pool shards do — or
-// build one with core.NewDecoder).
-type Spec struct {
-	// Decoder supplies the parameter set, CFO compensation, capture
-	// threshold and matched-filter template every decode stage shares.
-	Decoder *core.Decoder
-	// FrontEnd enables the IQ→phase stage (dsp.PhaseDiffStreamer).
-	// Without it the stack is phase-fed: PushIQ reports ErrNoFrontEnd.
-	FrontEnd bool
-	// Batch selects unbounded frame-machine history: whole-capture
-	// semantics, bit-identical to core's Decoder.DecodeFrame.
-	// The default is the bounded-retention streaming configuration.
-	Batch bool
-	// Stream tags emitted events with a stream identity (pool shards
-	// demultiplex on it).
-	Stream uint64
-	// Metrics receives stage instrumentation; nil leaves the stack
-	// uninstrumented (the hot path then skips all accounting).
-	Metrics *Metrics
 }
 
 // Stack is one assembled receive pipeline: the optional IQ front-end
@@ -67,52 +45,47 @@ type Stack struct {
 	closed  bool
 }
 
-// New assembles a stack from the spec.
-func New(spec Spec) (*Stack, error) {
-	if spec.Decoder == nil {
+// newStack builds the stack every preset starts from: phase-fed, with
+// unbounded machine history when batch is set and bounded retention
+// otherwise. A decoder is required (share one across stacks — pool
+// shards do — or build one with core.NewDecoder).
+func newStack(d *core.Decoder, batch bool, m *Metrics) (*Stack, error) {
+	if d == nil {
 		return nil, fmt.Errorf("link: %w", errNilDecoder)
 	}
-	var machine *core.FrameMachine
-	var err error
-	if spec.Batch {
-		machine, err = spec.Decoder.NewBatchMachine()
-	} else {
-		machine, err = spec.Decoder.NewFrameMachine()
+	newMachine := d.NewFrameMachine
+	if batch {
+		newMachine = d.NewBatchMachine
 	}
+	machine, err := newMachine()
 	if err != nil {
 		return nil, fmt.Errorf("link: %w", err)
 	}
-	s := &Stack{
-		dec:     spec.Decoder,
-		machine: machine,
-		metrics: spec.Metrics,
-		stream:  spec.Stream,
-	}
-	if spec.FrontEnd {
-		s.phaser, err = dsp.NewPhaseDiffStreamer(spec.Decoder.Params().Lag)
-		if err != nil {
-			return nil, fmt.Errorf("link: %w", err)
-		}
-	}
-	return s, nil
+	return &Stack{dec: d, machine: machine, metrics: m}, nil
 }
 
-var errNilDecoder = errors.New("spec needs a Decoder")
-
-// Preset constructors — the three historical pipeline assemblies as
-// configurations of one Stack.
+var errNilDecoder = errors.New("stack needs a Decoder")
 
 // NewBatch returns the whole-capture preset: phase-fed, unbounded
 // machine history. Push one capture, Flush, Drain — bit-identical to
 // core's Decoder.DecodeFrame at any chunking.
 func NewBatch(d *core.Decoder, m *Metrics) (*Stack, error) {
-	return New(Spec{Decoder: d, Batch: true, Metrics: m})
+	return newStack(d, true, m)
 }
 
 // NewStreaming returns the per-stream real-time preset the pool runs
-// one of per shard session: IQ front-end plus bounded machine history.
+// one of per shard session: IQ front-end plus bounded machine history,
+// with every event tagged by the stream identity.
 func NewStreaming(d *core.Decoder, stream uint64, m *Metrics) (*Stack, error) {
-	return New(Spec{Decoder: d, FrontEnd: true, Stream: stream, Metrics: m})
+	s, err := newStack(d, false, m)
+	if err != nil {
+		return nil, err
+	}
+	s.stream = stream
+	if s.phaser, err = dsp.NewPhaseDiffStreamer(d.Params().Lag); err != nil {
+		return nil, fmt.Errorf("link: %w", err)
+	}
+	return s, nil
 }
 
 // NewReliable returns the ARQ-harness preset: phase-fed (the SimLink
@@ -120,7 +93,7 @@ func NewStreaming(d *core.Decoder, stream uint64, m *Metrics) (*Stack, error) {
 // simulated airtime keep constant memory. Pair with PadHorizon to force
 // the decode gate between captures.
 func NewReliable(d *core.Decoder, m *Metrics) (*Stack, error) {
-	return New(Spec{Decoder: d, Metrics: m})
+	return newStack(d, false, m)
 }
 
 // Stream returns the stack's stream identity tag.

@@ -232,8 +232,8 @@ func TestStackErrors(t *testing.T) {
 	if err := st.PushPhases(make([]float64, 16)); err != nil {
 		t.Errorf("push after Reset: %v, want nil", err)
 	}
-	if _, err := New(Spec{}); err == nil {
-		t.Error("New with nil decoder succeeded, want error")
+	if _, err := NewBatch(nil, nil); err == nil {
+		t.Error("NewBatch with nil decoder succeeded, want error")
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 
 // DownlinkScheme selects the WiFi→ZigBee reverse-channel model that
 // carries acknowledgments back to the sender. The non-ideal schemes are
-// the packet-level side channels of internal/ctc, resolved through
-// ctc.NewDownlink at their published operating points with one-byte
-// cumulative acks; the model itself is link.DownStack.
+// the packet-level side channels of internal/ctc at their published
+// operating points, carrying one-byte cumulative acks; the model itself
+// is link.DownStack.
 type DownlinkScheme int
 
 const (
@@ -85,35 +85,44 @@ func DownlinkSchemes() []DownlinkScheme {
 // errDownlink rejects unknown DownlinkScheme values.
 var errDownlink = errors.New("reliable: unknown downlink scheme")
 
-// downlink resolves the scheme's ack-downlink timing model at its
-// published operating point with one-byte cumulative acks. The ideal
-// baseline resolves to nil: link.NewDownStack turns that into zero
-// occupancy quanta.
-func (d DownlinkScheme) downlink() (*ctc.Downlink, error) {
+// Ack timing constants shared by every modeled scheme: a go-back-N
+// cumulative ack is one sequence byte, and the WiFi receiver needs a
+// fixed turnaround after the forward frame ends before the ack
+// transmission can start.
+const (
+	ackBits       = 8
+	ackTurnaround = time.Millisecond
+)
+
+// timing resolves the scheme's per-copy ack occupancy at its published
+// operating point. The ideal baseline resolves to the zero DownTiming.
+func (d DownlinkScheme) timing() (link.DownTiming, error) {
 	if d < 0 || int(d) >= len(downlinkTable) {
-		return nil, fmt.Errorf("%w: %d", errDownlink, d)
+		return link.DownTiming{}, fmt.Errorf("%w: %d", errDownlink, d)
 	}
 	entry := downlinkTable[d]
 	if entry.scheme == nil {
-		return nil, nil
+		return link.DownTiming{}, nil
 	}
-	dl, err := ctc.NewDownlink(ctc.DefaultDownlink(entry.scheme()))
+	scheme := entry.scheme()
+	wall, air, err := scheme.Occupancy(ackBits)
 	if err != nil {
-		return nil, fmt.Errorf("reliable: %w", err)
+		return link.DownTiming{}, fmt.Errorf("reliable: %s downlink: %w", scheme.Name(), err)
 	}
-	return dl, nil
+	sec := func(x float64) time.Duration { return time.Duration(x * float64(time.Second)) }
+	return link.DownTiming{Wall: sec(wall), Air: sec(air), Base: ackTurnaround}, nil
 }
 
 // newDownStack builds the downlink stack for the scheme.
 // repeat ≥ 1 is the caller's responsibility (SimConfig.Validate
 // enforces it).
 func (d DownlinkScheme) newDownStack(repeat int, dropCopy func() bool, collide *rand.Rand) (*link.DownStack, error) {
-	dl, err := d.downlink()
+	t, err := d.timing()
 	if err != nil {
 		return nil, err
 	}
 	return link.NewDownStack(link.DownSpec{
-		Downlink: dl,
+		Timing:   t,
 		Repeat:   repeat,
 		DropCopy: dropCopy,
 		Collide:  collide,

@@ -10,43 +10,40 @@ import (
 	"symbee/internal/link"
 )
 
+// TestDownlinkSchemeTable pins each scheme's name and resolved ack
+// timing to the quanta of its published operating point with one-byte
+// acks and a 1 ms turnaround.
 func TestDownlinkSchemeTable(t *testing.T) {
 	schemes := DownlinkSchemes()
 	if len(schemes) != 5 {
 		t.Fatalf("schemes = %v, want ideal + 4 modeled operating points", schemes)
 	}
-	names := map[DownlinkScheme]string{
-		DownlinkIdeal:   "ideal",
-		DownlinkCMorse:  "cmorse",
-		DownlinkFreeBee: "freebee",
-		DownlinkDCTC:    "dctc",
-		DownlinkEMF:     "emf",
+	want := map[DownlinkScheme]struct {
+		name   string
+		timing link.DownTiming
+	}{
+		DownlinkIdeal:   {"ideal", link.DownTiming{}},
+		DownlinkCMorse:  {"cmorse", link.DownTiming{Wall: 37_216_000, Air: 9_216_000, Base: 1_000_000}},
+		DownlinkFreeBee: {"freebee", link.DownTiming{Wall: 512_000_000, Air: 2_880_000, Base: 1_000_000}},
+		DownlinkDCTC:    {"dctc", link.DownTiming{Wall: 19_000_000, Air: 5_000_000, Base: 1_000_000}},
+		DownlinkEMF:     {"emf", link.DownTiming{Wall: 20_000_000, Air: 3_456_000, Base: 1_000_000}},
 	}
 	for _, d := range schemes {
-		if d.String() != names[d] {
-			t.Errorf("scheme %d named %q, want %q", d, d.String(), names[d])
+		if d.String() != want[d].name {
+			t.Errorf("scheme %d named %q, want %q", d, d.String(), want[d].name)
 		}
-		dl, err := d.downlink()
+		if d.Modeled() != (d != DownlinkIdeal) {
+			t.Errorf("%s: Modeled = %v", d, d.Modeled())
+		}
+		timing, err := d.timing()
 		if err != nil {
 			t.Fatalf("%s: %v", d, err)
 		}
-		if d == DownlinkIdeal {
-			if d.Modeled() {
-				t.Error("ideal reports Modeled")
-			}
-			if dl != nil {
-				t.Errorf("ideal resolved a ctc downlink: %+v", dl)
-			}
-			continue
-		}
-		if !d.Modeled() {
-			t.Errorf("%s does not report Modeled", d)
-		}
-		if dl.AckWall() <= 0 || dl.AckAir() <= 0 || dl.AckAir() > dl.AckWall() || dl.BaseLatency() <= 0 {
-			t.Errorf("%s: wall=%v air=%v base=%v", d, dl.AckWall(), dl.AckAir(), dl.BaseLatency())
+		if timing != want[d].timing {
+			t.Errorf("%s: timing %+v, want %+v", d, timing, want[d].timing)
 		}
 	}
-	if _, err := DownlinkScheme(99).downlink(); err == nil {
+	if _, err := DownlinkScheme(99).timing(); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 	if DownlinkScheme(99).String() != "unknown" || DownlinkScheme(99).Modeled() {
@@ -55,12 +52,12 @@ func TestDownlinkSchemeTable(t *testing.T) {
 }
 
 func TestDownlinkSchemeOperatingPoints(t *testing.T) {
-	duty := func(d DownlinkScheme) (wall, duty float64) {
-		dl, err := d.downlink()
+	duty := func(d DownlinkScheme) (wall time.Duration, duty float64) {
+		timing, err := d.timing()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dl.AckWall(), dl.Duty()
+		return timing.Wall, float64(timing.Air) / float64(timing.Wall)
 	}
 	// FreeBee acks are far slower but far lower duty than C-Morse.
 	cw, cd := duty(DownlinkCMorse)
@@ -101,13 +98,11 @@ func TestSimLinkDownlinkLatency(t *testing.T) {
 			}
 			continue
 		}
-		dl, err := d.downlink()
+		timing, err := d.timing()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := time.Duration(dl.AckWall()*float64(time.Second)) +
-			time.Duration(dl.BaseLatency()*float64(time.Second))
-		if lat != want {
+		if want := timing.Wall + timing.Base; lat != want {
 			t.Errorf("%s latency = %v, want %v", d, lat, want)
 		}
 	}
@@ -183,11 +178,11 @@ func TestSimLinkLayerStats(t *testing.T) {
 	if _, err := s.Send(context.Background(), testMessage(100)); err != nil {
 		t.Fatal(err)
 	}
-	dl, err := DownlinkCMorse.downlink()
+	timing, err := DownlinkCMorse.timing()
 	if err != nil {
 		t.Fatal(err)
 	}
-	air := time.Duration(dl.AckAir() * float64(time.Second))
+	air := timing.Air
 	led := l.ReverseStats()
 	if led.AcksSent == 0 {
 		t.Fatalf("no acks sent over a full transfer: %+v", led)

@@ -54,7 +54,7 @@ func (c SimConfig) Validate() error {
 	if c.AckRepeat < 1 {
 		return fmt.Errorf("%w: %d", errAckRepeat, c.AckRepeat)
 	}
-	if _, err := c.Downlink.downlink(); err != nil {
+	if _, err := c.Downlink.timing(); err != nil {
 		return err
 	}
 	return nil

@@ -57,9 +57,6 @@ func (r *Receiver) Deliver(f *core.Frame) (Ack, error) {
 	return Ack{NextSeq: r.expected}, nil
 }
 
-// Expected returns the next sequence number the receiver will accept.
-func (r *Receiver) Expected() byte { return r.expected }
-
 // DupDrops returns how many frames were dropped as duplicates or
 // out-of-order arrivals.
 func (r *Receiver) DupDrops() int { return r.dups }

@@ -34,7 +34,7 @@ func newScriptTx(script string) *scriptTx {
 // given per-copy wall span, on-air time, turnaround and repeat count.
 func newScriptTxDownlink(script string, wall, air, base time.Duration, repeat int) *scriptTx {
 	down, err := link.NewDownStack(link.DownSpec{
-		Timing: &link.DownTiming{Wall: wall, Air: air, Base: base},
+		Timing: link.DownTiming{Wall: wall, Air: air, Base: base},
 		Repeat: repeat,
 	})
 	if err != nil {

@@ -226,7 +226,7 @@ func TestDownlinkLayeredEquivalence(t *testing.T) {
 					Collide:  splitmix.New(seed, splitmix.CollisionStream),
 				}
 				if !tc.ideal {
-					spec.Timing = &link.DownTiming{Wall: tc.wall, Air: tc.air, Base: tc.base}
+					spec.Timing = link.DownTiming{Wall: tc.wall, Air: tc.air, Base: tc.base}
 				}
 				stk, err := link.NewDownStack(spec)
 				if err != nil {

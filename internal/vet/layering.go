@@ -18,7 +18,9 @@ import (
 // that is not listed is a violation naming the offending edge and the
 // manifest line; a package missing from the manifest entirely is a
 // violation at its package clause (new packages must declare their
-// layer when they are added).
+// layer when they are added), and so is a declared edge that no file
+// of the package imports (the manifest must not outlive a removed
+// dependency).
 func AnalyzerLayering() *Analyzer {
 	return newLayeringAnalyzer("symbee/internal/", repoLayerManifest)
 }
@@ -42,7 +44,7 @@ channel: dsp splitmix wifi
 core: coding dsp wifi zigbee
 cli: core trace
 medium: channel core dsp splitmix
-link: core ctc dsp medium wifi
+link: core dsp medium wifi
 stream: core link
 reliable: channel coding core ctc link splitmix zigbee
 sim: channel coding core ctc dsp mac wifi zigbee
@@ -51,8 +53,11 @@ sim: channel coding core ctc dsp mac wifi zigbee
 const layeringFix = "move the code across the boundary, invert the dependency through an " +
 	"interface, or (for a deliberate architecture change) amend the manifest in internal/vet/layering.go"
 
+const staleEdgeFix = "delete the edge from its manifest line in internal/vet/layering.go"
+
 // manifestEntry is one parsed manifest line.
 type manifestEntry struct {
+	deps    []string // in manifest order
 	allowed map[string]bool
 	line    int    // 1-based line within the manifest literal
 	text    string // the raw manifest line, for diagnostics
@@ -86,8 +91,8 @@ func parseLayerManifest(manifest string) map[string]manifestEntry {
 		if !ok {
 			continue
 		}
-		e := manifestEntry{allowed: make(map[string]bool), line: i + 1, text: line}
-		for _, dep := range strings.Fields(deps) {
+		e := manifestEntry{deps: strings.Fields(deps), allowed: make(map[string]bool), line: i + 1, text: line}
+		for _, dep := range e.deps {
 			e.allowed[dep] = true
 		}
 		entries[strings.TrimSpace(name)] = e
@@ -97,18 +102,16 @@ func parseLayerManifest(manifest string) map[string]manifestEntry {
 
 func runLayering(prog *Program, u *Unit, prefix string, entries map[string]manifestEntry) []Diagnostic {
 	short, ok := strings.CutPrefix(u.Path, prefix)
-	if !ok {
-		return nil // only packages under the prefix are layered
+	if !ok || len(u.Files) == 0 {
+		return nil // only packages under the prefix with sources are layered
 	}
 	entry, declared := entries[short]
 	if !declared {
-		if len(u.Files) == 0 {
-			return nil
-		}
 		return []Diagnostic{prog.diag("layering", u.Files[0].Name.Pos(), layeringFix,
 			"package %s is not declared in the layering manifest: add a %q line", u.Path, short+": <deps>")}
 	}
 	var out []Diagnostic
+	imported := make(map[string]bool)
 	for _, f := range u.Files {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
@@ -116,12 +119,23 @@ func runLayering(prog *Program, u *Unit, prefix string, entries map[string]manif
 				continue
 			}
 			dep, ok := strings.CutPrefix(path, prefix)
-			if !ok || entry.allowed[dep] {
+			if !ok {
+				continue
+			}
+			imported[dep] = true
+			if entry.allowed[dep] {
 				continue
 			}
 			out = append(out, prog.diag("layering", imp.Pos(), layeringFix,
 				"%s imports %s: edge not in the layering manifest (line %d: %q)",
 				u.Path, path, entry.line, entry.text))
+		}
+	}
+	for _, dep := range entry.deps {
+		if !imported[dep] {
+			out = append(out, prog.diag("layering", u.Files[0].Name.Pos(), staleEdgeFix,
+				"%s never imports %s%s: stale edge in the layering manifest (line %d: %q)",
+				u.Path, prefix, dep, entry.line, entry.text))
 		}
 	}
 	return out

@@ -1,5 +1,6 @@
-// Package c may import a, but reaches sideways into b instead.
-package c
+// Package c may import a, but reaches sideways into b instead, which
+// also leaves its declared edge to a unused.
+package c // want `fixture/layering/c never imports fixture/layering/a: stale edge in the layering manifest`
 
 import (
 	"os" // ok: stdlib imports are never constrained
