@@ -48,7 +48,7 @@ func main() {
 
 		reliableBench = flag.Bool("reliable", false, "measure the ARQ reliability layer (soak acceptance, overhead, loss sweep)")
 		reliableOut   = flag.String("reliable-out", "BENCH_reliable.json", "file for the reliability JSON artifact (\"\" = don't write)")
-		reliableRuns  = flag.Int("reliable-runs", 100, "seeded soak runs per receive path")
+		reliableRuns  = flag.Int("reliable-runs", 100, "seeded soak runs")
 		reliableMsg   = flag.Int("reliable-msg", 4096, "message size in bytes for every reliability measurement")
 
 		densityBench  = flag.Bool("density", false, "sweep the event-driven shared medium over large sender populations")

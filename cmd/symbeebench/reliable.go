@@ -49,12 +49,10 @@ type reliableArtifact struct {
 	Profile      channel.FaultConfig `json:"soak_profile"`
 
 	// Acceptance: every seeded run under the soak profile — acks riding
-	// the C-Morse downlink — must deliver the message intact on both
-	// receive paths.
-	SoakRuns        int  `json:"soak_runs"`
-	BatchDelivered  int  `json:"batch_delivered"`
-	StreamDelivered int  `json:"stream_delivered"`
-	SoakOK          bool `json:"soak_ok"`
+	// the C-Morse downlink — must deliver the message intact.
+	SoakRuns       int  `json:"soak_runs"`
+	BatchDelivered int  `json:"batch_delivered"`
+	SoakOK         bool `json:"soak_ok"`
 
 	// Bidirectional acceptance: 10% loss forward, 10% per-copy loss on
 	// the reverse path with Repeat-2 acks — every run must deliver.
@@ -81,12 +79,11 @@ type reliableArtifact struct {
 // reliableTransfer runs one ARQ transfer of msg over the given fault
 // profile and downlink, reporting the session report, the reverse
 // ledger and whether the message arrived intact.
-func reliableTransfer(msg []byte, faults channel.FaultConfig, streaming bool,
+func reliableTransfer(msg []byte, faults channel.FaultConfig,
 	downlink reliable.DownlinkScheme, ackRepeat int) (*reliable.Report, link.DownlinkLedger, bool, error) {
 	m := link.NewMetrics()
 	cfg := reliable.DefaultSimConfig()
 	cfg.Faults = faults
-	cfg.Stream = streaming
 	cfg.Downlink = downlink
 	cfg.AckRepeat = ackRepeat
 	cfg.Metrics = m
@@ -121,9 +118,9 @@ func benchMessage(seed int64, n int) []byte {
 }
 
 // runReliableBench measures the reliability layer — the 100-run soak
-// acceptance on both receive paths, the bidirectional soak, the
-// clean-channel airtime overhead, and per-downlink goodput across an
-// i.i.d. loss sweep — and writes BENCH_reliable.json.
+// acceptance, the bidirectional soak, the clean-channel airtime
+// overhead, and per-downlink goodput across an i.i.d. loss sweep — and
+// writes BENCH_reliable.json.
 func runReliableBench(seed int64, runs, msgLen int, outPath string) error {
 	art := reliableArtifact{
 		Benchmark:    "reliable-arq",
@@ -132,30 +129,21 @@ func runReliableBench(seed int64, runs, msgLen int, outPath string) error {
 		SoakRuns:     runs,
 	}
 
-	fmt.Printf("reliable ARQ bench: %d-byte message, %d soak runs per path\n", msgLen, runs)
+	fmt.Printf("reliable ARQ bench: %d-byte message, %d soak runs\n", msgLen, runs)
 	start := time.Now()
-	for _, path := range []struct {
-		name      string
-		streaming bool
-		delivered *int
-	}{
-		{"batch", false, &art.BatchDelivered},
-		{"stream", true, &art.StreamDelivered},
-	} {
-		for i := 0; i < runs; i++ {
-			s := seed + int64(i) - 1 // seeds 0..runs-1 for the default -seed 1
-			_, _, ok, err := reliableTransfer(benchMessage(s, msgLen), reliable.ProfileSoak(s),
-				path.streaming, reliable.DownlinkCMorse, 1)
-			if err != nil {
-				return err
-			}
-			if ok {
-				*path.delivered++
-			}
+	for i := 0; i < runs; i++ {
+		s := seed + int64(i) - 1 // seeds 0..runs-1 for the default -seed 1
+		_, _, ok, err := reliableTransfer(benchMessage(s, msgLen), reliable.ProfileSoak(s),
+			reliable.DownlinkCMorse, 1)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("  soak %-6s %d/%d delivered\n", path.name, *path.delivered, runs)
+		if ok {
+			art.BatchDelivered++
+		}
 	}
-	art.SoakOK = art.BatchDelivered == runs && art.StreamDelivered == runs
+	fmt.Printf("  soak   %d/%d delivered\n", art.BatchDelivered, runs)
+	art.SoakOK = art.BatchDelivered == runs
 
 	// Bidirectional soak: matched 10% loss in both directions, Repeat-2
 	// acks for reverse loss protection.
@@ -166,7 +154,7 @@ func runReliableBench(seed int64, runs, msgLen int, outPath string) error {
 	for i := 0; i < art.BidirRuns; i++ {
 		s := seed + int64(i) - 1
 		_, _, ok, err := reliableTransfer(benchMessage(s, msgLen), reliable.ProfileBidir(s),
-			false, reliable.DownlinkCMorse, 2)
+			reliable.DownlinkCMorse, 2)
 		if err != nil {
 			return err
 		}
@@ -179,7 +167,7 @@ func runReliableBench(seed int64, runs, msgLen int, outPath string) error {
 		art.BidirDelivered, art.BidirRuns)
 
 	rep, _, ok, err := reliableTransfer(benchMessage(1, msgLen), channel.FaultConfig{},
-		false, reliable.DownlinkIdeal, 1)
+		reliable.DownlinkIdeal, 1)
 	if err != nil {
 		return err
 	}
@@ -202,7 +190,7 @@ func runReliableBench(seed int64, runs, msgLen int, outPath string) error {
 			var goodput float64
 			for i := int64(0); i < sweepSeeds; i++ {
 				faults := channel.FaultConfig{Seed: seed + i, FrameLoss: loss, AckLoss: loss / 2}
-				rep, rs, ok, err := reliableTransfer(benchMessage(seed+i, msgLen), faults, false, dl, 1)
+				rep, rs, ok, err := reliableTransfer(benchMessage(seed+i, msgLen), faults, dl, 1)
 				if err != nil {
 					return err
 				}
@@ -267,8 +255,8 @@ func runReliableBench(seed int64, runs, msgLen int, outPath string) error {
 		fmt.Printf("  wrote %s\n", outPath)
 	}
 	if !art.SoakOK || !art.BidirOK || !art.OverheadOK || !schemesOK {
-		return fmt.Errorf("acceptance failed: soak %d+%d/%d, bidir %d/%d, overhead %.2f%%, reverse_ok %v",
-			art.BatchDelivered, art.StreamDelivered, runs,
+		return fmt.Errorf("acceptance failed: soak %d/%d, bidir %d/%d, overhead %.2f%%, reverse_ok %v",
+			art.BatchDelivered, runs,
 			art.BidirDelivered, art.BidirRuns, art.OverheadPct, schemesOK)
 	}
 	return nil

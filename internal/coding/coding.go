@@ -1,7 +1,6 @@
 // Package coding provides the link-layer codes used around SymBee: the
 // Hamming(7,4) single-error-correcting code the paper applies in the
-// interference study (Fig. 21), a block bit-interleaver that spreads
-// burst errors across codewords, and bit/byte packing helpers.
+// interference study (Fig. 21) and bit/byte packing helpers.
 package coding
 
 import "fmt"
@@ -90,35 +89,6 @@ func HammingDecodeBits(bits []byte) (data []byte, corrections int, err error) {
 		data = append(data, block[:]...)
 	}
 	return data, corrections, nil
-}
-
-// Interleave performs block interleaving with the given depth: bit i
-// goes to position (i mod depth)·rows + (i div depth), spreading a burst
-// of up to depth consecutive errors across different codewords. The
-// input length must be a multiple of depth.
-func Interleave(bits []byte, depth int) ([]byte, error) {
-	if depth <= 0 || len(bits)%depth != 0 {
-		return nil, fmt.Errorf("coding: length %d not a multiple of depth %d", len(bits), depth)
-	}
-	rows := len(bits) / depth
-	out := make([]byte, len(bits))
-	for i, b := range bits {
-		out[(i%depth)*rows+i/depth] = b
-	}
-	return out, nil
-}
-
-// Deinterleave inverts Interleave with the same depth.
-func Deinterleave(bits []byte, depth int) ([]byte, error) {
-	if depth <= 0 || len(bits)%depth != 0 {
-		return nil, fmt.Errorf("coding: length %d not a multiple of depth %d", len(bits), depth)
-	}
-	rows := len(bits) / depth
-	out := make([]byte, len(bits))
-	for i := range bits {
-		out[i] = bits[(i%depth)*rows+i/depth]
-	}
-	return out, nil
 }
 
 // BytesToBits unpacks bytes MSB-first into one bit per byte.

@@ -117,64 +117,6 @@ func TestHammingStreamCorrectsScatteredErrors(t *testing.T) {
 	}
 }
 
-func TestInterleaveRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, depth := range []int{1, 2, 7, 10} {
-		n := depth * 9
-		bits := make([]byte, n)
-		for i := range bits {
-			bits[i] = byte(rng.Intn(2))
-		}
-		il, err := Interleave(bits, depth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := Deinterleave(il, depth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(back, bits) {
-			t.Errorf("depth %d: round trip failed", depth)
-		}
-	}
-	if _, err := Interleave(make([]byte, 5), 2); err == nil {
-		t.Error("expected error for misaligned length")
-	}
-	if _, err := Deinterleave(make([]byte, 5), 2); err == nil {
-		t.Error("expected error for misaligned length")
-	}
-}
-
-func TestInterleaveSpreadsBursts(t *testing.T) {
-	// A burst of `depth` consecutive errors in the interleaved stream
-	// must land in distinct codewords after deinterleaving.
-	const depth = 7
-	bits := make([]byte, depth*8)
-	il, err := Interleave(bits, depth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 10; i < 10+depth; i++ {
-		il[i] ^= 1
-	}
-	back, err := Deinterleave(il, depth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Count errors per 7-bit codeword.
-	for cw := 0; cw+7 <= len(back); cw += 7 {
-		errs := 0
-		for k := 0; k < 7; k++ {
-			if back[cw+k] != 0 {
-				errs++
-			}
-		}
-		if errs > 1 {
-			t.Errorf("codeword %d got %d burst errors; interleaver should spread them", cw/7, errs)
-		}
-	}
-}
-
 func TestBitsBytesRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
 		bits := BytesToBits(data)

@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Soft-decision decoding: an extension beyond the paper. §IV-C decodes
 // by counting signs against the 0 boundary, which discards how far each
@@ -53,7 +56,8 @@ func (d *Decoder) DecodeSyncBitsSoft(phases []float64, anchor, n int) ([]SoftBit
 		start := anchor + (PreambleBits+k)*d.p.BitPeriod
 		end := start + d.p.StableLen
 		if start < 0 || end > len(prepared) {
-			return out[:k], errTruncatedBit(k, start, end, len(prepared))
+			return out[:k], fmt.Errorf("%w: soft bit %d needs [%d,%d), stream has %d",
+				ErrTruncated, k, start, end, len(prepared))
 		}
 		llr := softScore(prepared[start:end])
 		bit := byte(0)
@@ -64,42 +68,3 @@ func (d *Decoder) DecodeSyncBitsSoft(phases []float64, anchor, n int) ([]SoftBit
 	}
 	return out, nil
 }
-
-// DecodeBitsSoft captures the preamble and soft-decodes n bits.
-func (d *Decoder) DecodeBitsSoft(phases []float64, n int) ([]SoftBit, error) {
-	prepared := d.prepare(phases)
-	anchor, err := d.capturePreamble(prepared)
-	if err != nil {
-		return nil, err
-	}
-	soft := make([]SoftBit, n)
-	for k := 0; k < n; k++ {
-		start := anchor + (PreambleBits+k)*d.p.BitPeriod
-		end := start + d.p.StableLen
-		if start < 0 || end > len(prepared) {
-			return soft[:k], errTruncatedBit(k, start, end, len(prepared))
-		}
-		llr := softScore(prepared[start:end])
-		bit := byte(0)
-		if llr < 0 {
-			bit = 1
-		}
-		soft[k] = SoftBit{Bit: bit, LLR: llr}
-	}
-	return soft, nil
-}
-
-func errTruncatedBit(k, start, end, have int) error {
-	return &truncatedError{bit: k, start: start, end: end, have: have}
-}
-
-// truncatedError wraps ErrTruncated with position detail.
-type truncatedError struct {
-	bit, start, end, have int
-}
-
-func (e *truncatedError) Error() string {
-	return "core: phase stream ends before frame does (soft bit window out of range)"
-}
-
-func (e *truncatedError) Unwrap() error { return ErrTruncated }

@@ -31,7 +31,12 @@ func TestSoftDecodeNoiseless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	soft, err := l.Decoder().DecodeBitsSoft(l.Phases(sig), len(bits))
+	phases := l.Phases(sig)
+	anchor, err := l.Decoder().CapturePreamble(phases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	soft, err := l.Decoder().DecodeSyncBitsSoft(phases, anchor, len(bits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +111,12 @@ func TestSoftDecodeTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = l.Decoder().DecodeBitsSoft(l.Phases(sig), 40)
+	phases := l.Phases(sig)
+	anchor, err := l.Decoder().CapturePreamble(phases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = l.Decoder().DecodeSyncBitsSoft(phases, anchor, 40)
 	if !errors.Is(err, ErrTruncated) {
 		t.Errorf("err = %v, want ErrTruncated", err)
 	}

@@ -61,14 +61,6 @@ func NormalizePower(x []complex128, p float64) []complex128 {
 	return Scale(x, math.Sqrt(p/cur))
 }
 
-// Conj conjugates x in place and returns it.
-func Conj(x []complex128) []complex128 {
-	for i, v := range x {
-		x[i] = complex(real(v), -imag(v))
-	}
-	return x
-}
-
 // RotateFrequency multiplies x in place by exp(j*2π*freq*n/sampleRate),
 // shifting its spectrum up by freq Hz. startSample offsets the rotator
 // phase, allowing a long signal to be rotated in chunks.

@@ -115,11 +115,3 @@ func TestDelaySum(t *testing.T) {
 		}
 	}
 }
-
-func TestConj(t *testing.T) {
-	x := []complex128{1 + 2i}
-	Conj(x)
-	if x[0] != 1-2i {
-		t.Errorf("Conj = %v", x[0])
-	}
-}

@@ -2,7 +2,7 @@
 // SymBee reproduction: complex-vector arithmetic, an FFT, phase math
 // (wrapping, quantization, phase-difference streams), the folding
 // technique used for preamble capture, window functions, moving sums,
-// and basic statistics.
+// and decibel conversion.
 //
 // Everything in this package operates on []complex128 or []float64 at an
 // abstract sample level; radio-specific constants (sample rates, lags,

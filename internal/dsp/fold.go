@@ -32,12 +32,6 @@ func Fold(x []float64, period, reps int) ([]float64, error) {
 	return out, nil
 }
 
-// FoldAt is like Fold but starts folding at offset within x, enabling a
-// sliding preamble search without re-slicing.
-func FoldAt(x []float64, offset, period, reps int) ([]float64, error) {
-	return Fold(x[offset:], period, reps)
-}
-
 // SlidingFolder incrementally maintains fold sums over a stream so that a
 // receiver can evaluate Fold(x[t:], period, reps) for every t in O(1)
 // amortized per sample instead of O(reps·period). It keeps a ring of the

@@ -21,20 +21,6 @@ func TestFoldBasic(t *testing.T) {
 	}
 }
 
-func TestFoldAt(t *testing.T) {
-	x := []float64{99, 1, 2, 3, 10, 20, 30}
-	got, err := FoldAt(x, 1, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{11, 22, 33}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("FoldAt[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestFoldShortInputErrors(t *testing.T) {
 	if _, err := Fold([]float64{1, 2}, 3, 2); err == nil {
 		t.Error("expected error for short input")
@@ -63,8 +49,15 @@ func TestFoldAmplifiesPeriodicSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inside := Mean(sum[100:184])
-	outside := Mean(append(append([]float64{}, sum[:100]...), sum[184:]...))
+	mean := func(x []float64) float64 {
+		var s float64
+		for _, v := range x {
+			s += v
+		}
+		return s / float64(len(x))
+	}
+	inside := mean(sum[100:184])
+	outside := mean(append(append([]float64{}, sum[:100]...), sum[184:]...))
 	if inside < outside+4 {
 		t.Errorf("fold sum did not amplify plateau: inside %.2f, outside %.2f", inside, outside)
 	}

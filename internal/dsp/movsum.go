@@ -49,9 +49,6 @@ func (c *MovingSignCounter) Reset() {
 	c.pos, c.fill, c.neg = 0, 0, 0
 }
 
-// Window returns the window size.
-func (c *MovingSignCounter) Window() int { return len(c.ring) }
-
 // Reanchor recounts the negatives from the ring contents. The count is
 // integer-exact either way; the method exists so the scalar hunt path
 // re-anchors its whole windowed state (counter and average together) at
@@ -79,8 +76,8 @@ func (c *MovingSignCounter) LoadWindow(values []float64) {
 	c.Reanchor()
 }
 
-// MovingAverage maintains a sliding-window mean over a float stream,
-// used by the RSSI-based baseline CTC receivers.
+// MovingAverage maintains a sliding-window mean over a float stream:
+// the preamble scanner's running fold-sum average (internal/core).
 type MovingAverage struct {
 	ring []float64
 	pos  int
@@ -112,9 +109,6 @@ func (a *MovingAverage) Push(v float64) float64 {
 	}
 	return a.sum / float64(a.fill)
 }
-
-// Full reports whether the window has been completely filled.
-func (a *MovingAverage) Full() bool { return a.fill == len(a.ring) }
 
 // Reanchor recomputes the running sum from the ring contents, summing
 // oldest to newest. The incremental sum drifts from the true window sum

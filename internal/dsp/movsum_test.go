@@ -79,14 +79,8 @@ func TestMovingAverage(t *testing.T) {
 	if got := a.Push(2); got != 2 {
 		t.Errorf("first = %v", got)
 	}
-	if a.Full() {
-		t.Error("should not be full yet")
-	}
 	if got := a.Push(4); got != 3 {
 		t.Errorf("second = %v", got)
-	}
-	if !a.Full() {
-		t.Error("should be full")
 	}
 	if got := a.Push(6); math.Abs(got-5) > 1e-12 {
 		t.Errorf("third = %v, want 5", got)

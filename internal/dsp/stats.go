@@ -1,73 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Mean returns the arithmetic mean of x, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
-}
-
-// Variance returns the population variance of x (0 for fewer than two
-// samples).
-func Variance(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
-}
-
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 {
-	return math.Sqrt(Variance(x))
-}
-
-// Percentile returns the p-th percentile (0-100) of x using linear
-// interpolation between order statistics. It copies x and does not
-// modify the input. It returns 0 for an empty slice.
-func Percentile(x []float64, p float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := make([]float64, len(x))
-	copy(s, x)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// DB converts a linear power ratio to decibels.
-func DB(ratio float64) float64 {
-	return 10 * math.Log10(ratio)
-}
+import "math"
 
 // FromDB converts decibels to a linear power ratio.
 func FromDB(db float64) float64 {
@@ -84,26 +17,4 @@ func ApproxEqual(a, b, tol float64) bool {
 		return true
 	}
 	return math.Abs(a-b) <= tol
-}
-
-// Histogram counts x into nbins equal-width bins spanning [lo, hi].
-// Values outside the range are clamped into the first/last bin.
-// Degenerate binnings (nbins <= 0 or an empty range) are an error.
-func Histogram(x []float64, lo, hi float64, nbins int) ([]int, error) {
-	if nbins <= 0 || hi <= lo {
-		return nil, fmt.Errorf("dsp: Histogram needs nbins > 0 and hi > lo (got nbins=%d, lo=%v, hi=%v)", nbins, lo, hi)
-	}
-	counts := make([]int, nbins)
-	scale := float64(nbins) / (hi - lo)
-	for _, v := range x {
-		i := int((v - lo) * scale)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts, nil
 }

@@ -4,17 +4,16 @@
 // (core.FrameMachine) → a reused queue of decode events the owner
 // Drains.
 //
-// Every receive path in the repository is one of three presets of the
+// Every receive path in the repository is one of two presets of the
 // same Stack:
 //
-//   - NewBatch: unbounded machine history, whole-capture semantics —
-//     bit-identical to core's Decoder.DecodeFrame batch entry (the
-//     golden-trace equivalence tests pin this).
+//   - NewBatch: phase-fed, unbounded machine history, whole-capture
+//     semantics — bit-identical to core's Decoder.DecodeFrame batch
+//     entry (the golden-trace equivalence tests pin this). The ARQ
+//     SimLink resets one per capture it receives over internal/channel.
 //   - NewStreaming: IQ front-end plus bounded history. The public
 //     symbee.Receiver is this stack, and the internal/stream pool runs
 //     one per open stream.
-//   - NewReliable: phase-fed bounded-history stack the ARQ SimLink
-//     drives over internal/channel, with the decode-gate pad helper.
 //
 // The Stack's push path keeps the repository's zero-alloc steady-state
 // guarantee (//symbee:hotpath roots, pinned by AllocsPerRun tests), and

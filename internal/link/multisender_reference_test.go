@@ -153,7 +153,7 @@ func refSuperpose(cfg medium.Config, p core.Params, txs []*refTransmission) []co
 			total = tx.end
 		}
 	}
-	pad := PadHorizon(p, 12) + p.Lag
+	pad := core.DecodeGateSpan(p) + 12*p.BitPeriod + p.Lag
 	capture := make([]complex128, total+pad)
 	for _, tx := range txs {
 		for i, v := range tx.sig {

@@ -12,7 +12,7 @@ import (
 // Stack errors.
 var (
 	// ErrNoFrontEnd reports IQ pushed into a stack built without the
-	// front-end stage (phase-fed presets).
+	// front-end stage (the phase-fed batch preset).
 	ErrNoFrontEnd = errors.New("link: stack has no IQ front-end (push phases, or build it with NewStreaming)")
 	// ErrClosed reports input pushed into a closed stack.
 	ErrClosed = errors.New("link: stack closed")
@@ -45,7 +45,7 @@ type Stack struct {
 	closed  bool
 }
 
-// newStack builds the stack every preset starts from: phase-fed, with
+// newStack builds the stack both presets start from: phase-fed, with
 // unbounded machine history when batch is set and bounded retention
 // otherwise. A decoder is required (share one across stacks — pool
 // shards do — or build one with core.NewDecoder).
@@ -86,14 +86,6 @@ func NewStreaming(d *core.Decoder, stream uint64, m *Metrics) (*Stack, error) {
 		return nil, fmt.Errorf("link: %w", err)
 	}
 	return s, nil
-}
-
-// NewReliable returns the ARQ-harness preset: phase-fed (the SimLink
-// front-end runs per capture) with bounded history, so minutes of
-// simulated airtime keep constant memory. Pair with PadHorizon to force
-// the decode gate between captures.
-func NewReliable(d *core.Decoder, m *Metrics) (*Stack, error) {
-	return newStack(d, false, m)
 }
 
 // Stream returns the stack's stream identity tag.
@@ -228,12 +220,3 @@ func (s *Stack) State() core.MachineState { return s.machine.State() }
 
 // Buffered returns the machine's retained history length in phases.
 func (s *Stack) Buffered() int { return s.machine.Buffered() }
-
-// PadHorizon returns the number of zero phases that force the frame
-// machine's pending decode gate open after a capture: the largest span
-// a decode attempt may read (core.DecodeGateSpan) plus slackPeriods bit
-// periods of anchor slack. Zero phases fold far below any capture
-// threshold, so the pad cannot cause a false lock.
-func PadHorizon(p core.Params, slackPeriods int) int {
-	return core.DecodeGateSpan(p) + slackPeriods*p.BitPeriod
-}

@@ -218,8 +218,8 @@ func (e *Engine) Run(sink Sink) (*Report, error) {
 }
 
 // padSlackPeriods is the decode-gate anchor slack in bit periods
-// appended after the final transmission (the value internal/link's dense
-// reference passes to link.PadHorizon).
+// appended after the final transmission (the dense reference in
+// internal/link pads by the same amount).
 const padSlackPeriods = 12
 
 // admit pops the earliest pending transmission, records it, streams

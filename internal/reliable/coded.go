@@ -47,16 +47,22 @@ func EncodeCodedFrame(f *core.Frame) ([]byte, error) {
 }
 
 // DecodeCodedPhases decodes one Hamming(7,4)-coded frame from a phase
-// capture in synchronized mode: lock on the preamble, decode the coded
-// header to learn the length, decode and correct the full codeword,
-// then validate the CRC over the corrected bits. Like the plain frame
-// scanner it retries the decode one bit period around the captured
-// anchor, since a marginal fold can lock a symbol early or late.
+// capture in synchronized mode: lock on the preamble, then decode at
+// the captured anchor (decodeCodedNear).
 func DecodeCodedPhases(d *core.Decoder, phases []float64) (*core.Frame, error) {
 	anchor, err := d.CapturePreamble(phases)
 	if err != nil {
 		return nil, err
 	}
+	return decodeCodedNear(d, phases, anchor)
+}
+
+// decodeCodedNear decodes the coded header to learn the length, decodes
+// and corrects the full codeword, then validates the CRC over the
+// corrected bits. Like the plain frame scanner it retries the decode
+// one bit period around the preamble anchor, since a marginal fold can
+// lock a symbol early or late.
+func decodeCodedNear(d *core.Decoder, phases []float64, anchor int) (*core.Frame, error) {
 	bp := d.Params().BitPeriod
 	var firstErr error
 	for _, shift := range []int{0, bp, -bp} {

@@ -37,8 +37,9 @@
 // option), giving single-bit-error correction per 7-bit block at 4/7 of
 // the plain rate and a third of the per-frame capacity. The receive
 // side needs no negotiation: it first tries the plain decoder and falls
-// back to synchronized (sync-mode) Hamming decoding at the captured
-// anchor, so mode transitions cannot strand frames. After
+// back to synchronized (sync-mode) Hamming decoding at the preamble
+// anchor the plain attempt locked, so mode transitions cannot strand
+// frames. After
 // DeescalateAfter consecutive clean flights the session de-escalates
 // back to plain frames, through the same probe-then-re-cut sequence.
 //
@@ -46,8 +47,10 @@
 //
 // SimLink runs the protocol over the real PHY — modulator, channel
 // fault injector (internal/channel.FaultInjector: seeded i.i.d. frame
-// loss, periodic burst jamming, CFO drift ramps, ack loss) and either
-// the batch or the bounded-history streaming link stack — under
-// a virtual clock, so a 100-run soak over a 4 KiB message takes seconds
-// and is bit-reproducible.
+// loss, periodic burst jamming, CFO drift ramps, ack loss) and one
+// batch link stack, reset per capture — under a virtual clock, so a
+// 100-run soak over a 4 KiB message takes seconds and is
+// bit-reproducible. The soak tests also replay the same traffic as IQ
+// through the streaming link stack, which must decode the frames the
+// batch stack decodes.
 package reliable

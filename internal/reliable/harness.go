@@ -19,9 +19,6 @@ type SimConfig struct {
 	// Faults is the channel fault profile (see ProfileSoak/ProfileHarsh
 	// for ready-made ones; the zero value is a clean channel).
 	Faults channel.FaultConfig
-	// Stream selects the streaming receive path (bounded-history
-	// link.Stack sessions) instead of the whole-capture batch preset.
-	Stream bool
 	// Downlink selects the reverse-channel model carrying acks back.
 	Downlink DownlinkScheme
 	// AckRepeat transmits each committed ack this many times (≥ 1).
@@ -30,8 +27,8 @@ type SimConfig struct {
 	Metrics *link.Metrics
 }
 
-// DefaultSimConfig returns the baseline link: Params20, clean channel,
-// batch receive path and a C-Morse ack downlink without repetition.
+// DefaultSimConfig returns the baseline link: Params20, clean channel
+// and a C-Morse ack downlink without repetition.
 func DefaultSimConfig() SimConfig {
 	return SimConfig{
 		Params:    core.Params20(),
@@ -63,20 +60,18 @@ func (c SimConfig) Validate() error {
 // SimLink is a reliable.Transport that runs entirely over a
 // link.Duplex: every forward frame goes through the real SymBee PHY —
 // modulator, fault-injected channel, WiFi phase-extraction front end
-// and the duplex's uplink decode Stack (batch or streaming preset) —
-// and the ARQ receive side, then the resulting cumulative ack rides
-// the duplex's downlink stack back. Acks cost reverse airtime,
-// arrive one downlink-latency late, can be lost on the reverse path
-// and can collide with forward frames; the DownlinkIdeal scheme builds
-// the stack with zero occupancy quanta for baselines.
+// and the duplex's uplink decode Stack (the batch preset, reset per
+// capture) — and the ARQ receive side, then the resulting cumulative
+// ack rides the duplex's downlink stack back. Acks cost reverse
+// airtime, arrive one downlink-latency late, can be lost on the reverse
+// path and can collide with forward frames; the DownlinkIdeal scheme
+// builds the stack with zero occupancy quanta for baselines.
 type SimLink struct {
 	phy     *core.Link
 	dec     *core.Decoder
 	inj     *channel.FaultInjector
 	arq     *Receiver
 	duplex  *link.Duplex
-	batch   bool
-	pad     []float64
 	metrics *link.Metrics
 }
 
@@ -102,7 +97,6 @@ func NewSimLink(cfg SimConfig) (*SimLink, error) {
 		dec:     phy.Decoder(),
 		inj:     inj,
 		arq:     NewReceiver(m),
-		batch:   !cfg.Stream,
 		metrics: m,
 	}
 	// The reverse path draws from its own splitmix streams so toggling
@@ -119,26 +113,12 @@ func NewSimLink(cfg SimConfig) (*SimLink, error) {
 	if err != nil {
 		return nil, err
 	}
-	var up *link.Stack
-	if cfg.Stream {
-		up, err = link.NewReliable(l.dec, m)
-		if err != nil {
-			return nil, fmt.Errorf("reliable: %w", err)
-		}
-		// The FrameMachine defers its decode until a max-size frame
-		// could have ended; zero padding after each capture opens that
-		// gate without risking a false lock (zero phases fold to zero,
-		// far below the capture threshold). anchorSlack bounds how deep
-		// into a capture the preamble anchor can sit.
-		l.pad = make([]float64, link.PadHorizon(cfg.Params, anchorSlack))
-	} else {
-		// Batch path: one whole-capture stack, reset per capture —
-		// identical semantics to the historical per-capture
-		// Decoder.DecodeFrame, without rebuilding the machine each time.
-		up, err = link.NewBatch(l.dec, m)
-		if err != nil {
-			return nil, fmt.Errorf("reliable: %w", err)
-		}
+	// One whole-capture stack, reset per capture: identical semantics
+	// to a per-capture Decoder.DecodeFrame, without rebuilding the
+	// machine each time.
+	up, err := link.NewBatch(l.dec, m)
+	if err != nil {
+		return nil, fmt.Errorf("reliable: %w", err)
 	}
 	l.duplex, err = link.NewDuplex(up, down)
 	if err != nil {
@@ -146,10 +126,6 @@ func NewSimLink(cfg SimConfig) (*SimLink, error) {
 	}
 	return l, nil
 }
-
-// anchorSlack bounds, in bit periods, how deep into a capture the
-// preamble anchor can sit (ZigBee SHR+PHR plus front-end lag).
-const anchorSlack = 12
 
 // Metrics returns the link's registry.
 func (l *SimLink) Metrics() *link.Metrics { return l.metrics }
@@ -228,57 +204,48 @@ func (l *SimLink) Send(now time.Duration, f *core.Frame, coded bool) (time.Durat
 	return airtime, nil
 }
 
-// receive runs the capture through the configured stack preset and
-// trial-decodes: plain first, then synchronized Hamming-coded. The
-// receiver never learns the sender's mode — a coded frame fails the
-// plain version check immediately (its first coded nibble parses as
-// version 4), which is what makes negotiation-free escalation work.
+// receive runs the capture through the batch stack and trial-decodes:
+// plain first, then synchronized Hamming-coded at the preamble anchor
+// the stack locked. The receiver never learns the sender's mode — a
+// coded frame fails the plain version check immediately (its first
+// coded nibble parses as version 4), which is what makes
+// negotiation-free escalation work. A batch lock always ends in a frame
+// or a failure, so a capture with neither never locked a preamble and
+// there is no anchor for the coded trial to read at.
 func (l *SimLink) receive(capture []complex128) *core.Frame {
 	phases := l.phy.Phases(capture)
 	up := l.duplex.Up()
-	if l.batch {
-		up.Reset()
-		up.PushPhases(phases)
-		up.Flush()
-		frame, _ := terminalEvent(up.Drain())
-		if frame == nil {
-			// Any plain failure — including a missing preamble, which
-			// emits no event at all — triggers the coded trial, exactly
-			// as the historical per-capture DecodeFrame error did.
-			frame, _ = DecodeCodedPhases(l.dec, phases)
-		}
-		return frame
-	}
+	up.Reset()
 	up.PushPhases(phases)
-	if n := len(l.pad) - len(phases); n > 0 {
-		up.PushPhases(l.pad[:n])
-	}
-	frame, failed := terminalEvent(up.Drain())
+	up.Flush()
+	frame, anchor, failed := terminalEvent(up.Drain())
 	if frame == nil && failed {
-		frame, _ = DecodeCodedPhases(l.dec, phases)
+		frame, _ = decodeCodedNear(l.dec, phases, anchor)
 	}
 	return frame
 }
 
 // terminalEvent scans drained stack events for the capture's outcome:
-// the decoded frame, or whether a locked preamble failed to decode.
-func terminalEvent(events []link.Event) (frame *core.Frame, failed bool) {
+// the decoded frame, or the anchor of the first locked preamble that
+// failed to decode. The first failure comes from the capture's first
+// lock, whose anchor is the one Decoder.CapturePreamble selects.
+func terminalEvent(events []link.Event) (frame *core.Frame, anchor int, failed bool) {
 	for _, ev := range events {
 		switch ev.Kind {
 		case core.EventFrame:
 			frame = ev.Frame
 		case core.EventDecodeError:
-			failed = true
+			if !failed {
+				anchor, failed = ev.Anchor, true
+			}
 		}
 	}
-	return frame, failed
+	return frame, anchor, failed
 }
 
-// Close flushes the streaming receive path, if any.
-func (l *SimLink) Close() {
-	l.duplex.Up().Flush()
-	l.duplex.Up().Drain()
-}
+// Close releases nothing: the batch stack keeps no state between
+// captures. It remains so callers can pair NewSimLink with Close.
+func (l *SimLink) Close() {}
 
 // FrameAirtime is the forward ZigBee airtime of one SymBee frame
 // carrying dataBytes of application data, in the given coding mode.

@@ -114,8 +114,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero window", func(c *Config) { c.Window = 0 }},
 		{"zero rto", func(c *Config) { c.InitialRTO = 0 }},
 		{"max below initial", func(c *Config) { c.MaxRTO = c.InitialRTO - 1 }},
-		{"backoff below 1", func(c *Config) { c.Backoff = 0.5 }},
-		{"jitter at 1", func(c *Config) { c.Jitter = 1 }},
 		{"zero retries", func(c *Config) { c.MaxRetries = 0 }},
 		{"negative escalate", func(c *Config) { c.EscalateAfter = -1 }},
 		{"negative deescalate", func(c *Config) { c.DeescalateAfter = -1 }},

@@ -61,11 +61,6 @@ type Config struct {
 	InitialRTO time.Duration
 	// MaxRTO caps the exponential backoff (≥ InitialRTO).
 	MaxRTO time.Duration
-	// Backoff is the RTO multiplier per consecutive silent flight (≥ 1).
-	Backoff float64
-	// Jitter spreads each timeout uniformly over ±Jitter·RTO so
-	// colliding senders desynchronize (0 ≤ Jitter < 1; 0 disables).
-	Jitter float64
 	// MaxRetries is the number of consecutive no-progress flights
 	// tolerated for one window base before the send fails with
 	// ErrTimeout (≥ 1).
@@ -88,17 +83,22 @@ type Config struct {
 	Metrics *link.Metrics
 }
 
+// Retransmission timer shape: each consecutive silent flight multiplies
+// the RTO by rtoBackoff (capped at MaxRTO), and every timeout is spread
+// uniformly over ±rtoJitter·RTO so colliding senders desynchronize.
+const (
+	rtoBackoff = 2
+	rtoJitter  = 0.2
+)
+
 // DefaultConfig returns the baseline session configuration: window 8,
-// 20 ms initial RTO doubling to 500 ms with 20% jitter, 16 retries,
-// escalation after 3 silent flights and de-escalation after 4 clean
-// ones.
+// 20 ms initial RTO doubling to 500 ms, 16 retries, escalation after 3
+// silent flights and de-escalation after 4 clean ones.
 func DefaultConfig() Config {
 	return Config{
 		Window:          8,
 		InitialRTO:      20 * time.Millisecond,
 		MaxRTO:          500 * time.Millisecond,
-		Backoff:         2,
-		Jitter:          0.2,
 		MaxRetries:      16,
 		EscalateAfter:   3,
 		DeescalateAfter: 4,
@@ -110,8 +110,6 @@ var (
 	errWindow   = errors.New("reliable: Window must be at least 1")
 	errRTO      = errors.New("reliable: InitialRTO must be positive")
 	errMaxRTO   = errors.New("reliable: MaxRTO must be at least InitialRTO")
-	errBackoff  = errors.New("reliable: Backoff must be at least 1")
-	errJitter   = errors.New("reliable: Jitter must be in [0, 1)")
 	errRetries  = errors.New("reliable: MaxRetries must be at least 1")
 	errEscalate = errors.New("reliable: negative escalation threshold")
 )
@@ -125,10 +123,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: %v", errRTO, c.InitialRTO)
 	case c.MaxRTO < c.InitialRTO:
 		return fmt.Errorf("%w: %v < %v", errMaxRTO, c.MaxRTO, c.InitialRTO)
-	case c.Backoff < 1:
-		return fmt.Errorf("%w: %v", errBackoff, c.Backoff)
-	case c.Jitter < 0 || c.Jitter >= 1:
-		return fmt.Errorf("%w: %v", errJitter, c.Jitter)
 	case c.MaxRetries < 1:
 		return fmt.Errorf("%w: %d", errRetries, c.MaxRetries)
 	case c.EscalateAfter < 0 || c.DeescalateAfter < 0:
@@ -377,7 +371,7 @@ func (s *Session) Send(ctx context.Context, msg []byte) (rep *Report, err error)
 			if s.metrics != nil {
 				s.metrics.Timeouts.Add(1)
 			}
-			rto = time.Duration(float64(rto) * s.cfg.Backoff)
+			rto = time.Duration(float64(rto) * rtoBackoff)
 			if rto > s.cfg.MaxRTO {
 				rto = s.cfg.MaxRTO
 			}
@@ -574,7 +568,7 @@ func (s *Session) resync(ctx context.Context, win *window, rep *Report, baseSeq 
 		if s.metrics != nil {
 			s.metrics.Timeouts.Add(1)
 		}
-		rto = time.Duration(float64(rto) * s.cfg.Backoff)
+		rto = time.Duration(float64(rto) * rtoBackoff)
 		if rto > s.cfg.MaxRTO {
 			rto = s.cfg.MaxRTO
 		}
@@ -588,11 +582,8 @@ func (s *Session) baseSeqOf(win *window) byte {
 	return s.m.Seq()
 }
 
-// jittered spreads d uniformly over [d·(1−Jitter), d·(1+Jitter)].
+// jittered spreads d uniformly over [d·(1−rtoJitter), d·(1+rtoJitter)].
 func (s *Session) jittered(d time.Duration) time.Duration {
-	if s.cfg.Jitter <= 0 {
-		return d
-	}
-	f := 1 + s.cfg.Jitter*(2*s.rng.Float64()-1)
+	f := 1 + rtoJitter*(2*s.rng.Float64()-1)
 	return time.Duration(float64(d) * f)
 }

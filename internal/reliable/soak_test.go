@@ -5,9 +5,13 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 
+	"symbee/internal/channel"
+	"symbee/internal/core"
 	"symbee/internal/link"
 )
 
@@ -35,12 +39,11 @@ func soakMessage(seed int64) []byte {
 // soakRun drives one 4 KiB transfer over the fault-injected PHY with the
 // C-Morse ack downlink and returns the session report; it fails the test
 // unless the message arrives intact.
-func soakRun(t *testing.T, seed int64, streaming bool) *Report {
+func soakRun(t *testing.T, seed int64) *Report {
 	t.Helper()
 	m := link.NewMetrics()
 	cfg := DefaultSimConfig()
 	cfg.Faults = ProfileSoak(seed)
-	cfg.Stream = streaming
 	cfg.Metrics = m
 	sl, err := NewSimLink(cfg)
 	if err != nil {
@@ -69,35 +72,135 @@ func soakRun(t *testing.T, seed int64, streaming bool) *Report {
 	return rep
 }
 
-// TestARQSoak is the acceptance soak: under 10% i.i.d. frame loss plus
-// periodic burst interference plus ack loss, every seeded run must
-// deliver the 4 KiB message intact over both receive paths — now with
-// acks riding the modeled C-Morse downlink instead of a free side
-// channel.
+// The streaming replay sends streamFrames frames per seed and pushes IQ
+// in streamChunk-sample chunks, as a live receiver would get it.
+const (
+	streamFrames = 200
+	streamChunk  = 4096
+)
+
+// streamSoakRun replays a seed's soak traffic as IQ through one
+// streaming stack and requires it to decode, capture by capture, exactly
+// the frames the batch stack SimLink receives with decodes. The traffic
+// is what a session puts on the air: plain MaxDataBytes fragments and,
+// one in three, Hamming-coded MaxCodedDataBytes fragments (a plain
+// receiver locks on those and fails), through ProfileSoak's loss and
+// burst jamming. Captures follow each other back to back, separated by
+// zero IQ long enough to force the previous capture's pending decode.
+// Only frames are compared: after a frame the streaming machine also
+// hunts the ZigBee FCS and the gap behind it, where it can lock and
+// fail, while the batch capture ends first.
+func streamSoakRun(t *testing.T, seed int64) {
+	t.Helper()
+	phy, err := core.NewLink(core.Params20(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := channel.NewFaultInjector(ProfileSoak(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := link.NewBatch(phy.Decoder(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := link.NewStreaming(phy.Decoder(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := phy.Decoder().Params()
+	gap := make([]complex128, core.DecodeGateSpan(p)+12*p.BitPeriod+p.Lag)
+	push := func(iq []complex128) {
+		for len(iq) > 0 {
+			n := min(len(iq), streamChunk)
+			if err := stream.PushIQ(iq[:n]); err != nil {
+				t.Fatal(err)
+			}
+			iq = iq[n:]
+		}
+	}
+	msg := soakMessage(seed)
+	frames := func(events []link.Event) []core.Frame {
+		var out []core.Frame
+		for _, ev := range events {
+			if ev.Kind == core.EventFrame {
+				out = append(out, *ev.Frame)
+			}
+		}
+		return out
+	}
+	var captures, decoded int
+	for i := 0; i < streamFrames; i++ {
+		f := &core.Frame{Seq: byte(i)}
+		var payload []byte
+		if i%3 == 2 {
+			f.Data = msg[i : i+MaxCodedDataBytes]
+			payload, err = EncodeCodedFrame(f)
+		} else {
+			f.Data = msg[i : i+core.MaxDataBytes]
+			payload, err = core.EncodeFrame(f)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig, err := phy.PayloadToSignal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capture, ok := inj.Apply(sig)
+		if !ok {
+			continue
+		}
+		captures++
+		batch.Reset()
+		if err := batch.PushPhases(phy.Phases(capture)); err != nil {
+			t.Fatal(err)
+		}
+		batch.Flush()
+		want := frames(batch.Drain())
+		decoded += len(want)
+		push(capture)
+		push(gap)
+		if got := frames(stream.Drain()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d frame %d: streaming stack decoded %+v, batch stack %+v", seed, i, got, want)
+		}
+	}
+	// Both outcomes must occur: decoded frames, and captures the plain
+	// decoder locks on but cannot read (coded or jammed frames).
+	if decoded == 0 || decoded == captures {
+		t.Fatalf("seed %d: %d of %d captures decoded; the replay is vacuous", seed, decoded, captures)
+	}
+}
+
+// TestARQSoak is the acceptance soak under 10% i.i.d. frame loss plus
+// periodic burst interference plus ack loss. In the batch group every
+// seeded run must deliver the 4 KiB message intact over SimLink, with
+// acks riding the modeled C-Morse downlink. In the stream group each
+// seed's soak traffic runs as IQ through the streaming stack, which
+// must decode exactly the frames the batch stack does (streamSoakRun).
 func TestARQSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short mode")
 	}
 	runs := soakRuns()
-	for _, path := range []struct {
-		name      string
-		streaming bool
-	}{{"batch", false}, {"stream", true}} {
-		path := path
-		t.Run(path.name, func(t *testing.T) {
+	group := func(name string, run func(*testing.T, int64)) {
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(0); seed < int64(runs); seed++ {
 				seed := seed
 				t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
 					t.Parallel()
-					rep := soakRun(t, seed, path.streaming)
-					if rep.Retransmits == 0 {
-						t.Errorf("seed %d: 10%% loss produced zero retransmits — faults not applied?", seed)
-					}
+					run(t, seed)
 				})
 			}
 		})
 	}
+	group("batch", func(t *testing.T, seed int64) {
+		if rep := soakRun(t, seed); rep.Retransmits == 0 {
+			t.Errorf("seed %d: 10%% loss produced zero retransmits — faults not applied?", seed)
+		}
+	})
+	group("stream", streamSoakRun)
 }
 
 // TestARQBidirectionalSoak is the bidirectional acceptance soak: 10%
@@ -105,16 +208,29 @@ func TestARQSoak(t *testing.T) {
 // each ack repeated twice for loss protection. Every seeded run must
 // survive late, duplicated, collided and missing acks and still deliver
 // the 4 KiB message intact. CI nightly runs the full 100 seeds via
-// RELIABLE_SOAK_RUNS.
+// RELIABLE_SOAK_RUNS. The seeds run in parallel; the sweep-wide sums
+// are checked in a cleanup, which runs once every seed has returned.
 func TestARQBidirectionalSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short mode")
 	}
 	runs := soakRuns()
-	var dropped, collided int
+	var (
+		mu                sync.Mutex
+		dropped, collided int
+	)
+	t.Cleanup(func() {
+		if dropped == 0 {
+			t.Error("10% reverse loss dropped zero ack copies across the sweep")
+		}
+		if collided == 0 {
+			t.Error("no ack/forward collisions across the sweep")
+		}
+	})
 	for seed := int64(0); seed < int64(runs); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+			t.Parallel()
 			m := link.NewMetrics()
 			cfg := DefaultSimConfig()
 			cfg.Faults = ProfileBidir(seed)
@@ -145,56 +261,48 @@ func TestARQBidirectionalSoak(t *testing.T) {
 			if rs.AcksSent == 0 {
 				t.Fatalf("seed %d: reverse channel idle", seed)
 			}
+			mu.Lock()
 			dropped += rs.AcksDropped
 			collided += rs.AckCollisions + rs.ForwardCollisions
+			mu.Unlock()
 		})
-	}
-	if dropped == 0 {
-		t.Error("10% reverse loss dropped zero ack copies across the sweep")
-	}
-	if collided == 0 {
-		t.Error("no ack/forward collisions across the sweep")
 	}
 }
 
 // With faults disabled and the ideal downlink the ARQ spends exactly
 // the fire-and-forget airtime: the ≤5% overhead acceptance criterion,
-// met with zero margin, on both receive paths. The ideal downlink is
-// load-bearing here — under a latent downlink go-back-N inherently
-// retransmits delivered-but-unacked frames, which is the honest cost
-// the reliability table in the README now reports.
+// met with zero margin. The ideal downlink is load-bearing here — under
+// a latent downlink go-back-N inherently retransmits
+// delivered-but-unacked frames, which is the honest cost the
+// reliability table in the README now reports.
 func TestARQOverheadCleanChannel(t *testing.T) {
-	for _, streaming := range []bool{false, true} {
-		cfg := DefaultSimConfig()
-		cfg.Downlink = DownlinkIdeal
-		cfg.Stream = streaming
-		sl, err := NewSimLink(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scfg := DefaultConfig()
-		scfg.Seed = 1
-		s, err := NewSession(sl, scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg := soakMessage(7)
-		rep, err := s.Send(context.Background(), msg)
-		if err != nil {
-			t.Fatalf("stream=%v: %v", streaming, err)
-		}
-		if msgs := sl.Messages(); len(msgs) != 1 || !bytes.Equal(msgs[0], msg) {
-			t.Fatalf("stream=%v: message not delivered", streaming)
-		}
-		baseline := PlainAirtime(len(msg))
-		if rep.Airtime != baseline {
-			t.Fatalf("stream=%v: airtime %v != baseline %v (overhead criterion)", streaming, rep.Airtime, baseline)
-		}
-		if rep.Retransmits != 0 || rep.Timeouts != 0 {
-			t.Fatalf("stream=%v: clean channel produced %d retransmits %d timeouts",
-				streaming, rep.Retransmits, rep.Timeouts)
-		}
-		sl.Close()
+	cfg := DefaultSimConfig()
+	cfg.Downlink = DownlinkIdeal
+	sl, err := NewSimLink(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sl.Close()
+	scfg := DefaultConfig()
+	scfg.Seed = 1
+	s, err := NewSession(sl, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := soakMessage(7)
+	rep, err := s.Send(context.Background(), msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msgs := sl.Messages(); len(msgs) != 1 || !bytes.Equal(msgs[0], msg) {
+		t.Fatal("message not delivered")
+	}
+	baseline := PlainAirtime(len(msg))
+	if rep.Airtime != baseline {
+		t.Fatalf("airtime %v != baseline %v (overhead criterion)", rep.Airtime, baseline)
+	}
+	if rep.Retransmits != 0 || rep.Timeouts != 0 {
+		t.Fatalf("clean channel produced %d retransmits %d timeouts", rep.Retransmits, rep.Timeouts)
 	}
 }
 

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repo-wide verification: formatting gate, build, vet, the project's own
-# static-analysis suite (symbeevet), full test suite, the panic gate for
+# static-analysis suite (symbeevet), full test suite, vet and tests of the
+# bench/ module, the panic gate for
 # library code, then the race detector over every goroutine-spawning or
 # RNG-owning package (the audit and the resulting list live in
 # scripts/gates.sh), and the equivalence gates. CI runs this same script, so a green local run
@@ -14,6 +15,11 @@ go build ./...
 go vet ./...
 go run ./cmd/symbeevet ./...
 go test ./...
+# bench/ is a module of its own: it imports link, core and reliable
+# internals through a replace directive, and the root ./... patterns
+# skip it. Vet and test it here so an internal API change cannot break
+# the benchmark unnoticed.
+(cd bench && go vet ./... && go test ./...)
 # Race coverage over every goroutine-spawning or RNG-owning package
 # (audit in scripts/gates.sh). The ARQ soak is bounded to two seeds
 # here: one seeded 4 KiB transfer costs ~1 min under the race detector,

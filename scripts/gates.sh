@@ -28,10 +28,12 @@ MEDIUM_EQUIVALENCE_RUN='TestMediumLinkEquivalence'
 # the equivalence reference in internal/reliable.
 DUPLEX_EQUIVALENCE_RUN='TestDownlinkLayeredEquivalence|TestDownlinkGoldenTraces'
 
-# ARQ acceptance soaks (DESIGN.md §14): the 100-seed forward soak on
-# both receive paths plus the bidirectional soak (10% loss forward, 10%
-# per-copy ack loss on the modeled downlink). CI and nightly run these
-# with RELIABLE_SOAK_RUNS=100.
+# ARQ acceptance soaks (DESIGN.md §8, §14): the 100-seed forward soak —
+# transfers over SimLink's batch receive path, and each seed's soak
+# traffic replayed as IQ through the streaming stack, which must decode
+# the frames the batch stack decodes — plus the bidirectional soak (10%
+# loss forward, 10% per-copy ack loss on the modeled downlink). CI and
+# nightly run these with RELIABLE_SOAK_RUNS=100.
 ARQ_SOAK_RUN='TestARQSoak|TestARQBidirectionalSoak'
 
 # Packages for race-detector coverage. Audited 2026-08 against the two
