@@ -61,10 +61,9 @@ type FaultInjector struct {
 	reverse *rand.Rand // reverse-path (ack) draws, independent of the forward path
 	frame   int        // frames seen so far
 
-	lost     int
-	jammed   int
-	drifts   int
-	acksLost int
+	lost   int
+	jammed int
+	drifts int
 }
 
 // NewFaultInjector returns an injector for the profile, rejecting
@@ -122,19 +121,8 @@ func (fi *FaultInjector) Apply(capture []complex128) (out []complex128, ok bool)
 // reverse-path stream (splitmix stream −2), so the ack schedule and the
 // forward loss/burst schedule cannot shift each other.
 func (fi *FaultInjector) DropAck() bool {
-	if fi.cfg.AckLoss > 0 && fi.reverse.Float64() < fi.cfg.AckLoss {
-		fi.acksLost++
-		return true
-	}
-	return false
+	return fi.cfg.AckLoss > 0 && fi.reverse.Float64() < fi.cfg.AckLoss
 }
-
-// AcksLost reports how many reverse-channel transmissions DropAck has
-// rejected so far.
-func (fi *FaultInjector) AcksLost() int { return fi.acksLost }
-
-// Frames returns the number of data frames the injector has seen.
-func (fi *FaultInjector) Frames() int { return fi.frame }
 
 // Stats reports how many frames were lost outright, jammed by a burst,
 // and hit by a drift ramp.

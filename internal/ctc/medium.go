@@ -75,9 +75,6 @@ func NewMedium(cfg MediumConfig) (*Medium, error) {
 	return m, nil
 }
 
-// Rate returns the RSSI sampling rate in Hz.
-func (m *Medium) Rate() float64 { return m.rate }
-
 // Duration returns the covered timespan in seconds.
 func (m *Medium) Duration() float64 { return float64(len(m.rssi)) / m.rate }
 

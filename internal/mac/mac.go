@@ -206,7 +206,14 @@ func (s *Sim) Run(packets []Packet) []Result {
 		}
 		schedule(idx, start)
 	}
+	// Each release draws a backoff slot from the shared generator, so
+	// nodes start in ascending order, not in map order.
+	nodes := make([]int, 0, len(nodeQueue))
 	for node := range nodeQueue {
+		nodes = append(nodes, node)
+	}
+	sort.Ints(nodes)
+	for _, node := range nodes {
 		releaseNext(node, 0)
 	}
 

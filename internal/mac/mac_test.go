@@ -202,3 +202,25 @@ func TestSummarizeDelayMath(t *testing.T) {
 		t.Errorf("airtime = %v", st.AirtimeUsed)
 	}
 }
+
+func TestRunDeterministicForSeed(t *testing.T) {
+	// Run draws every node's first backoff from the shared generator
+	// before the first event: the draw order must not follow map order.
+	packets := PoissonArrivals(10, 40, 0.5, 3e-3, rand.New(rand.NewSource(11)))
+	run := func() []Result {
+		s, err := NewSim(DefaultConfig(), rand.New(rand.NewSource(12)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Run(packets)
+	}
+	want := run()
+	for i := 1; i < 5; i++ {
+		got := run()
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("run %d, packet %d: %+v, first run %+v", i, k, got[k], want[k])
+			}
+		}
+	}
+}

@@ -79,10 +79,9 @@ type Report struct {
 
 // Engine run errors.
 var (
-	errRan         = errors.New("medium: engine already ran")
-	errAirtime     = errors.New("medium: synthesized waveform length disagrees with schedule airtime")
-	errNilSink     = errors.New("medium: nil sink")
-	errNotFinished = errors.New("medium: report requested before Run finished")
+	errRan     = errors.New("medium: engine already ran")
+	errAirtime = errors.New("medium: synthesized waveform length disagrees with schedule airtime")
+	errNilSink = errors.New("medium: nil sink")
 )
 
 // txState is one transmission's accounting record. Records are tiny
@@ -125,8 +124,7 @@ type Engine struct {
 	peakOverlap   int
 	peakWindow    int
 
-	ran      bool
-	finished int // total samples synthesized; -1 while running
+	ran bool
 }
 
 // NewEngine validates cfg, probes the constant per-frame airtime, and
@@ -142,11 +140,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("medium: %w", err)
 	}
 	e := &Engine{
-		cfg:      cfg,
-		phy:      phy,
-		maxEnd:   -1,
-		noise:    splitmix.New(cfg.Seed, splitmix.NoiseStream),
-		finished: -1,
+		cfg:    cfg,
+		phy:    phy,
+		maxEnd: -1,
+		noise:  splitmix.New(cfg.Seed, splitmix.NoiseStream),
 	}
 	// Every frame modulates the same payload length, and SFO
 	// resampling preserves length, so one probe pins the airtime every
@@ -213,8 +210,7 @@ func (e *Engine) Run(sink Sink) (*Report, error) {
 	if err := sink.Flush(); err != nil {
 		return nil, err
 	}
-	e.finished = cur
-	return e.buildReport(), nil
+	return e.buildReport(cur), nil
 }
 
 // padSlackPeriods is the decode-gate anchor slack in bit periods
@@ -323,8 +319,9 @@ func (e *Engine) MarkDecoded(sender, seq int) bool {
 	return false
 }
 
-// buildReport folds the transmission records into the scenario report.
-func (e *Engine) buildReport() *Report {
+// buildReport folds the transmission records of a run that
+// synthesized totalSamples into the scenario report.
+func (e *Engine) buildReport(totalSamples int) *Report {
 	per := make([]SenderStats, e.cfg.Senders)
 	for i := range per {
 		per[i].Sender = i
@@ -351,7 +348,7 @@ func (e *Engine) buildReport() *Report {
 			per[i].CollisionRate = float64(per[i].Collided) / float64(per[i].Sent)
 		}
 	}
-	duration := float64(e.finished) / e.cfg.Params.SampleRate
+	duration := float64(totalSamples) / e.cfg.Params.SampleRate
 	total := e.cfg.Senders * e.cfg.FramesPerSender
 	return &Report{
 		Senders:              e.cfg.Senders,
@@ -360,7 +357,7 @@ func (e *Engine) buildReport() *Report {
 		OfferedLoadPerSender: e.cfg.OfferedLoadPerSender(),
 		DurationSec:          duration,
 		AirtimeSamples:       e.airtime,
-		TotalSamples:         e.finished,
+		TotalSamples:         totalSamples,
 		Delivered:            delivered,
 		Collisions:           collisions,
 		GoodputBps:           float64(delivered*e.cfg.DataBytes*8) / duration,
@@ -370,13 +367,4 @@ func (e *Engine) buildReport() *Report {
 		PeakWindowSamples:    e.peakWindow,
 		PerSender:            per,
 	}
-}
-
-// Report returns the finished run's report (Run returns it too; this
-// accessor serves sinks that want it after the fact).
-func (e *Engine) Report() (*Report, error) {
-	if e.finished < 0 {
-		return nil, errNotFinished
-	}
-	return e.buildReport(), nil
 }

@@ -163,9 +163,6 @@ func TestEngineSingleRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Report(); !errors.Is(err, errNotFinished) {
-		t.Errorf("report before run: %v", err)
-	}
 	if _, err := e.Run(nil); !errors.Is(err, errNilSink) {
 		t.Errorf("nil sink: %v", err)
 	}
@@ -183,12 +180,5 @@ func TestEngineSingleRun(t *testing.T) {
 	}
 	if e.MarkDecoded(0, 0) {
 		t.Error("transmission credited twice")
-	}
-	rep, err := e.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Delivered != 1 || rep.PerSender[0].Delivered != 1 {
-		t.Errorf("delivery accounting wrong: %+v", rep)
 	}
 }

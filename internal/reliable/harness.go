@@ -130,10 +130,6 @@ func NewSimLink(cfg SimConfig) (*SimLink, error) {
 // Metrics returns the link's registry.
 func (l *SimLink) Metrics() *link.Metrics { return l.metrics }
 
-// Receiver returns the ARQ receive side (for inspecting expectations
-// and duplicate counts in tests).
-func (l *SimLink) Receiver() *Receiver { return l.arq }
-
 // Messages drains the fully reassembled messages delivered so far.
 func (l *SimLink) Messages() [][]byte { return l.arq.Messages() }
 

@@ -163,11 +163,10 @@ func Fig23Mobility(opts Options) (*Table, error) {
 	for _, sp := range speeds {
 		mob := channel.MobilityPreset(sp.mps)
 		stats, err := Run(RunSpec{
-			Params:     p,
-			Bits:       AlternatingBits(100),
-			Packets:    packets,
-			Seed:       opts.Seed + int64(sp.mps*100),
-			Sequential: true, // the fading track is stateful
+			Params:  p,
+			Bits:    AlternatingBits(100),
+			Packets: packets,
+			Seed:    opts.Seed + int64(sp.mps*100),
 			ConfigFor: func(rng *rand.Rand) channel.Config {
 				cfg := sc.Config(p.SampleRate, distance, 0, 0, rng)
 				cfg.BlockFading = false // mobility track supplies fading

@@ -1,12 +1,10 @@
 package sim
 
-//symbee:ignore-file rngstream -- the per-point seed arithmetic in the figure drivers is part of each figure's published definition: the paper artifacts were generated from these exact streams, and rederiving them through splitmix would silently regenerate different curves. New drivers must split streams via internal/splitmix.
+//symbee:ignore-file rngstream -- Run seeds each batch with rand.NewSource(spec.Seed): the paper artifacts were generated from these exact streams, and rederiving them through splitmix would silently regenerate different curves. New figures must split streams via internal/splitmix.
 
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"symbee/internal/channel"
 	"symbee/internal/core"
@@ -104,135 +102,68 @@ type RunSpec struct {
 	Packets int
 	// Seed drives all randomness.
 	Seed int64
-	// ConfigFor draws the channel configuration for one packet.
+	// ConfigFor draws the channel configuration for one packet. A
+	// config with Mobility set keeps one medium, and so one fading
+	// track, across the whole batch.
 	ConfigFor func(rng *rand.Rand) channel.Config
-	// Compensation defaults to wifi.CanonicalCompensation when the
-	// config has a frequency offset; set NoCompensation to force 0.
-	NoCompensation bool
 	// CollectMargins records per-bit constellation statistics.
 	CollectMargins bool
-	// Tau overrides the unsynchronized tolerance (0 keeps the default).
-	Tau int
-	// Sequential disables the worker pool (needed when the channel
-	// keeps cross-packet state, e.g. a mobility fading track).
-	Sequential bool
 }
 
-// Run transmits the batch and aggregates statistics. Packets are
-// processed by a bounded worker pool, each worker owning its own
-// deterministic RNG.
+// Run transmits the batch and aggregates statistics. A batch is one
+// seeded, in-order stream: packets are sent one after another, and a
+// single generator seeded with spec.Seed draws every channel, so the
+// result does not depend on the host that computed it.
 func Run(spec RunSpec) (*LinkStats, error) {
 	if spec.Packets <= 0 {
 		return nil, fmt.Errorf("sim: non-positive packet count %d", spec.Packets)
 	}
-	params := spec.Params
-	if spec.Tau > 0 {
-		params = params.WithTau(spec.Tau)
+	link, err := core.NewLink(spec.Params, wifi.CanonicalCompensation)
+	if err != nil {
+		return nil, err
 	}
-	comp := wifi.CanonicalCompensation
-	if spec.NoCompensation {
-		comp = 0
+	sig, err := link.TransmitBits(spec.Bits)
+	if err != nil {
+		return nil, err
 	}
-
-	workers := runtime.NumCPU()
-	if workers > spec.Packets {
-		workers = spec.Packets
-	}
-	if spec.Sequential || workers < 1 {
-		workers = 1
-	}
-
-	type result struct {
-		captured  bool
-		wrongBits int
-		margins   []int
-		snr       float64
-		err       error
-	}
-	results := make([]result, spec.Packets)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(spec.Seed + int64(w)*7919))
-			link, err := core.NewLink(params, comp)
-			if err != nil {
-				results[w].err = err
-				return
-			}
-			sig, err := link.TransmitBits(spec.Bits)
-			if err != nil {
-				results[w].err = err
-				return
-			}
-			// Mobility state lives in the medium: sequential runs keep
-			// one medium across packets for track continuity.
-			var persistent *channel.Medium
-			for i := w; i < spec.Packets; i += workers {
-				cfg := spec.ConfigFor(rng)
-				var med *channel.Medium
-				if spec.Sequential && cfg.Mobility != nil {
-					if persistent == nil {
-						persistent, err = channel.NewMedium(cfg, rng)
-						if err != nil {
-							results[i].err = err
-							return
-						}
-					}
-					med = persistent
-				} else {
-					med, err = channel.NewMedium(cfg, rng)
-					if err != nil {
-						results[i].err = err
-						return
-					}
-				}
-				capture := med.Transmit(sig)
-				results[i].snr = cfg.SNRdB
-				phases := link.Phases(capture)
-				dec := link.Decoder()
-				anchor, err := dec.CapturePreamble(phases)
-				if err != nil {
-					continue
-				}
-				got, err := dec.DecodeSyncBits(phases, anchor, len(spec.Bits))
-				if err != nil {
-					continue
-				}
-				results[i].captured = true
-				for k := range spec.Bits {
-					if got[k] != spec.Bits[k] {
-						results[i].wrongBits++
-					}
-				}
-				if spec.CollectMargins {
-					margins, err := dec.SyncBitMargins(phases, anchor, len(spec.Bits))
-					if err == nil {
-						results[i].margins = margins
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
+	rng := rand.New(rand.NewSource(spec.Seed))
 	stats := &LinkStats{Packets: spec.Packets, BitsPerPacket: len(spec.Bits)}
 	var snrSum float64
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
+	var track *channel.Medium // the mobility medium, once drawn
+	for i := 0; i < spec.Packets; i++ {
+		cfg := spec.ConfigFor(rng)
+		med := track
+		if med == nil || cfg.Mobility == nil {
+			if med, err = channel.NewMedium(cfg, rng); err != nil {
+				return nil, err
+			}
+			if cfg.Mobility != nil {
+				track = med
+			}
 		}
-		snrSum += results[i].snr
-		if !results[i].captured {
+		capture := med.Transmit(sig)
+		snrSum += cfg.SNRdB
+		phases := link.Phases(capture)
+		dec := link.Decoder()
+		anchor, err := dec.CapturePreamble(phases)
+		if err != nil {
+			continue
+		}
+		got, err := dec.DecodeSyncBits(phases, anchor, len(spec.Bits))
+		if err != nil {
 			continue
 		}
 		stats.Captured++
-		stats.WrongBits += results[i].wrongBits
-		if spec.CollectMargins && results[i].margins != nil {
-			stats.Margins = append(stats.Margins, results[i].margins...)
-			stats.MarginBits = append(stats.MarginBits, spec.Bits...)
+		for k := range spec.Bits {
+			if got[k] != spec.Bits[k] {
+				stats.WrongBits++
+			}
+		}
+		if spec.CollectMargins {
+			if margins, err := dec.SyncBitMargins(phases, anchor, len(spec.Bits)); err == nil {
+				stats.Margins = append(stats.Margins, margins...)
+				stats.MarginBits = append(stats.MarginBits, spec.Bits...)
+			}
 		}
 	}
 	stats.MeanSNR = snrSum / float64(spec.Packets)

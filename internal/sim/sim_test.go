@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -284,5 +286,31 @@ func TestFig16SymBeeDominates(t *testing.T) {
 	}
 	if speedup < 100 {
 		t.Errorf("SymBee speedup = %v, want > 100x", speedup)
+	}
+}
+
+// TestResultsFullReproduced pins the committed record to the code:
+// fig12 and fig17 at the `symbeebench -all -seed 1` configuration must
+// appear verbatim in results_full.txt.
+func TestResultsFullReproduced(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size figure runs are slow")
+	}
+	record, err := os.ReadFile(filepath.Join("..", "..", "results_full.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"fig12", "fig17"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := e.Run(Options{Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if out := tb.Render(); !strings.Contains(string(record), out) {
+			t.Errorf("%s at seed 1 is not in results_full.txt:\n%s", id, out)
+		}
 	}
 }

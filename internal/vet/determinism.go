@@ -20,7 +20,11 @@ import (
 //     interface so tests drive virtual time);
 //   - ranging over a map while feeding an ordered output (printing, or
 //     appending to a slice that is never sorted afterwards in the same
-//     function) — map iteration order is randomized per run.
+//     function), or while drawing from a *rand.Rand — map iteration
+//     order is randomized per run, and the draws would follow it. A
+//     draw counts when the range body makes it directly or reaches it
+//     through module functions and function literals bound to local
+//     variables, followed transitively.
 //
 // Package main is exempt from the clock rule: CLI entry points
 // legitimately report wall-clock progress.
@@ -106,10 +110,74 @@ func checkMapRangeOrder(prog *Program, u *Unit, fn *ast.FuncDecl) []Diagnostic {
 				msg += " " + target
 			}
 			out = append(out, prog.diag("determinism", rng.Pos(), mapOrderFix, msg))
+		} else if draw := randDraw(prog, u, fn, rng.Body); draw != "" {
+			out = append(out, prog.diag("determinism", rng.Pos(), mapOrderFix,
+				"map iteration order leaks into the random stream: %s reached from the range body", draw))
 		}
 		return true
 	})
 	return out
+}
+
+// randDraw returns the first *rand.Rand method that body calls,
+// directly or through the module functions and the function literals
+// bound to local variables that it calls, followed transitively; ""
+// when it reaches none. encl is the function declaring body.
+func randDraw(prog *Program, u *Unit, encl *ast.FuncDecl, body ast.Node) string {
+	seen := make(map[ast.Node]bool)
+	var walk func(u *Unit, encl *ast.FuncDecl, body ast.Node) string
+	walk = func(u *Unit, encl *ast.FuncDecl, body ast.Node) (draw string) {
+		ast.Inspect(body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || draw != "" {
+				return draw == ""
+			}
+			if fn := calleeFunc(u.Info, call); fn != nil {
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && isRandPtr(recv.Type()) {
+					draw = "(*rand.Rand)." + fn.Name()
+				} else if decl, du := prog.Decl(fn); decl != nil && decl.Body != nil && !seen[decl] {
+					seen[decl] = true
+					draw = walk(du, decl, decl.Body)
+				}
+				return draw == ""
+			}
+			for _, lit := range boundFuncLits(u.Info, encl, call.Fun) {
+				if draw == "" && !seen[lit] {
+					seen[lit] = true
+					draw = walk(u, encl, lit.Body)
+				}
+			}
+			return draw == ""
+		})
+		return draw
+	}
+	return walk(u, encl, body)
+}
+
+// boundFuncLits returns the function literals that encl assigns to the
+// local variable fun names; nil when fun is not a variable.
+func boundFuncLits(info *types.Info, encl *ast.FuncDecl, fun ast.Expr) []*ast.FuncLit {
+	id, ok := ast.Unparen(fun).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, ok := info.Uses[id].(*types.Var)
+	if !ok {
+		return nil
+	}
+	var lits []*ast.FuncLit
+	ast.Inspect(encl.Body, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+			for i, lhs := range as.Lhs {
+				lit, isLit := ast.Unparen(as.Rhs[i]).(*ast.FuncLit)
+				if name, ok := lhs.(*ast.Ident); ok && isLit && info.ObjectOf(name) == v {
+					lits = append(lits, lit)
+				}
+			}
+		}
+		return true
+	})
+	return lits
 }
 
 // mapRangeLeak inspects a range-over-map body for order-dependent

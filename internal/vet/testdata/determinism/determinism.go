@@ -61,3 +61,42 @@ func Tally(m map[string]int) int {
 	}
 	return total
 }
+
+// backoff draws one slot from the caller's generator.
+func backoff(r *rand.Rand, be int) int {
+	return r.Intn(1 << be)
+}
+
+// JitterInMapOrder draws from the generator in map order.
+func JitterInMapOrder(m map[string]float64, r *rand.Rand) {
+	for k := range m { // want `map iteration order leaks into the random stream: \(\*rand\.Rand\)\.Float64 reached from the range body`
+		m[k] += r.Float64()
+	}
+}
+
+// ReleaseInMapOrder reaches the generator through a local closure and
+// a package function: the draws still follow map order.
+func ReleaseInMapOrder(queues map[int]int, r *rand.Rand) map[int]int {
+	slots := make(map[int]int, len(queues))
+	release := func(node int) {
+		slots[node] = backoff(r, queues[node])
+	}
+	for node := range queues { // want `map iteration order leaks into the random stream: \(\*rand\.Rand\)\.Intn reached from the range body`
+		release(node)
+	}
+	return slots
+}
+
+// ReleaseSorted draws in ascending key order.
+func ReleaseSorted(queues map[int]int, r *rand.Rand) map[int]int {
+	nodes := make([]int, 0, len(queues))
+	for node := range queues { // ok: nodes is sorted below, and nothing is drawn
+		nodes = append(nodes, node)
+	}
+	sort.Ints(nodes)
+	slots := make(map[int]int, len(queues))
+	for _, node := range nodes { // ok: ranges over the sorted slice
+		slots[node] = backoff(r, queues[node])
+	}
+	return slots
+}

@@ -17,8 +17,7 @@ const AutocorrLag = 0.8e-6
 // autocorrelation packet detector. ZigBee energy in the same band flows
 // through the identical path, which is what SymBee exploits.
 type FrontEnd struct {
-	sampleRate float64
-	lag        int
+	lag int
 }
 
 // NewFrontEnd returns a front-end sampling at sampleRate Hz. The rate
@@ -33,11 +32,8 @@ func NewFrontEnd(sampleRate float64) (*FrontEnd, error) {
 	if math.Abs(lagF-float64(lag)) > 1e-9 || lag < 1 {
 		return nil, fmt.Errorf("wifi: sample rate %v does not give an integer autocorrelation lag", sampleRate)
 	}
-	return &FrontEnd{sampleRate: sampleRate, lag: lag}, nil
+	return &FrontEnd{lag: lag}, nil
 }
-
-// SampleRate returns the front-end sample rate in Hz.
-func (f *FrontEnd) SampleRate() float64 { return f.sampleRate }
 
 // Lag returns the autocorrelation lag in samples (16 at 20 Msps).
 func (f *FrontEnd) Lag() int { return f.lag }

@@ -11,7 +11,6 @@ import (
 // chip k starts at k chip slots, the quadrature rail is naturally offset
 // by half a pulse (0.5 µs), which is the "O" in OQPSK (paper Fig. 2).
 type Modulator struct {
-	sampleRate     float64
 	samplesPerSlot int
 	pulse          []float64 // half-sine spanning two chip slots
 }
@@ -33,14 +32,10 @@ func NewModulator(sampleRate float64) (*Modulator, error) {
 		pulse[i] = math.Sin(math.Pi * float64(i) / float64(2*sps))
 	}
 	return &Modulator{
-		sampleRate:     sampleRate,
 		samplesPerSlot: sps,
 		pulse:          pulse,
 	}, nil
 }
-
-// SampleRate returns the output sample rate in Hz.
-func (m *Modulator) SampleRate() float64 { return m.sampleRate }
 
 // SamplesPerSlot returns the number of samples in one 0.5 µs chip slot.
 func (m *Modulator) SamplesPerSlot() int { return m.samplesPerSlot }

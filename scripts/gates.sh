@@ -40,7 +40,7 @@ ARQ_SOAK_RUN='TestARQSoak|TestARQBidirectionalSoak'
 # properties that make -race worth its ~10x slowdown: the package spawns
 # goroutines (grep for 'go func'/'go ident' outside tests) or owns
 # *rand.Rand / splitmix streams whose draw order a race would scramble.
-# Goroutine spawners: dsp, link, reliable, sim, stream (plus testutil,
+# Goroutine spawners: dsp, link, reliable, stream (plus testutil,
 # whose helpers only run inside the importing packages' tests, and the
 # cmd/ binaries, which CI exercises via the stream-throughput job).
 # RNG owners: the root package, channel, ctc, mac, medium, reliable,
@@ -48,5 +48,7 @@ ARQ_SOAK_RUN='TestARQSoak|TestARQBidirectionalSoak'
 # driven concurrently by stream, and vet for its GOMAXPROCS-bounded
 # analyzer fan-out. Re-audited for the duplex refactor: link now also
 # owns the downlink's collision RNG (DownSpec.Collide) — it was already
-# in scope as a goroutine spawner, so the list is unchanged.
+# in scope as a goroutine spawner, so the list is unchanged. sim left
+# the spawner list when sim.Run became one in-order loop; it stays in
+# scope as an RNG owner.
 RACE_PACKAGES='. ./internal/stream/... ./internal/core/... ./internal/reliable/... ./internal/channel/... ./internal/link/... ./internal/medium/... ./internal/ctc/... ./internal/sim/... ./internal/dsp/... ./internal/splitmix/... ./internal/mac/... ./internal/wifi/... ./internal/vet/...'
