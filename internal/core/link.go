@@ -57,6 +57,13 @@ func (l *Link) Decoder() *Decoder { return l.decoder }
 // preamble bit and would make the anchor ambiguous. The pad byte is not
 // a codeword, so both the WiFi and ZigBee receivers ignore it.
 func (l *Link) PayloadToSignal(payload []byte) ([]complex128, error) {
+	return l.PayloadToSignalInto(nil, payload)
+}
+
+// PayloadToSignalInto is PayloadToSignal modulating into dst's storage
+// when its capacity suffices (a new slice otherwise); every returned
+// sample is overwritten.
+func (l *Link) PayloadToSignalInto(dst []complex128, payload []byte) ([]complex128, error) {
 	if len(payload)+zigbee.FCSLen == int(Bit0Byte) {
 		padded := make([]byte, len(payload)+1)
 		copy(padded, payload)
@@ -66,7 +73,7 @@ func (l *Link) PayloadToSignal(payload []byte) ([]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.mod.ModulateBytes(ppdu, l.order), nil
+	return l.mod.ModulateBytesInto(dst, ppdu, l.order), nil
 }
 
 // TransmitBits modulates a raw SymBee bit string (preamble prepended)

@@ -2,9 +2,11 @@ package link
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"symbee/internal/core"
+	"symbee/internal/medium"
 	"symbee/internal/wifi"
 )
 
@@ -47,5 +49,35 @@ func TestStackSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("steady-state PushIQ+Drain allocates %.1f times per chunk, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestRunMediumAllocsPerFrame pins the medium engine's recycled
+// synthesis buffers: once warm, a crowded run allocates less heap per
+// admitted frame than half of one frame's complex128 waveform
+// (AirtimeSamples × 8 bytes). Synthesis that allocated each waveform
+// would cost at least one airtime (× 16 bytes) per frame.
+func TestRunMediumAllocsPerFrame(t *testing.T) {
+	cfg := medium.Defaults()
+	cfg.Senders, cfg.FramesPerSender, cfg.Seed = 64, 4, 1
+	cfg.CFOJitterHz, cfg.SFOppm, cfg.GainSpreadDB = 20e3, 10, 3
+	if _, err := RunMedium(cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := RunMedium(cfg, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := rep.Senders * rep.FramesPerSender
+	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / float64(frames)
+	limit := float64(rep.AirtimeSamples * 8)
+	t.Logf("%d frames, %.0f bytes allocated per frame (%.3f airtimes of complex128)",
+		frames, perFrame, perFrame/float64(rep.AirtimeSamples*16))
+	if perFrame >= limit {
+		t.Errorf("RunMedium allocates %.0f bytes per admitted frame, want < %.0f (half an airtime of complex128)",
+			perFrame, limit)
 	}
 }

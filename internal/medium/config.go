@@ -3,6 +3,7 @@ package medium
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"symbee/internal/core"
 )
@@ -40,7 +41,8 @@ type Config struct {
 	// sender at the nominal offset.
 	CFOJitterHz float64
 	// SFOppm spreads each sender's sampling clock uniformly in ±SFOppm
-	// parts per million. Zero disables SFO.
+	// parts per million (below 1e6, so every drawn clock still runs
+	// forwards; see channel.ApplySFO). Zero disables SFO.
 	SFOppm float64
 	// GainSpreadDB spreads each sender's receive power uniformly in
 	// ±GainSpreadDB around SNRdB (near-far effect). Zero makes all
@@ -80,13 +82,35 @@ var (
 	errIdentity  = errors.New("medium: sender identities above 255 need DataBytes >= 3")
 	errGap       = errors.New("medium: negative MeanGapAirtimes")
 	errJitter    = errors.New("medium: negative impairment spread")
+	errSFORange  = errors.New("medium: SFOppm must be below 1e6 (a sender's clock would stop or run backwards)")
+	errNonFinite = errors.New("medium: non-finite scenario parameter")
 	errChunk     = errors.New("medium: ChunkSamples must be positive")
 )
+
+// maxSFOppm bounds SFOppm: a sender draws its offset in ±SFOppm, and
+// channel.ApplySFO needs every offset above −1e6 ppm.
+const maxSFOppm = 1e6
 
 // Validate reports the first structural problem with the config.
 func (c Config) Validate() error {
 	if err := c.Params.Validate(); err != nil {
 		return fmt.Errorf("medium: %w", err)
+	}
+	// Every ordered comparison below is false for NaN, so a NaN
+	// impairment would otherwise run silently as "none".
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SNRdB", c.SNRdB},
+		{"MeanGapAirtimes", c.MeanGapAirtimes},
+		{"CFOJitterHz", c.CFOJitterHz},
+		{"SFOppm", c.SFOppm},
+		{"GainSpreadDB", c.GainSpreadDB},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%w: %s = %v", errNonFinite, f.name, f.v)
+		}
 	}
 	switch {
 	case c.Senders < 1 || c.FramesPerSender < 1:
@@ -104,6 +128,8 @@ func (c Config) Validate() error {
 	case c.CFOJitterHz < 0 || c.SFOppm < 0 || c.GainSpreadDB < 0:
 		return fmt.Errorf("%w: cfo %v, sfo %v, gain %v", errJitter,
 			c.CFOJitterHz, c.SFOppm, c.GainSpreadDB)
+	case c.SFOppm >= maxSFOppm:
+		return fmt.Errorf("%w: %v", errSFORange, c.SFOppm)
 	case c.ChunkSamples <= 0:
 		return fmt.Errorf("%w: %d", errChunk, c.ChunkSamples)
 	}

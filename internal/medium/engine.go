@@ -115,6 +115,13 @@ type Engine struct {
 	records []*txState
 	active  []*activeTx
 
+	// scratch is the reused modulation buffer an SFO resample reads
+	// from; free holds airtime-length waveform buffers retire handed
+	// back, which admission takes before allocating a new one. Both
+	// fill lazily during Run.
+	scratch []complex128
+	free    [][]complex128
+
 	// Streaming interval-overlap collision state: the running max end
 	// and the record that set it (the dense reference's exact rule).
 	maxEnd  int
@@ -261,7 +268,10 @@ func (e *Engine) admit() error {
 
 // waveform synthesizes one frame's impaired transmit signal: identity
 // bytes (low id, sequence, high id), SymBee frame encoding, ZigBee
-// modulation, then the sender's SFO resample and CFO rotation.
+// modulation, then the sender's SFO resample and CFO rotation. The
+// signal ends up in a buffer from the free list: without SFO it is
+// modulated straight into it, with SFO it is modulated into the
+// scratch buffer and resampled into it. The CFO rotation is in place.
 func (e *Engine) waveform(sender, seq int, sfoPPM, cfoHz float64) ([]complex128, error) {
 	data := make([]byte, e.cfg.DataBytes)
 	data[0] = byte(sender)
@@ -275,12 +285,15 @@ func (e *Engine) waveform(sender, seq int, sfoPPM, cfoHz float64) ([]complex128,
 	if err != nil {
 		return nil, fmt.Errorf("medium: %w", err)
 	}
-	sig, err := e.phy.PayloadToSignal(payload)
+	var sig []complex128
+	if sfoPPM == 0 {
+		sig, err = e.phy.PayloadToSignalInto(e.take(), payload)
+	} else {
+		e.scratch, err = e.phy.PayloadToSignalInto(e.scratch, payload)
+		sig = channel.ApplySFOInto(e.take(), e.scratch, sfoPPM)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("medium: %w", err)
-	}
-	if sfoPPM != 0 {
-		sig = channel.ApplySFO(sig, sfoPPM)
 	}
 	if cfoHz != 0 {
 		channel.ApplyCFO(sig, cfoHz, e.cfg.Params.SampleRate)
@@ -288,13 +301,28 @@ func (e *Engine) waveform(sender, seq int, sfoPPM, cfoHz float64) ([]complex128,
 	return sig, nil
 }
 
+// take pops a waveform buffer off the free list, or returns nil (the
+// synthesis then allocates one) when the list is empty.
+func (e *Engine) take() []complex128 {
+	n := len(e.free)
+	if n == 0 {
+		return nil
+	}
+	buf := e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
+	return buf
+}
+
 // retire releases every active transmission the cursor has passed,
-// freeing its waveform (the records stay for accounting).
+// handing its waveform buffer back to the free list (the records stay
+// for accounting).
 func (e *Engine) retire(cur int) {
 	kept := e.active[:0]
 	for _, a := range e.active {
 		if a.rec.end <= cur {
 			e.activeSamples -= len(a.sig)
+			e.free = append(e.free, a.sig)
 			a.sig = nil
 			continue
 		}

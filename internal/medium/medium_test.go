@@ -2,6 +2,7 @@ package medium
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -46,32 +47,55 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewEngine(Config{}); err == nil {
 		t.Error("zero config accepted")
 	}
-	bad := []func(*Config){
-		func(c *Config) { c.Senders = 0 },
-		func(c *Config) { c.FramesPerSender = 0 },
-		func(c *Config) { c.FramesPerSender = 257 },
-		func(c *Config) { c.Senders = 1<<16 + 1 },
-		func(c *Config) { c.Senders = 300; c.DataBytes = 2 },
-		func(c *Config) { c.DataBytes = 0 },
-		func(c *Config) { c.DataBytes = 99 },
-		func(c *Config) { c.MeanGapAirtimes = -1 },
-		func(c *Config) { c.CFOJitterHz = -1 },
-		func(c *Config) { c.ChunkSamples = 0 },
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []struct {
+		name   string
+		mutate func(*Config)
+		want   error
+	}{
+		{"no senders", func(c *Config) { c.Senders = 0 }, errSenders},
+		{"no frames", func(c *Config) { c.FramesPerSender = 0 }, errSenders},
+		{"257 frames", func(c *Config) { c.FramesPerSender = 257 }, errFrames},
+		{"too many senders", func(c *Config) { c.Senders = 1<<16 + 1 }, errTooMany},
+		{"narrow identity", func(c *Config) { c.Senders = 300; c.DataBytes = 2 }, errIdentity},
+		{"no data", func(c *Config) { c.DataBytes = 0 }, errDataBytes},
+		{"too much data", func(c *Config) { c.DataBytes = 99 }, errDataBytes},
+		{"negative gap", func(c *Config) { c.MeanGapAirtimes = -1 }, errGap},
+		{"negative cfo", func(c *Config) { c.CFOJitterHz = -1 }, errJitter},
+		{"no chunk", func(c *Config) { c.ChunkSamples = 0 }, errChunk},
+		// A sender draws its SFO in ±SFOppm: at 1e6 ppm or more its
+		// resample ratio can reach zero or below.
+		{"sfo 1e6", func(c *Config) { c.SFOppm = 1e6 }, errSFORange},
+		{"sfo 3e6", func(c *Config) { c.SFOppm = 3e6 }, errSFORange},
+		{"nan snr", func(c *Config) { c.SNRdB = nan }, errNonFinite},
+		{"inf snr", func(c *Config) { c.SNRdB = -inf }, errNonFinite},
+		{"nan gap", func(c *Config) { c.MeanGapAirtimes = nan }, errNonFinite},
+		{"inf gap", func(c *Config) { c.MeanGapAirtimes = inf }, errNonFinite},
+		{"nan cfo", func(c *Config) { c.CFOJitterHz = nan }, errNonFinite},
+		{"inf cfo", func(c *Config) { c.CFOJitterHz = inf }, errNonFinite},
+		{"nan sfo", func(c *Config) { c.SFOppm = nan }, errNonFinite},
+		{"inf sfo", func(c *Config) { c.SFOppm = inf }, errNonFinite},
+		{"nan gain", func(c *Config) { c.GainSpreadDB = nan }, errNonFinite},
+		{"inf gain", func(c *Config) { c.GainSpreadDB = inf }, errNonFinite},
 	}
-	for i, mutate := range bad {
+	for _, tc := range bad {
 		cfg := Defaults()
 		cfg.Senders, cfg.FramesPerSender = 2, 2
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d accepted: %+v", i, cfg)
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Validate = %v, want %v", tc.name, err, tc.want)
+		}
+		if _, err := NewEngine(cfg); !errors.Is(err, tc.want) {
+			t.Errorf("%s: NewEngine error = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 	good := Defaults()
 	good.Senders, good.FramesPerSender = 2, 2
 	good.SNRdB = 0           // a genuine 0 dB scenario
 	good.MeanGapAirtimes = 0 // back-to-back transmission
+	good.SFOppm = 999999     // every drawn clock still runs forwards
 	if err := good.Validate(); err != nil {
-		t.Errorf("0 dB / zero-gap config rejected: %v", err)
+		t.Errorf("0 dB / zero-gap / large-SFO config rejected: %v", err)
 	}
 }
 

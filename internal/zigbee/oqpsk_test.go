@@ -2,6 +2,7 @@ package zigbee
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"symbee/internal/dsp"
@@ -144,4 +145,112 @@ func TestSymbolPairStablePhase40MHz(t *testing.T) {
 	if math.Abs(math.Abs(ph[start])-4*math.Pi/5) > 1e-6 {
 		t.Errorf("stable phase = %v, want ±4π/5", ph[start])
 	}
+}
+
+// refModulateChips is the original two-rail modulator, kept as the
+// bit-exact oracle for ModulateChips: it accumulates every pulse into
+// separate in-phase and quadrature float rails and zips them at the
+// end. Each rail sample receives at most one pulse sample, so the
+// output is 0+a·p per rail (which turns a −0 into +0).
+func refModulateChips(m *Modulator, chips []byte) []complex128 {
+	sps := m.samplesPerSlot
+	out := make([]complex128, (len(chips)+1)*sps)
+	re := make([]float64, len(out))
+	im := make([]float64, len(out))
+	for k, c := range chips {
+		a := 1.0
+		if c == 0 {
+			a = -1.0
+		}
+		off := k * sps
+		rail := re
+		if k%2 == 1 {
+			rail = im
+		}
+		for i, p := range m.pulse {
+			rail[off+i] += a * p
+		}
+	}
+	for i := range out {
+		out[i] = complex(re[i], im[i])
+	}
+	return out
+}
+
+// sameBits reports the first sample where got and want differ in
+// their IEEE-754 bit patterns (so +0 and −0 differ), or -1.
+func sameBits(got, want []complex128) int {
+	if len(got) != len(want) {
+		return 0
+	}
+	for i := range got {
+		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+			math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestModulateChipsMatchesReference pins the modulator bit for bit to
+// the two-rail oracle over random chip streams at 20 and 40 Msps,
+// including empty and odd-length streams and non-binary chip bytes
+// (any nonzero chip is a positive pulse).
+func TestModulateChipsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, rate := range []float64{20e6, 40e6} {
+		m, err := NewModulator(rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 40; trial++ {
+			chips := make([]byte, rng.Intn(200))
+			for i := range chips {
+				chips[i] = byte(rng.Intn(2))
+				if rng.Intn(16) == 0 {
+					chips[i] = byte(rng.Intn(256))
+				}
+			}
+			want := refModulateChips(m, chips)
+			if i := sameBits(m.ModulateChips(chips), want); i >= 0 {
+				t.Fatalf("rate %v, %d chips: sample %d differs from the reference", rate, len(chips), i)
+			}
+			// A recycled buffer: nothing it held may survive.
+			if i := sameBits(m.modulateChips(dirty(len(want)+rng.Intn(50)), chips), want); i >= 0 {
+				t.Fatalf("rate %v, %d chips into a used buffer: sample %d differs from the reference",
+					rate, len(chips), i)
+			}
+			symbols := make([]byte, rng.Intn(20))
+			for i := range symbols {
+				symbols[i] = byte(rng.Intn(NumSymbols))
+			}
+			want = refModulateChips(m, SpreadSymbols(symbols))
+			if i := sameBits(m.ModulateSymbols(symbols), want); i >= 0 {
+				t.Fatalf("rate %v, %d symbols: sample %d differs from the reference", rate, len(symbols), i)
+			}
+			data := make([]byte, rng.Intn(12))
+			rng.Read(data)
+			for _, order := range []SymbolOrder{OrderMSBFirst, OrderLSBFirst} {
+				want = refModulateChips(m, SpreadSymbols(BytesToSymbols(data, order)))
+				if i := sameBits(m.ModulateBytes(data, order), want); i >= 0 {
+					t.Fatalf("rate %v, %d bytes, order %d: sample %d differs from the reference",
+						rate, len(data), order, i)
+				}
+				if i := sameBits(m.ModulateBytesInto(dirty(len(want)), data, order), want); i >= 0 {
+					t.Fatalf("rate %v, %d bytes, order %d into a used buffer: sample %d differs from the reference",
+						rate, len(data), order, i)
+				}
+			}
+		}
+	}
+}
+
+// dirty returns a buffer of n samples holding −0 and NaN, the values
+// a partial overwrite would most visibly leave behind.
+func dirty(n int) []complex128 {
+	buf := make([]complex128, n)
+	for i := range buf {
+		buf[i] = complex(math.Copysign(0, -1), math.NaN())
+	}
+	return buf
 }
