@@ -47,22 +47,6 @@ type densityRow struct {
 	PeakWindowSamples    int     `json:"peak_window_samples"`
 }
 
-// shortWidths trims a population sweep to the CI smoke sizes (≤64
-// senders), keeping at least the smallest width so -short never runs
-// an empty sweep.
-func shortWidths(widths []int) []int {
-	out := widths[:0:0]
-	for _, n := range widths {
-		if n <= 64 {
-			out = append(out, n)
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, widths[0])
-	}
-	return out
-}
-
 // runDensityBench sweeps the event-driven medium engine over the given
 // sender populations at a fixed per-sender offered load and writes the
 // density curves to outPath.

@@ -4,24 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
-
-func TestShortWidths(t *testing.T) {
-	cases := []struct {
-		in, want []int
-	}{
-		{[]int{8, 64, 256, 1024}, []int{8, 64}},
-		{[]int{64}, []int{64}},
-		{[]int{256, 1024}, []int{256}}, // nothing small: keep the smallest
-	}
-	for _, c := range cases {
-		if got := shortWidths(c.in); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("shortWidths(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
 
 // TestDensityBenchSmoke runs a tiny sweep end-to-end and checks the
 // artifact has one well-formed row per width. The N=256 byte-identical

@@ -61,9 +61,6 @@ func main() {
 	if *densityBench {
 		widths, err := cli.ParseIntList(*densityWidths)
 		if err == nil {
-			if *short {
-				widths = shortWidths(widths)
-			}
 			err = runDensityBench(*seed, *densityFrames, *densityGap, widths, *densityOut)
 		}
 		if err != nil {
@@ -100,6 +97,9 @@ func main() {
 }
 
 func realMain(list bool, run string, all bool, opts sim.Options, csv bool) error {
+	if opts.Packets < 0 {
+		return fmt.Errorf("-packets must not be negative, got %d", opts.Packets)
+	}
 	switch {
 	case list:
 		for _, e := range sim.Experiments() {

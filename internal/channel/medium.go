@@ -90,7 +90,3 @@ func (m *Medium) Transmit(x []complex128) []complex128 {
 	AddAWGN(out, 1, m.rng)
 	return out
 }
-
-// SignalStart returns the sample index where the transmitted signal
-// begins inside a capture returned by Transmit.
-func (m *Medium) SignalStart() int { return m.cfg.Pad }

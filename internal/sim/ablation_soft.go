@@ -1,13 +1,10 @@
 package sim
 
-//symbee:ignore-file rngstream -- the per-point seed arithmetic in the figure drivers is part of each figure's published definition: the paper artifacts were generated from these exact streams, and rederiving them through splitmix would silently regenerate different curves. New drivers must split streams via internal/splitmix.
-
 import (
 	"math/rand"
 
 	"symbee/internal/channel"
 	"symbee/internal/core"
-	"symbee/internal/wifi"
 )
 
 // AblationSoftDecision compares the paper's sign-counting (hard)
@@ -19,11 +16,7 @@ func AblationSoftDecision(opts Options) (*Table, error) {
 	packets := opts.packets(60)
 	p := core.Params20()
 	bits := AlternatingBits(60)
-	link, err := core.NewLink(p, wifi.CanonicalCompensation)
-	if err != nil {
-		return nil, err
-	}
-	sig, err := link.TransmitBits(bits)
+	link, sig, err := newLink(p, bits)
 	if err != nil {
 		return nil, err
 	}
@@ -33,30 +26,20 @@ func AblationSoftDecision(opts Options) (*Table, error) {
 		Columns: []string{"SNR (dB)", "BER hard", "BER soft", "packets decoded"},
 	}
 	for _, snr := range []float64{-3, -2, -1, 0, 1, 2} {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(snr*10)))
 		hardErrs, softErrs, used := 0, 0, 0
-		for i := 0; i < packets; i++ {
-			m, err := channel.NewMedium(channel.Config{
-				SampleRate: p.SampleRate,
-				SNRdB:      snr,
-				FreqOffset: channel.DefaultFreqOffset,
-				Pad:        400,
-			}, rng)
-			if err != nil {
-				return nil, err
-			}
-			phases := link.Phases(m.Transmit(sig))
+		err := eachPacket(sig, packets, opts.Seed+int64(snr*10), awgn(p, snr, 400), func(capture []complex128, _ channel.Config, _ *rand.Rand) {
+			phases := link.Phases(capture)
 			anchor, err := link.Decoder().CapturePreamble(phases)
 			if err != nil {
-				continue
+				return
 			}
 			hard, err := link.Decoder().DecodeSyncBits(phases, anchor, len(bits))
 			if err != nil {
-				continue
+				return
 			}
 			soft, err := link.Decoder().DecodeSyncBitsSoft(phases, anchor, len(bits))
 			if err != nil {
-				continue
+				return
 			}
 			used++
 			for k := range bits {
@@ -67,6 +50,9 @@ func AblationSoftDecision(opts Options) (*Table, error) {
 					softErrs++
 				}
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		total := used * len(bits)
 		t.AddRow(snr, ratio(hardErrs, total), ratio(softErrs, total), used)

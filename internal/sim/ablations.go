@@ -1,7 +1,5 @@
 package sim
 
-//symbee:ignore-file rngstream -- the per-point seed arithmetic in the figure drivers is part of each figure's published definition: the paper artifacts were generated from these exact streams, and rederiving them through splitmix would silently regenerate different curves. New drivers must split streams via internal/splitmix.
-
 import (
 	"fmt"
 	"math"
@@ -60,7 +58,7 @@ func AblationPreambleReps(opts Options) (*Table, error) {
 	p := core.Params20()
 	t := &Table{
 		Title:   "Ablation — preamble repetitions vs capture rate at −4 dB",
-		Note:    "capture uses a matched fold of depth = repetitions; overhead is preamble airtime",
+		Note:    "capture folds at the fixed depth of 4 bits (core.PreambleBits); overhead is preamble airtime",
 		Columns: []string{"repetitions", "capture rate", "overhead (µs)"},
 	}
 	// The decoder folds at depth PreambleBits (fixed by the standard
@@ -73,29 +71,18 @@ func AblationPreambleReps(opts Options) (*Table, error) {
 		for i := extra; i < len(bits); i++ {
 			bits[i] = byte(i % 2)
 		}
-		link, err := core.NewLink(p, wifi.CanonicalCompensation)
+		link, sig, err := newLink(p, bits)
 		if err != nil {
 			return nil, err
 		}
-		sig, err := link.TransmitBits(bits)
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(opts.Seed + int64(reps)))
 		captured := 0
-		for i := 0; i < packets; i++ {
-			med, err := channel.NewMedium(channel.Config{
-				SampleRate: p.SampleRate,
-				SNRdB:      -4,
-				FreqOffset: channel.DefaultFreqOffset,
-				Pad:        512,
-			}, rng)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := link.Decoder().CapturePreamble(link.Phases(med.Transmit(sig))); err == nil {
+		err = eachPacket(sig, packets, opts.Seed+int64(reps), awgn(p, -4, 512), func(capture []complex128, _ channel.Config, _ *rand.Rand) {
+			if _, err := link.Decoder().CapturePreamble(link.Phases(capture)); err == nil {
 				captured++
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(reps, float64(captured)/float64(packets), float64(reps)*p.BitDuration()*1e6)
 	}
@@ -115,28 +102,14 @@ func AblationCaptureThreshold(opts Options) (*Table, error) {
 		Columns: []string{"threshold (frac)", "capture rate @ -2 dB", "false captures on noise"},
 	}
 	for _, frac := range []float64{0.1, 0.2, 0.3, 0.5, 0.7} {
-		link, err := core.NewLink(p, wifi.CanonicalCompensation)
+		link, sig, err := newLink(p, bits)
 		if err != nil {
 			return nil, err
 		}
 		link.Decoder().CaptureThreshold = float64(core.PreambleBits) * core.StablePhase * frac
-		sig, err := link.TransmitBits(bits)
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(opts.Seed + int64(frac*100)))
 		captured, falseCaptures := 0, 0
-		for i := 0; i < packets; i++ {
-			med, err := channel.NewMedium(channel.Config{
-				SampleRate: p.SampleRate,
-				SNRdB:      -2,
-				FreqOffset: channel.DefaultFreqOffset,
-				Pad:        512,
-			}, rng)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := link.Decoder().CapturePreamble(link.Phases(med.Transmit(sig))); err == nil {
+		err = eachPacket(sig, packets, opts.Seed+int64(frac*100), awgn(p, -2, 512), func(capture []complex128, _ channel.Config, rng *rand.Rand) {
+			if _, err := link.Decoder().CapturePreamble(link.Phases(capture)); err == nil {
 				captured++
 			}
 			// Signal-free capture attempt: pure noise.
@@ -147,6 +120,9 @@ func AblationCaptureThreshold(opts Options) (*Table, error) {
 			if _, err := link.Decoder().CapturePreamble(noise); err == nil {
 				falseCaptures++
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%.1f", frac), float64(captured)/float64(packets), falseCaptures)
 	}
@@ -167,18 +143,11 @@ func AblationSampleRate(opts Options) (*Table, error) {
 		var bers [2]float64
 		for i, p := range []core.Params{core.Params20(), core.Params40()} {
 			stats, err := Run(RunSpec{
-				Params:  p,
-				Bits:    bits,
-				Packets: packets,
-				Seed:    opts.Seed + int64(snr*10),
-				ConfigFor: func(rng *rand.Rand) channel.Config {
-					return channel.Config{
-						SampleRate: p.SampleRate,
-						SNRdB:      snr,
-						FreqOffset: channel.DefaultFreqOffset,
-						Pad:        512,
-					}
-				},
+				Params:    p,
+				Bits:      bits,
+				Packets:   packets,
+				Seed:      opts.Seed + int64(snr*10),
+				ConfigFor: awgn(p, snr, 512),
 			})
 			if err != nil {
 				return nil, err

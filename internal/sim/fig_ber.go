@@ -1,7 +1,5 @@
 package sim
 
-//symbee:ignore-file rngstream -- the per-point seed arithmetic in the figure drivers is part of each figure's published definition: the paper artifacts were generated from these exact streams, and rederiving them through splitmix would silently regenerate different curves. New drivers must split streams via internal/splitmix.
-
 import (
 	"math"
 	"math/rand"
@@ -27,7 +25,6 @@ func MeasurePrEpsilon(snrDB float64, packets int, seed int64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	rng := rand.New(rand.NewSource(seed))
 	payload := make([]byte, 60)
 	for i := range payload {
 		if i%2 == 0 {
@@ -38,16 +35,8 @@ func MeasurePrEpsilon(snrDB float64, packets int, seed int64) (float64, error) {
 	}
 	sig := mod.ModulateBytes(payload, zigbee.OrderMSBFirst)
 	wrong, total := 0, 0
-	for pk := 0; pk < packets; pk++ {
-		med, err := channel.NewMedium(channel.Config{
-			SampleRate: p.SampleRate,
-			SNRdB:      snrDB,
-			FreqOffset: channel.DefaultFreqOffset,
-		}, rng)
-		if err != nil {
-			return 0, err
-		}
-		ph := fe.PhaseStream(med.Transmit(sig))
+	err = eachPacket(sig, packets, seed, awgn(p, snrDB, 0), func(capture []complex128, _ channel.Config, _ *rand.Rand) {
+		ph := fe.PhaseStream(capture)
 		dsp.CompensatePhases(ph, wifi.CanonicalCompensation)
 		// Byte k's stable run occupies [k·640+270, k·640+350): sample
 		// the 80 interior values (avoiding run-edge jitter).
@@ -61,6 +50,9 @@ func MeasurePrEpsilon(snrDB float64, packets int, seed int64) (float64, error) {
 				total++
 			}
 		}
+	})
+	if err != nil {
+		return 0, err
 	}
 	return float64(wrong) / float64(total), nil
 }
@@ -126,18 +118,11 @@ func fig12BER(opts Options, p core.Params, title string) (*Table, error) {
 			return nil, err
 		}
 		stats, err := Run(RunSpec{
-			Params:  p,
-			Bits:    bits,
-			Packets: packets,
-			Seed:    opts.Seed + int64(snr*100),
-			ConfigFor: func(rng *rand.Rand) channel.Config {
-				return channel.Config{
-					SampleRate: p.SampleRate,
-					SNRdB:      snr,
-					FreqOffset: channel.DefaultFreqOffset,
-					Pad:        512,
-				}
-			},
+			Params:    p,
+			Bits:      bits,
+			Packets:   packets,
+			Seed:      opts.Seed + int64(snr*100),
+			ConfigFor: awgn(p, snr, 512),
 		})
 		if err != nil {
 			return nil, err

@@ -57,6 +57,7 @@ func CTCInterferenceSweep(opts Options) (*Table, error) {
 	// SymBee over the IQ medium with the same burst process.
 	p := core.Params20()
 	bits := AlternatingBits(nBits)
+	base := awgn(p, 10, 512)
 	row := []any{"SymBee"}
 	for _, duty := range duties {
 		stats, err := Run(RunSpec{
@@ -65,12 +66,7 @@ func CTCInterferenceSweep(opts Options) (*Table, error) {
 			Packets: packets,
 			Seed:    opts.Seed + int64(duty*1000),
 			ConfigFor: func(rng *rand.Rand) channel.Config {
-				cfg := channel.Config{
-					SampleRate: p.SampleRate,
-					SNRdB:      10,
-					FreqOffset: channel.DefaultFreqOffset,
-					Pad:        512,
-				}
+				cfg := base(rng)
 				if duty > 0 {
 					cfg.Interference = channel.InterferenceConfig{
 						DutyCycle:     duty,

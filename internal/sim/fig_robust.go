@@ -24,34 +24,23 @@ func Fig11Folding(opts Options) (*Table, error) {
 		Note:    "plain usable = unsync detector recovers at least as many bits as were sent",
 		Columns: []string{"SNR (dB)", "capture rate (folding)", "plain decoding usable"},
 	}
+	link, sig, err := newLink(p, bits)
+	if err != nil {
+		return nil, err
+	}
 	for _, snr := range []float64{2, 0, -2, -4, -6} {
 		captured, plainUsable := 0, 0
-		rng := rand.New(rand.NewSource(opts.Seed + int64(snr*10)))
-		link, err := core.NewLink(p, wifi.CanonicalCompensation)
-		if err != nil {
-			return nil, err
-		}
-		sig, err := link.TransmitBits(bits)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < packets; i++ {
-			med, err := channel.NewMedium(channel.Config{
-				SampleRate: p.SampleRate,
-				SNRdB:      snr,
-				FreqOffset: channel.DefaultFreqOffset,
-				Pad:        512,
-			}, rng)
-			if err != nil {
-				return nil, err
-			}
-			phases := link.Phases(med.Transmit(sig))
+		err := eachPacket(sig, packets, opts.Seed+int64(snr*10), awgn(p, snr, 512), func(capture []complex128, _ channel.Config, _ *rand.Rand) {
+			phases := link.Phases(capture)
 			if _, err := link.Decoder().CapturePreamble(phases); err == nil {
 				captured++
 			}
 			if det := link.Decoder().DecodeUnsync(phases); len(det) >= len(bits) {
 				plainUsable++
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(snr, float64(captured)/float64(packets), float64(plainUsable)/float64(packets))
 	}
@@ -198,32 +187,17 @@ func Fig22Tau(opts Options) (*Table, error) {
 		Note:    "F/N = transmitted bits not detected; F/P = detections at wrong positions or values,\nrelative to transmitted bits. Larger τ trades misses for spurious detections;\nthe paper balances the two at τ=10 (its SNR axis sits ≈5 dB above ours)",
 		Columns: []string{"tau", "false negative", "false positive"},
 	}
+	// Ground truth: preamble+data bits at known positions.
+	want := append(make([]byte, core.PreambleBits), bits...)
 	for _, tau := range []int{4, 8, 12, 16, 20, 24} {
-		link, err := core.NewLink(p.WithTau(tau), wifi.CanonicalCompensation)
+		link, sig, err := newLink(p.WithTau(tau), bits)
 		if err != nil {
 			return nil, err
 		}
-		sig, err := link.TransmitBits(bits)
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(opts.Seed + int64(tau)))
 		missed, spurious, total := 0, 0, 0
-		for i := 0; i < packets; i++ {
-			med, err := channel.NewMedium(channel.Config{
-				SampleRate: p.SampleRate,
-				SNRdB:      7,
-				FreqOffset: channel.DefaultFreqOffset,
-				Pad:        512,
-			}, rng)
-			if err != nil {
-				return nil, err
-			}
-			phases := link.Phases(med.Transmit(sig))
-			det := link.Decoder().DecodeUnsync(phases)
-			// Ground truth: preamble+data bits at known positions.
-			want := append(append([]byte{}, 0, 0, 0, 0), bits...)
-			anchor := med.SignalStart() + 12*p.BitPeriod/2 + 263
+		err = eachPacket(sig, packets, opts.Seed+int64(tau), awgn(p, 7, 512), func(capture []complex128, cfg channel.Config, _ *rand.Rand) {
+			det := link.Decoder().DecodeUnsync(link.Phases(capture))
+			anchor := cfg.Pad + 12*p.BitPeriod/2 + 263
 			matched := make([]bool, len(want))
 			for _, d := range det {
 				k := (d.Pos - anchor + p.BitPeriod/2) / p.BitPeriod
@@ -240,6 +214,9 @@ func Fig22Tau(opts Options) (*Table, error) {
 				}
 			}
 			total += len(want)
+		})
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(tau, ratio(missed, total), ratio(spurious, total))
 	}
@@ -260,11 +237,7 @@ func Fig22Preamble(opts Options) (*Table, error) {
 	packets := opts.packets(40)
 	p := core.Params20()
 	bits := AlternatingBits(50)
-	link, err := core.NewLink(p, wifi.CanonicalCompensation)
-	if err != nil {
-		return nil, err
-	}
-	sig, err := link.TransmitBits(bits)
+	link, sig, err := newLink(p, bits)
 	if err != nil {
 		return nil, err
 	}
@@ -274,20 +247,10 @@ func Fig22Preamble(opts Options) (*Table, error) {
 		Columns: []string{"SNR (dB)", "BER with preamble", "BER without preamble"},
 	}
 	for _, snr := range []float64{8, 6, 4, 2, 0} {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(snr*10)))
 		syncErr, syncTot := 0, 0
 		unsyncErr, unsyncTot := 0, 0
-		for i := 0; i < packets; i++ {
-			med, err := channel.NewMedium(channel.Config{
-				SampleRate: p.SampleRate,
-				SNRdB:      snr,
-				FreqOffset: channel.DefaultFreqOffset,
-				Pad:        512,
-			}, rng)
-			if err != nil {
-				return nil, err
-			}
-			phases := link.Phases(med.Transmit(sig))
+		err := eachPacket(sig, packets, opts.Seed+int64(snr*10), awgn(p, snr, 512), func(capture []complex128, cfg channel.Config, _ *rand.Rand) {
+			phases := link.Phases(capture)
 
 			if got, err := link.Decoder().DecodeBits(phases, len(bits)); err == nil {
 				for k := range bits {
@@ -301,7 +264,7 @@ func Fig22Preamble(opts Options) (*Table, error) {
 			// Without the preamble the receiver only has the raw
 			// detections; match them positionally against the sent bits.
 			det := link.Decoder().DecodeUnsync(phases)
-			anchor := med.SignalStart() + 12*p.BitPeriod/2 + 263
+			anchor := cfg.Pad + 12*p.BitPeriod/2 + 263
 			for k := range bits {
 				pos := anchor + (k+core.PreambleBits)*p.BitPeriod
 				found := false
@@ -316,6 +279,9 @@ func Fig22Preamble(opts Options) (*Table, error) {
 				}
 			}
 			unsyncTot += len(bits)
+		})
+		if err != nil {
+			return nil, err
 		}
 		t.AddRow(snr, ratio(syncErr, syncTot), ratio(unsyncErr, unsyncTot))
 	}

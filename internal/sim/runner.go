@@ -1,6 +1,6 @@
 package sim
 
-//symbee:ignore-file rngstream -- Run seeds each batch with rand.NewSource(spec.Seed): the paper artifacts were generated from these exact streams, and rederiving them through splitmix would silently regenerate different curves. New figures must split streams via internal/splitmix.
+//symbee:ignore-file rngstream -- eachPacket seeds each batch with rand.NewSource(seed): the paper artifacts were generated from these exact streams, and rederiving them through splitmix would silently regenerate different curves. New figures must split streams via internal/splitmix.
 
 import (
 	"fmt"
@@ -110,48 +110,27 @@ type RunSpec struct {
 	CollectMargins bool
 }
 
-// Run transmits the batch and aggregates statistics. A batch is one
-// seeded, in-order stream: packets are sent one after another, and a
-// single generator seeded with spec.Seed draws every channel, so the
-// result does not depend on the host that computed it.
+// Run transmits the batch and aggregates statistics over eachPacket's
+// seeded, in-order stream, so the result does not depend on the host
+// that computed it.
 func Run(spec RunSpec) (*LinkStats, error) {
-	if spec.Packets <= 0 {
-		return nil, fmt.Errorf("sim: non-positive packet count %d", spec.Packets)
-	}
-	link, err := core.NewLink(spec.Params, wifi.CanonicalCompensation)
+	link, sig, err := newLink(spec.Params, spec.Bits)
 	if err != nil {
 		return nil, err
 	}
-	sig, err := link.TransmitBits(spec.Bits)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(spec.Seed))
+	dec := link.Decoder()
 	stats := &LinkStats{Packets: spec.Packets, BitsPerPacket: len(spec.Bits)}
 	var snrSum float64
-	var track *channel.Medium // the mobility medium, once drawn
-	for i := 0; i < spec.Packets; i++ {
-		cfg := spec.ConfigFor(rng)
-		med := track
-		if med == nil || cfg.Mobility == nil {
-			if med, err = channel.NewMedium(cfg, rng); err != nil {
-				return nil, err
-			}
-			if cfg.Mobility != nil {
-				track = med
-			}
-		}
-		capture := med.Transmit(sig)
+	err = eachPacket(sig, spec.Packets, spec.Seed, spec.ConfigFor, func(capture []complex128, cfg channel.Config, _ *rand.Rand) {
 		snrSum += cfg.SNRdB
 		phases := link.Phases(capture)
-		dec := link.Decoder()
 		anchor, err := dec.CapturePreamble(phases)
 		if err != nil {
-			continue
+			return
 		}
 		got, err := dec.DecodeSyncBits(phases, anchor, len(spec.Bits))
 		if err != nil {
-			continue
+			return
 		}
 		stats.Captured++
 		for k := range spec.Bits {
@@ -165,7 +144,62 @@ func Run(spec RunSpec) (*LinkStats, error) {
 				stats.MarginBits = append(stats.MarginBits, spec.Bits...)
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	stats.MeanSNR = snrSum / float64(spec.Packets)
 	return stats, nil
+}
+
+// eachPacket is the package's one loop over channel.Medium: it sends sig
+// packets times, one after another, and a single generator seeded with
+// seed draws each packet's config from configFor and then its medium.
+// A config with Mobility set keeps the first such medium, and so one
+// fading track, for the rest of the batch. visit receives each capture
+// with its config and the generator, which it may draw from further.
+func eachPacket(sig []complex128, packets int, seed int64, configFor func(*rand.Rand) channel.Config,
+	visit func(capture []complex128, cfg channel.Config, rng *rand.Rand)) error {
+	if packets <= 0 {
+		return fmt.Errorf("sim: non-positive packet count %d", packets)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var track *channel.Medium // the mobility medium, once drawn
+	for i := 0; i < packets; i++ {
+		cfg := configFor(rng)
+		med := track
+		if med == nil || cfg.Mobility == nil {
+			var err error
+			if med, err = channel.NewMedium(cfg, rng); err != nil {
+				return err
+			}
+			if cfg.Mobility != nil {
+				track = med
+			}
+		}
+		visit(med.Transmit(sig), cfg, rng)
+	}
+	return nil
+}
+
+// newLink builds a link at p with the canonical CFO compensation, and
+// the waveform that carries bits over it.
+func newLink(p core.Params, bits []byte) (*core.Link, []complex128, error) {
+	link, err := core.NewLink(p, wifi.CanonicalCompensation)
+	if err != nil {
+		return nil, nil, err
+	}
+	sig, err := link.TransmitBits(bits)
+	if err != nil {
+		return nil, nil, err
+	}
+	return link, sig, nil
+}
+
+// awgn is the fixed channel most experiments run on: white noise at snr
+// dB, the canonical carrier offset, and pad noise-only samples on each
+// side of the packet.
+func awgn(p core.Params, snr float64, pad int) func(*rand.Rand) channel.Config {
+	cfg := channel.Config{SampleRate: p.SampleRate, SNRdB: snr, FreqOffset: channel.DefaultFreqOffset, Pad: pad}
+	return func(*rand.Rand) channel.Config { return cfg }
 }

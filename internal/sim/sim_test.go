@@ -289,9 +289,13 @@ func TestFig16SymBeeDominates(t *testing.T) {
 	}
 }
 
-// TestResultsFullReproduced pins the committed record to the code:
-// fig12 and fig17 at the `symbeebench -all -seed 1` configuration must
-// appear verbatim in results_full.txt.
+// TestResultsFullReproduced pins the committed record to the code: each
+// table below, at the `symbeebench -all -seed 1` configuration, must
+// appear verbatim in results_full.txt. The set is every table of the
+// shared packet loop that is cheap at full size: fig12 (Run and
+// MeasurePrEpsilon), fig17 (Run's margins), fig23 (the mobility track
+// the loop keeps across a batch) and the experiments that call the loop
+// directly.
 func TestResultsFullReproduced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size figure runs are slow")
@@ -300,7 +304,8 @@ func TestResultsFullReproduced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"fig12", "fig17"} {
+	for _, id := range []string{"fig11", "fig12", "fig17", "fig22a", "fig22b", "fig23",
+		"ablation-preamble", "ablation-threshold", "ablation-soft"} {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)

@@ -1,10 +1,11 @@
 // Package splitmix derives independent, reproducible random streams
 // from one scenario seed. Every seeded component that needs more than
 // one RNG — the shared-medium simulator's per-sender schedules
-// (internal/medium), the legacy multi-sender scenario (internal/link)
-// and the fault injector's jam-noise stream (internal/channel) — splits
-// its streams through this package, so "stream k of seed s" means the
-// same thing everywhere and adjacent seeds never correlate.
+// (internal/medium), the fault injector's schedule, jam-noise and
+// reverse-path streams (internal/channel), and the ARQ session's
+// timing jitter and its harness's collision draws (internal/reliable) —
+// splits its streams through this package, so "stream k of seed s"
+// means the same thing everywhere and adjacent seeds never correlate.
 //
 // The derivation is the splitmix64 finalizer over seed + (stream+1)·φ
 // (the 64-bit golden-ratio increment). It is stateless: deriving stream

@@ -1,9 +1,8 @@
 // Package trace records and replays signal captures — IQ sample or
-// phase-value traces — in a compact binary format. The paper's
-// robustness study (Figs. 20-21) is trace-driven: a clean SymBee
-// capture and a clean WiFi capture are recorded once and then mixed at
-// controlled SINR levels; this package provides that workflow plus the
-// file format used by the symbeetx/symbeerx tools.
+// phase-value traces — in a compact binary format, the file format the
+// symbeetx, symbeerx, symbeescan and symbeestream tools exchange. (The
+// trace-driven interference study of Figs. 20-21 mixes its captures in
+// memory, with channel.MixAtSINR.)
 package trace
 
 import (
