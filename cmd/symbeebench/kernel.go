@@ -49,6 +49,9 @@ const kernelRegressionTolerance = 0.20
 // feeds the kernel (x[n]·conj(x[n+lag]) over noise), so branch behavior
 // matches the idle-listening workload rather than a friendly sweep.
 func runKernelBench(seed int64, samples int, outPath, baselinePath string) error {
+	if samples < 1 {
+		return fmt.Errorf("-kernel-samples must be positive, got %d", samples)
+	}
 	p := core.Params20()
 	rng := rand.New(rand.NewSource(seed))
 	iq := make([]complex128, samples+p.Lag)

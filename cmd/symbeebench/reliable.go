@@ -122,6 +122,12 @@ func benchMessage(seed int64, n int) []byte {
 // overhead, and per-downlink goodput across an i.i.d. loss sweep — and
 // writes BENCH_reliable.json.
 func runReliableBench(seed int64, runs, msgLen int, outPath string) error {
+	if runs < 1 {
+		return fmt.Errorf("-reliable-runs must be positive, got %d", runs)
+	}
+	if msgLen < 1 {
+		return fmt.Errorf("-reliable-msg must be positive, got %d", msgLen)
+	}
 	art := reliableArtifact{
 		Benchmark:    "reliable-arq",
 		MessageBytes: msgLen,

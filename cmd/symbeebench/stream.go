@@ -36,6 +36,12 @@ type streamBenchArtifact struct {
 // hunting) path must hold real time outright, and neither regime may
 // regress more than streamRegressionTolerance below the baseline.
 func runStreamBench(seed int64, chunk int, minSamples uint64, outPath, baselinePath string) error {
+	if chunk < 1 {
+		return fmt.Errorf("-stream-chunk must be positive, got %d", chunk)
+	}
+	if minSamples == 0 {
+		return fmt.Errorf("-stream-samples must be positive, got %d", minSamples)
+	}
 	p := core.Params20()
 	rng := rand.New(rand.NewSource(seed))
 

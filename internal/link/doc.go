@@ -21,9 +21,10 @@
 // receivers, the pool and the reliability layer.
 //
 // The downlink half of a duplex link lives here too: DownStack models
-// the serial WiFi→ZigBee ack channel as a fixed coalescer → occupancy →
-// reverse-fault chain, Duplex pairs it with an uplink Stack, and
-// DownlinkLedger is its ack accounting.
+// the serial WiFi→ZigBee ack channel as one transmitter with a
+// pending-ack slot, a busy horizon and the copies in flight with their
+// loss and collision outcomes; Duplex pairs it with an uplink Stack,
+// and DownlinkLedger is its ack accounting.
 //
 // RunMedium (medium.go) is the shared-medium scenario entry point: the
 // internal/medium engine synthesizes N seeded ZigBee senders with

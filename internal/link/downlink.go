@@ -7,24 +7,16 @@ import (
 )
 
 // This file is the downlink half of the duplex link architecture: the
-// serial WiFi→ZigBee reverse channel as a fixed chain of stages. A
-// DownStack is discrete-event and clockless — callers push ack
-// generations at forward-frame delivery instants and pull arrivals with
-// explicit `now` stamps — so it composes with both virtual and wall
-// clocks, exactly like the reverse-channel model it replaces. The
-// stages, bottom to top:
-//
-//	coalescer       ack serializer: one pending slot, newer cumulative
-//	                acks replace a queued unstarted older one
-//	occupancy       per-copy wall/air quanta and the serial transmitter's
-//	                busy horizon (DownTiming; all zero for the ideal
-//	                downlink)
-//	reverseFault    per-copy loss draws and the half-duplex forward/ack
-//	                collision model
-//
-// Arrivals land in a reused queue the owner reads through Arrivals; the
-// cross-stage ack ledger, which the reliability layer publishes through
-// SimLink.ReverseStats, is assembled by Ledger.
+// serial WiFi→ZigBee reverse channel as one discrete-event model. A
+// DownStack is clockless — callers push ack generations at
+// forward-frame delivery instants and pull arrivals with explicit `now`
+// stamps — so it composes with both virtual and wall clocks, exactly
+// like the reverse-channel model it replaces. It holds one pending-ack
+// slot (a newer cumulative ack replaces a queued, unstarted older one),
+// the serial transmitter's busy horizon, the copies in flight with
+// their loss and collision outcomes, a reused arrival queue the owner
+// reads through Arrivals, and the ack ledger the reliability layer
+// publishes through SimLink.ReverseStats.
 
 // DownTiming is a downlink's per-copy occupancy: the wall-clock span
 // one ack copy holds the reverse channel, the on-air time within it,
@@ -68,7 +60,9 @@ type TimedEvent struct {
 	At time.Duration
 }
 
-// downCopy is one committed reverse-channel transmission of an ack.
+// downCopy is one reverse-channel transmission of an ack: a committed
+// copy in flight, or the pending ack's first copy while it waits for
+// the transmitter.
 type downCopy struct {
 	seq        byte
 	gen        time.Duration // when the receiver generated the ack
@@ -76,175 +70,8 @@ type downCopy struct {
 	dropped    bool          // lost (reverse fault or collision): never arrives
 }
 
-// pendingTimed is the newest cumulative ack queued behind the serial
-// reverse transmitter, not yet started. A newer ack generated before it
-// starts replaces it — cumulative acks make the older one redundant.
-type pendingTimed struct {
-	seq   byte
-	gen   time.Duration
-	start time.Duration
-	drop  bool // scripted loss for this ack's copies (tests)
-}
-
-// coalescer is the ack serializer stage: it owns the single pending
-// slot of the serial reverse transmitter.
-type coalescer struct {
-	pending   *pendingTimed
-	coalesced int
-}
-
-// put queues p, replacing (and counting) a still-pending older ack.
-func (c *coalescer) put(p pendingTimed) {
-	if c.pending != nil {
-		c.coalesced++
-	}
-	c.pending = &p
-}
-
-// take commits the pending ack once simulated time reaches its start
-// instant, clearing the slot.
-func (c *coalescer) take(now time.Duration) *pendingTimed {
-	p := c.pending
-	if p == nil || p.start > now {
-		return nil
-	}
-	c.pending = nil
-	return p
-}
-
-// occupancy is the busy-queue stage: it owns the per-copy quanta and
-// the serial transmitter's busy horizon. The ideal downlink is this
-// stage with all quanta zero: acks start the instant they are generated
-// (or the previous one is committed), cost no air and hold the channel
-// for no time.
-type occupancy struct {
-	wall, air, base time.Duration
-	repeat          int
-	busyUntil       time.Duration
-	sent            int // copies put on the air
-}
-
-// startFor schedules an ack generated at gen: after the turnaround, or
-// when the transmitter frees up, whichever is later.
-func (o *occupancy) startFor(gen time.Duration) time.Duration {
-	start := gen + o.base
-	if o.busyUntil > start {
-		start = o.busyUntil
-	}
-	return start
-}
-
-// commit accounts one ack's copies starting at start and advances the
-// busy horizon past them.
-func (o *occupancy) commit(start time.Duration) {
-	o.sent += o.repeat
-	o.busyUntil = start + time.Duration(o.repeat)*o.wall
-}
-
-// reverseFault is the per-copy loss + half-duplex collision stage: it
-// owns the in-flight copies, draws their reverse loss on admission and
-// resolves collisions with forward frames.
-type reverseFault struct {
-	dropCopy func() bool
-	collide  *rand.Rand
-	wall     time.Duration
-	duty     float64
-
-	inFlight                                  []downCopy
-	dropped, ackCollisions, forwardCollisions int
-}
-
-// admit puts one committed copy in flight, drawing its reverse loss.
-// forceDrop short-circuits the draw (scripted loss consumes no RNG).
-func (f *reverseFault) admit(c downCopy, forceDrop bool) {
-	if forceDrop || (f.dropCopy != nil && f.dropCopy()) {
-		c.dropped = true
-		f.dropped++
-	}
-	f.inFlight = append(f.inFlight, c)
-}
-
-// collideForward resolves the half-duplex interaction between a forward
-// frame on the air over [start, end] and every in-flight copy whose
-// span overlaps it. The reverse transmitter radiates air/wall (duty) of
-// an ack span, so the forward frame is destroyed with probability duty
-// per overlapping copy; the forward frame radiates continuously, so the
-// copy is destroyed with probability overlap/wall (the fraction of its
-// span the frame covers). Both draws come from the collision stream and
-// are consumed for every overlapping pair, killed or not, so one
-// outcome never shifts the next pair's draw. It reports whether the
-// forward frame was destroyed. A zero-wall (ideal) downlink draws
-// nothing.
-func (f *reverseFault) collideForward(start, end time.Duration) bool {
-	if f.collide == nil || f.wall <= 0 {
-		return false
-	}
-	killed := false
-	for i := range f.inFlight {
-		c := &f.inFlight[i]
-		lo, hi := c.start, c.end
-		if lo < start {
-			lo = start
-		}
-		if hi > end {
-			hi = end
-		}
-		if hi <= lo {
-			continue
-		}
-		fwdDraw := f.collide.Float64()
-		copyDraw := f.collide.Float64()
-		if fwdDraw < f.duty {
-			if !killed {
-				f.forwardCollisions++
-			}
-			killed = true
-		}
-		if copyDraw < float64(hi-lo)/float64(c.end-c.start) && !c.dropped {
-			c.dropped = true
-			f.ackCollisions++
-		}
-	}
-	return killed
-}
-
-// drain appends to out every copy that has fully arrived by now, in
-// arrival order, skipping destroyed ones, and keeps the rest in flight.
-func (f *reverseFault) drain(now time.Duration, out []TimedEvent) []TimedEvent {
-	keep := f.inFlight[:0]
-	for _, c := range f.inFlight {
-		if c.end > now {
-			keep = append(keep, c)
-			continue
-		}
-		if c.dropped {
-			continue
-		}
-		out = append(out, TimedEvent{Seq: c.seq, Gen: c.gen, At: c.end})
-	}
-	f.inFlight = keep
-	return out
-}
-
-// nextEnd reports the earliest surviving in-flight arrival after now.
-func (f *reverseFault) nextEnd(now time.Duration) (time.Duration, bool) {
-	best := time.Duration(-1)
-	for _, c := range f.inFlight {
-		if c.dropped || c.end <= now {
-			continue
-		}
-		if best < 0 || c.end < best {
-			best = c.end
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
-}
-
-// DownlinkLedger is the cross-stage ack accounting of a DownStack; the
-// reliability layer's SimLink.ReverseStats returns it as is.
+// DownlinkLedger is the ack accounting of a DownStack; the reliability
+// layer's SimLink.ReverseStats returns it as is.
 type DownlinkLedger struct {
 	// AcksSent counts committed ack copies put on the air.
 	AcksSent int
@@ -266,12 +93,25 @@ type DownlinkLedger struct {
 // DownStack is the downlink half of a duplex link: the discrete-event
 // model of a serial ack reverse channel. Like Stack it is owned by one
 // goroutine; callers stamp every method with the current simulated
-// time, and time must be monotone across calls.
+// time, and time must be monotone across calls. The ideal downlink is
+// the same model with all timing quanta zero: acks start the instant
+// they are generated, cost no air and hold the channel for no time.
 type DownStack struct {
-	coal    coalescer
-	occ     occupancy
-	fault   reverseFault
-	arrived []TimedEvent
+	timing   DownTiming
+	repeat   int
+	dropCopy func() bool
+	collide  *rand.Rand
+	duty     float64 // Air/Wall: the chance an ack span is radiating
+
+	// pending is the newest ack queued behind the serial transmitter,
+	// not yet started (valid while queued); its dropped flag is the
+	// scripted loss of all its copies.
+	pending   downCopy
+	queued    bool
+	busyUntil time.Duration // when the last committed copy ends
+	inFlight  []downCopy
+	arrived   []TimedEvent
+	ledger    DownlinkLedger
 }
 
 // NewDownStack assembles the downlink stack described by spec.
@@ -279,39 +119,45 @@ func NewDownStack(spec DownSpec) (*DownStack, error) {
 	if spec.Repeat < 1 {
 		return nil, ErrDownRepeat
 	}
-	t := spec.Timing
 	s := &DownStack{
-		occ:   occupancy{wall: t.Wall, air: t.Air, base: t.Base, repeat: spec.Repeat},
-		fault: reverseFault{dropCopy: spec.DropCopy, collide: spec.Collide, wall: t.Wall},
+		timing:   spec.Timing,
+		repeat:   spec.Repeat,
+		dropCopy: spec.DropCopy,
+		collide:  spec.Collide,
 	}
-	if t.Wall > 0 {
-		s.fault.duty = float64(t.Air) / float64(t.Wall)
+	if t := spec.Timing; t.Wall > 0 {
+		s.duty = float64(t.Air) / float64(t.Wall)
 	}
 	return s, nil
 }
 
 // Advance commits the pending ack once simulated time reaches its start
-// instant: its copies are scheduled serially through the occupancy
-// stage, each drawing its reverse loss in the fault stage, and the
-// transmitter is busy until the last one ends. Callers invoke it with
-// every observed `now` (Generate, Arrivals and NextArrival do so
-// themselves), so commitment order follows simulated time regardless of
-// which accessor runs first.
+// instant: its copies go on the air back to back, each drawing its
+// reverse loss (a scripted loss consumes no draw), and the transmitter
+// is busy until the last one ends. Callers invoke it with every
+// observed `now` (Generate, Arrivals and NextArrival do so themselves),
+// so commitment order follows simulated time regardless of which
+// accessor runs first.
 func (s *DownStack) Advance(now time.Duration) {
-	p := s.coal.take(now)
-	if p == nil {
+	p := s.pending
+	if !s.queued || p.start > now {
 		return
 	}
-	wall := s.occ.wall
-	for k := 0; k < s.occ.repeat; k++ {
-		s.fault.admit(downCopy{
-			seq:   p.seq,
-			gen:   p.gen,
-			start: p.start + time.Duration(k)*wall,
-			end:   p.start + time.Duration(k+1)*wall,
-		}, p.drop)
+	s.queued = false
+	wall := s.timing.Wall
+	for k := 0; k < s.repeat; k++ {
+		c := p
+		c.start = p.start + time.Duration(k)*wall
+		c.end = c.start + wall
+		if p.dropped || (s.dropCopy != nil && s.dropCopy()) {
+			c.dropped = true
+			s.ledger.AcksDropped++
+		}
+		s.inFlight = append(s.inFlight, c)
 	}
-	s.occ.commit(p.start)
+	s.ledger.AcksSent += s.repeat
+	s.ledger.Airtime = time.Duration(s.ledger.AcksSent) * s.timing.Air
+	s.busyUntil = p.start + time.Duration(s.repeat)*wall
 }
 
 // Generate hands a cumulative ack to the downlink at time gen (the
@@ -322,25 +168,70 @@ func (s *DownStack) Advance(now time.Duration) {
 // per-copy through DropCopy instead).
 func (s *DownStack) Generate(gen time.Duration, seq byte, drop bool) {
 	s.Advance(gen)
-	s.coal.put(pendingTimed{seq: seq, gen: gen, start: s.occ.startFor(gen), drop: drop})
+	start := max(gen+s.timing.Base, s.busyUntil)
+	if s.queued {
+		s.ledger.AcksCoalesced++
+	}
+	s.pending = downCopy{seq: seq, gen: gen, start: start, end: start + s.timing.Wall, dropped: drop}
+	s.queued = true
 }
 
-// CollideForward resolves a forward frame on the air over [start, end]
-// against every in-flight ack copy (see reverseFault.collideForward)
-// and reports whether the frame was destroyed. Callers must Advance(end)
-// first so copies starting mid-frame participate — Duplex.ForwardCollides
-// does both.
+// CollideForward resolves the half-duplex interaction between a forward
+// frame on the air over [start, end] and every in-flight ack copy whose
+// span overlaps it, and reports whether the frame was destroyed. The
+// reverse transmitter radiates air/wall (duty) of an ack span, so the
+// forward frame is destroyed with probability duty per overlapping
+// copy; the forward frame radiates continuously, so the copy is
+// destroyed with probability overlap/wall (the fraction of its span the
+// frame covers). Both draws come from the collision stream and are
+// consumed for every overlapping pair, killed or not, so one outcome
+// never shifts the next pair's draw. A zero-wall (ideal) downlink draws
+// nothing. Callers must Advance(end) first so copies starting mid-frame
+// participate — Duplex.ForwardCollides does both.
 func (s *DownStack) CollideForward(start, end time.Duration) bool {
-	return s.fault.collideForward(start, end)
+	if s.collide == nil || s.timing.Wall <= 0 {
+		return false
+	}
+	killed := false
+	for i := range s.inFlight {
+		c := &s.inFlight[i]
+		lo, hi := max(c.start, start), min(c.end, end)
+		if hi <= lo {
+			continue
+		}
+		fwdDraw := s.collide.Float64()
+		copyDraw := s.collide.Float64()
+		if fwdDraw < s.duty {
+			if !killed {
+				s.ledger.ForwardCollisions++
+			}
+			killed = true
+		}
+		if copyDraw < float64(hi-lo)/float64(c.end-c.start) && !c.dropped {
+			c.dropped = true
+			s.ledger.AckCollisions++
+		}
+	}
+	return killed
 }
 
 // Arrivals drains every ack that has fully arrived by now, in arrival
-// order. The returned slice is the stack's reused queue: valid until
-// the next drain; consumers that buffer across drains must copy the
-// elements out.
+// order, skipping destroyed copies. The returned slice is the stack's
+// reused queue: valid until the next drain; consumers that buffer
+// across drains must copy the elements out.
 func (s *DownStack) Arrivals(now time.Duration) []TimedEvent {
 	s.Advance(now)
-	s.arrived = s.fault.drain(now, s.arrived[:0])
+	s.arrived = s.arrived[:0]
+	keep := s.inFlight[:0]
+	for _, c := range s.inFlight {
+		switch {
+		case c.end > now:
+			keep = append(keep, c)
+		case !c.dropped:
+			s.arrived = append(s.arrived, TimedEvent{Seq: c.seq, Gen: c.gen, At: c.end})
+		}
+	}
+	s.inFlight = keep
 	return s.arrived
 }
 
@@ -351,33 +242,24 @@ func (s *DownStack) Arrivals(now time.Duration) []TimedEvent {
 // keeps a retransmission timer.
 func (s *DownStack) NextArrival(now time.Duration) (time.Duration, bool) {
 	s.Advance(now)
-	best, ok := s.fault.nextEnd(now)
-	if p := s.coal.pending; p != nil && !p.drop {
-		if first := p.start + s.occ.wall; !ok || first < best {
-			best, ok = first, true
+	best, ok := time.Duration(0), false
+	for _, c := range s.inFlight {
+		if !c.dropped && c.end > now && (!ok || c.end < best) {
+			best, ok = c.end, true
 		}
 	}
-	if !ok {
-		return 0, false
+	if p := s.pending; s.queued && !p.dropped && (!ok || p.end < best) {
+		best, ok = p.end, true
 	}
-	return best, true
+	return best, ok
 }
 
 // Latency is the nominal one-way ack delay on an idle reverse channel:
 // turnaround plus one copy's span (the ack decodes when its last symbol
 // lands).
 func (s *DownStack) Latency() time.Duration {
-	return s.occ.base + s.occ.wall
+	return s.timing.Base + s.timing.Wall
 }
 
-// Ledger assembles the cross-stage ack accounting.
-func (s *DownStack) Ledger() DownlinkLedger {
-	return DownlinkLedger{
-		AcksSent:          s.occ.sent,
-		AcksCoalesced:     s.coal.coalesced,
-		AcksDropped:       s.fault.dropped,
-		AckCollisions:     s.fault.ackCollisions,
-		ForwardCollisions: s.fault.forwardCollisions,
-		Airtime:           time.Duration(s.occ.sent) * s.occ.air,
-	}
-}
+// Ledger reports the ack accounting so far.
+func (s *DownStack) Ledger() DownlinkLedger { return s.ledger }

@@ -11,7 +11,7 @@ import (
 	"symbee/internal/splitmix"
 )
 
-// The downlink golden harness pins the layered reverse channel the same
+// The downlink golden harness pins the reverse channel the same
 // way golden_test.go pins the decode path: committed fixtures of the
 // exact ack event sequences — under coalescing, AckRepeat duplicates
 // and collision draws — that a scripted schedule must produce, byte
@@ -51,7 +51,7 @@ type downScenario struct {
 
 // downScenarios are the committed recipes: serialization + coalescing,
 // AckRepeat duplicates under reverse loss, collision draws against
-// forward frames, and the ideal no-op stage.
+// forward frames, and the ideal (zero-quanta) downlink.
 func downScenarios() []downScenario {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	return []downScenario{
@@ -107,7 +107,7 @@ type downGoldenEvent struct {
 	AtNS  int64 `json:"at_ns"`
 }
 
-// downGoldenLedger is the serialized cross-stage ledger.
+// downGoldenLedger is the serialized ledger.
 type downGoldenLedger struct {
 	AcksSent          int   `json:"acks_sent"`
 	AcksCoalesced     int   `json:"acks_coalesced"`

@@ -10,7 +10,7 @@ import (
 )
 
 // fixedDown builds a DownStack with explicit quanta — the white-box
-// stage tests state timing exactly instead of resolving a ctc point.
+// tests state timing exactly instead of resolving a ctc point.
 func fixedDown(t *testing.T, wall, air, base time.Duration, repeat int) *DownStack {
 	t.Helper()
 	s, err := NewDownStack(DownSpec{
@@ -108,7 +108,7 @@ func TestDownStackCollisionModel(t *testing.T) {
 		}
 		span := time.Duration(overlapFrac * float64(10*time.Millisecond))
 		for i := 0; i < trials; i++ {
-			s.fault.inFlight = []downCopy{{start: 0, end: 10 * time.Millisecond}}
+			s.inFlight = []downCopy{{start: 0, end: 10 * time.Millisecond}}
 			s.CollideForward(0, span)
 		}
 		led := s.Ledger()
@@ -165,7 +165,7 @@ func TestDownStackIdealNoOp(t *testing.T) {
 	}
 }
 
-// TestDownStackLayerStats checks the ledger's cross-stage accounting
+// TestDownStackLayerStats checks the ledger's accounting
 // across a small scripted run: one coalesced ack, one lossy copy.
 func TestDownStackLayerStats(t *testing.T) {
 	drops := []bool{true, false, false}
@@ -178,7 +178,7 @@ func TestDownStackLayerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Generate(0, 1, false)                  // copy 1: dropped by the fault stage
+	s.Generate(0, 1, false)                  // copy 1: dropped by DropCopy
 	s.Generate(1*time.Millisecond, 2, false) // queued
 	s.Generate(2*time.Millisecond, 3, false) // coalesces seq 2 away
 	evs := s.Arrivals(30 * time.Millisecond)

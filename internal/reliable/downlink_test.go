@@ -8,6 +8,7 @@ import (
 
 	"symbee/internal/channel"
 	"symbee/internal/link"
+	"symbee/internal/splitmix"
 )
 
 // TestDownlinkSchemeTable pins each scheme's name and resolved ack
@@ -81,7 +82,7 @@ func TestDownlinkSchemeOperatingPoints(t *testing.T) {
 }
 
 // TestSimLinkDownlinkLatency pins the Transport-level latency of each
-// modeled scheme to its ctc operating point through the layered stack.
+// modeled scheme to its ctc operating point through the downlink stack.
 func TestSimLinkDownlinkLatency(t *testing.T) {
 	for _, d := range DownlinkSchemes() {
 		cfg := DefaultSimConfig()
@@ -214,4 +215,113 @@ func TestSimConfigValidate(t *testing.T) {
 	if _, err := NewSimLink(SimConfig{}); err == nil {
 		t.Error("NewSimLink accepted the zero config")
 	}
+}
+
+// FuzzDownStack drives the ack downlink of every modeled scheme, at
+// Repeat 1–3 with seeded loss and collision streams, through an
+// arbitrary monotone schedule and checks the invariants the session
+// relies on: no ack arrives sooner than Latency after it was generated,
+// cumulative acks never regress, copies never overlap on the serial
+// transmitter, NextArrival never reports an instant already past, and
+// after a final drain the ledger adds up.
+//
+// ops is read in triples [kind step arg]. step advances the clock by
+// step/16 of the scheme's ack latency (1/16 ms on the ideal downlink).
+// kind%4 picks Generate (arg%3 is the sequence increment, arg bit 7
+// scripts the loss of the ack's copies), Advance + CollideForward over
+// a forward frame arg/16 latencies long, Arrivals or NextArrival.
+func FuzzDownStack(f *testing.F) {
+	ops := []byte{
+		0, 0, 1, 0, 4, 1, 1, 2, 40, 0, 3, 2, 2, 40, 0, 3, 0, 0,
+		0, 1, 129, 1, 8, 30, 0, 2, 1, 2, 60, 0, 3, 1, 0, 2, 9, 0,
+	}
+	for _, d := range DownlinkSchemes() {
+		f.Add(uint8(d), uint8(d), int64(d), uint8(20), ops)
+	}
+	f.Fuzz(func(t *testing.T, scheme, repeat uint8, seed int64, lossPct uint8, ops []byte) {
+		if len(ops) > 3*512 {
+			return
+		}
+		d := DownlinkScheme(int(scheme) % len(downlinkTable))
+		tm, err := d.timing()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := 1 + int(repeat%3)
+		loss := float64(lossPct%101) / 100
+		drops := splitmix.New(seed, splitmix.ReverseStream)
+		s, err := d.newDownStack(r, func() bool { return drops.Float64() < loss },
+			splitmix.New(seed, splitmix.CollisionStream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat := s.Latency()
+		unit := lat / 16
+		if unit == 0 {
+			unit = time.Millisecond / 16
+		}
+
+		var (
+			now       time.Duration
+			seq       byte
+			generated int
+			last      link.TimedEvent
+			seen      bool
+		)
+		check := func(evs []link.TimedEvent) {
+			for _, ev := range evs {
+				if ev.At > now || ev.At < ev.Gen+lat {
+					t.Fatalf("%s: ack %+v drained at %v, latency %v", d, ev, now, lat)
+				}
+				if seen {
+					if ev.Seq < last.Seq {
+						t.Fatalf("%s: cumulative ack regressed: %+v after %+v", d, ev, last)
+					}
+					if gap := ev.At - last.At; gap < 0 || (gap > 0 && gap < tm.Wall) {
+						t.Fatalf("%s: arrivals %v and %v closer than one %v copy", d, last.At, ev.At, tm.Wall)
+					}
+				}
+				last, seen = ev, true
+			}
+		}
+		for i := 0; i+3 <= len(ops); i += 3 {
+			kind, step, arg := ops[i]%4, ops[i+1], ops[i+2]
+			now += time.Duration(step) * unit
+			switch kind {
+			case 0:
+				seq = byte(min(255, int(seq)+int(arg%3)))
+				s.Generate(now, seq, arg&0x80 != 0)
+				generated++
+			case 1:
+				end := now + time.Duration(arg)*unit
+				s.Advance(end)
+				s.CollideForward(now, end)
+				now = end
+			case 2:
+				check(s.Arrivals(now))
+			case 3:
+				if at, ok := s.NextArrival(now); ok && at <= now {
+					t.Fatalf("%s: NextArrival(%v) = %v, already past", d, now, at)
+				}
+			}
+		}
+		// A queued ack starts by now + Base + Repeat×Wall and its copies
+		// end Repeat×Wall later: past that, everything has arrived.
+		now += tm.Base + 2*time.Duration(r)*tm.Wall
+		check(s.Arrivals(now))
+		if at, ok := s.NextArrival(now); ok {
+			t.Fatalf("%s: arrival at %v after the final drain", d, at)
+		}
+		led := s.Ledger()
+		if led.AcksSent != r*(generated-led.AcksCoalesced) {
+			t.Fatalf("%s: %d copies sent, want %d × (%d generated − %d coalesced)",
+				d, led.AcksSent, r, generated, led.AcksCoalesced)
+		}
+		if led.AcksDropped+led.AckCollisions > led.AcksSent {
+			t.Fatalf("%s: ledger lost more copies than it sent: %+v", d, led)
+		}
+		if led.Airtime != time.Duration(led.AcksSent)*tm.Air {
+			t.Fatalf("%s: reverse airtime %v, want %d × %v", d, led.Airtime, led.AcksSent, tm.Air)
+		}
+	})
 }

@@ -15,7 +15,7 @@ import (
 // scriptTx is a Transport driven by a per-send outcome script:
 // 'd' deliver and ack, 'l' lose the frame, 'a' deliver but lose every
 // copy of the ack. Past the end of the script every send is 'd'. Acks
-// ride a layered link.DownStack — ideal (zero-width, zero-latency) by
+// ride a link.DownStack — ideal (zero-width, zero-latency) by
 // default, so scripted tests reproduce the classic synchronous
 // timeline through the async contract.
 type scriptTx struct {

@@ -9,13 +9,14 @@ import (
 	"symbee/internal/splitmix"
 )
 
-// This file pins the layered link.DownStack to the monolithic
-// reverseChannel it replaced: the PR-8 implementation is preserved
-// below verbatim as a test-only reference, and the equivalence test
-// drives both through identical randomized schedules with identical
-// RNG streams, comparing every observable — ack events, collision
-// verdicts, next-arrival predictions and the final ledger — bit for
-// bit over 100 splitmix seeds.
+// This file pins link.DownStack to the monolithic reverseChannel it
+// replaced: the original implementation is preserved below verbatim as
+// a test-only reference, and the equivalence test drives both through
+// identical randomized schedules with identical RNG streams, comparing
+// every observable — ack events, collision verdicts, next-arrival
+// predictions and the final ledger — bit for bit over 100 splitmix
+// seeds. The test keeps its historical name because the
+// DUPLEX_EQUIVALENCE_RUN gate in scripts/gates.sh selects it by name.
 
 // ackCopy is one committed reverse-channel transmission of an ack.
 type ackCopy struct {
@@ -189,7 +190,7 @@ func randomReverseSchedule(r *rand.Rand, n int) []reverseOp {
 	return ops
 }
 
-// TestDownlinkLayeredEquivalence drives the layered DownStack and the
+// TestDownlinkLayeredEquivalence drives DownStack and the
 // monolithic reference through identical randomized schedules with
 // identical splitmix streams over 100 seeds and requires every
 // observable to match exactly.

@@ -316,6 +316,35 @@ func (s *Session) Send(ctx context.Context, msg []byte) (rep *Report, err error)
 	consecutive := 0 // no-progress flights for the current base
 	clean := 0       // progressing flights since entering coded mode
 
+	// setMode escalates to Hamming-coded frames or de-escalates to plain
+	// ones. The new mode starts afresh (no flight counts, initial RTO);
+	// resync pins acked to the receiver's exact expectation before the
+	// unacknowledged tail is re-cut at the new mode's capacity.
+	setMode := func(coded bool) error {
+		s.coded = coded
+		clean = 0
+		consecutive = 0
+		rto = s.cfg.InitialRTO
+		if coded {
+			rep.Escalations++
+			if s.metrics != nil {
+				s.metrics.Escalations.Add(1)
+			}
+		} else {
+			rep.Deescalations++
+			if s.metrics != nil {
+				s.metrics.Deescalations.Add(1)
+			}
+		}
+		b, nb, err := s.resync(ctx, win, rep, baseSeq)
+		acked += b
+		baseSeq = nb
+		if err != nil || acked >= len(msg) {
+			return err
+		}
+		return cut()
+	}
+
 	for acked < len(msg) {
 		if err := ctx.Err(); err != nil {
 			return rep, fmt.Errorf("reliable: send canceled: %w", err)
@@ -339,22 +368,8 @@ func (s *Session) Send(ctx context.Context, msg []byte) (rep *Report, err error)
 			if s.coded && s.cfg.DeescalateAfter > 0 {
 				clean++
 				if clean >= s.cfg.DeescalateAfter && acked < len(msg) {
-					s.coded = false
-					clean = 0
-					rep.Deescalations++
-					if s.metrics != nil {
-						s.metrics.Deescalations.Add(1)
-					}
-					b, nb, err := s.resync(ctx, win, rep, baseSeq)
-					acked += b
-					baseSeq = nb
-					if err != nil {
+					if err := setMode(false); err != nil {
 						return rep, err
-					}
-					if acked < len(msg) {
-						if err := cut(); err != nil {
-							return rep, err
-						}
 					}
 				}
 			}
@@ -367,38 +382,15 @@ func (s *Session) Send(ctx context.Context, msg []byte) (rep *Report, err error)
 			// Silence. The flight already waited out the jittered timer
 			// (sleeping toward ack arrivals on the way); just back off.
 			consecutive++
-			rep.Timeouts++
-			if s.metrics != nil {
-				s.metrics.Timeouts.Add(1)
-			}
-			rto = time.Duration(float64(rto) * rtoBackoff)
-			if rto > s.cfg.MaxRTO {
-				rto = s.cfg.MaxRTO
-			}
+			rto = s.backoff(rep, rto)
 		}
 		if consecutive > s.cfg.MaxRetries {
 			return rep, fmt.Errorf("reliable: %w: seq %d after %d flights",
 				ErrTimeout, baseSeq, consecutive)
 		}
 		if !s.coded && s.cfg.EscalateAfter > 0 && consecutive >= s.cfg.EscalateAfter {
-			s.coded = true
-			clean = 0
-			consecutive = 0
-			rto = s.cfg.InitialRTO
-			rep.Escalations++
-			if s.metrics != nil {
-				s.metrics.Escalations.Add(1)
-			}
-			b, nb, err := s.resync(ctx, win, rep, baseSeq)
-			acked += b
-			baseSeq = nb
-			if err != nil {
+			if err := setMode(true); err != nil {
 				return rep, err
-			}
-			if acked < len(msg) {
-				if err := cut(); err != nil {
-					return rep, err
-				}
 			}
 		}
 	}
@@ -422,7 +414,7 @@ func (s *Session) Send(ctx context.Context, msg []byte) (rep *Report, err error)
 func (s *Session) flight(ctx context.Context, win *window, rep *Report, rto time.Duration) (progressed, heard bool, relBytes int, nextBase byte, err error) {
 	nextBase = s.baseSeqOf(win)
 	shift := 0 // window releases observed by drain, consumed by the tx loop
-	drain := func() {
+	drain := func() bool {
 		for _, ev := range s.tx.Acks(s.clock.Now()) {
 			rel, b := win.ack(ev.Ack.NextSeq)
 			if rel > 0 {
@@ -437,6 +429,7 @@ func (s *Session) flight(ctx context.Context, win *window, rep *Report, rto time
 				heard = true
 			}
 		}
+		return progressed || heard
 	}
 
 	idx := 0
@@ -452,16 +445,11 @@ func (s *Session) flight(ctx context.Context, win *window, rep *Report, rto time
 			}
 		}
 		seg.attempts++
-		rep.FramesSent++
-		airtime, err := s.tx.Send(s.clock.Now(), seg.frame, s.coded)
-		rep.Airtime += airtime
-		if slErr := s.clock.Sleep(ctx, airtime); slErr != nil {
-			return progressed, heard, relBytes, nextBase, fmt.Errorf("reliable: send canceled: %w", slErr)
-		}
+		end, err := s.transmit(ctx, seg.frame, rep)
 		if err != nil {
-			return progressed, heard, relBytes, nextBase, fmt.Errorf("reliable: transport: %w", err)
+			return progressed, heard, relBytes, nextBase, err
 		}
-		seg.lastTxEnd = s.clock.Now()
+		seg.lastTxEnd = end
 		drain()
 		idx -= shift
 		shift = 0
@@ -476,28 +464,10 @@ func (s *Session) flight(ctx context.Context, win *window, rep *Report, rto time
 		return progressed, heard, relBytes, nextBase, nil
 	}
 
-	// Await phase: the window is fully transmitted and nothing moved
-	// yet. Acks may still be in flight on the reverse channel — sleep
-	// precisely toward each committed arrival, giving up when the
-	// jittered retransmission deadline passes first.
-	deadline := s.clock.Now() + s.jittered(rto)
-	for {
-		drain()
-		if progressed || heard {
-			return progressed, heard, relBytes, nextBase, nil
-		}
-		now := s.clock.Now()
-		if now >= deadline {
-			return progressed, heard, relBytes, nextBase, nil
-		}
-		target := deadline
-		if next, ok := s.tx.NextArrival(now); ok && next < target {
-			target = next
-		}
-		if slErr := s.clock.Sleep(ctx, target-now); slErr != nil {
-			return progressed, heard, relBytes, nextBase, fmt.Errorf("reliable: send canceled: %w", slErr)
-		}
-	}
+	// The window is fully transmitted and nothing moved yet. Acks may
+	// still be in flight on the reverse channel.
+	_, err = s.await(ctx, s.clock.Now()+s.jittered(rto), drain)
+	return progressed, heard, relBytes, nextBase, err
 }
 
 // resync learns the receiver's exact cumulative expectation before a
@@ -531,48 +501,76 @@ func (s *Session) resync(ctx context.Context, win *window, rep *Report, baseSeq 
 			return relBytes, nextBase, fmt.Errorf("reliable: %w: resync probe at seq %d after %d attempts",
 				ErrTimeout, baseSeq, attempt)
 		}
-		rep.FramesSent++
-		airtime, err := s.tx.Send(s.clock.Now(), probe, s.coded)
-		rep.Airtime += airtime
-		if slErr := s.clock.Sleep(ctx, airtime); slErr != nil {
-			return relBytes, nextBase, fmt.Errorf("reliable: send canceled: %w", slErr)
-		}
+		probeEnd, err := s.transmit(ctx, probe, rep)
 		if err != nil {
-			return relBytes, nextBase, fmt.Errorf("reliable: transport: %w", err)
+			return relBytes, nextBase, err
 		}
-		probeEnd := s.clock.Now()
-		deadline := probeEnd + s.jittered(rto)
-		for {
+		exact, err := s.await(ctx, probeEnd+s.jittered(rto), func() bool {
 			for _, ev := range s.tx.Acks(s.clock.Now()) {
 				_, b := win.ack(ev.Ack.NextSeq)
 				relBytes += b
 				if ev.GeneratedAt >= probeEnd {
 					// Generated after the probe landed: the receiver's
 					// current expectation, exact by construction.
-					return relBytes, ev.Ack.NextSeq, nil
+					nextBase = ev.Ack.NextSeq
+					return true
 				}
 			}
-			now := s.clock.Now()
-			if now >= deadline {
-				break
-			}
-			target := deadline
-			if next, ok := s.tx.NextArrival(now); ok && next < target {
-				target = next
-			}
-			if slErr := s.clock.Sleep(ctx, target-now); slErr != nil {
-				return relBytes, nextBase, fmt.Errorf("reliable: send canceled: %w", slErr)
-			}
+			return false
+		})
+		if exact || err != nil {
+			return relBytes, nextBase, err
 		}
-		rep.Timeouts++
-		if s.metrics != nil {
-			s.metrics.Timeouts.Add(1)
+		rto = s.backoff(rep, rto)
+	}
+}
+
+// transmit sends f now in the session's coding mode and sleeps out its
+// airtime, counting the frame and the airtime in rep. It returns the
+// instant the transmission ended.
+func (s *Session) transmit(ctx context.Context, f *core.Frame, rep *Report) (time.Duration, error) {
+	rep.FramesSent++
+	airtime, err := s.tx.Send(s.clock.Now(), f, s.coded)
+	rep.Airtime += airtime
+	if slErr := s.clock.Sleep(ctx, airtime); slErr != nil {
+		return 0, fmt.Errorf("reliable: send canceled: %w", slErr)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("reliable: transport: %w", err)
+	}
+	return s.clock.Now(), nil
+}
+
+// await polls for feedback until poll reports it has what it waits
+// for, sleeping between polls precisely toward the next committed ack
+// arrival or the deadline, whichever comes first. It reports whether
+// poll was satisfied before the deadline passed.
+func (s *Session) await(ctx context.Context, deadline time.Duration, poll func() bool) (bool, error) {
+	for !poll() {
+		now := s.clock.Now()
+		if now >= deadline {
+			return false, nil
 		}
-		rto = time.Duration(float64(rto) * rtoBackoff)
-		if rto > s.cfg.MaxRTO {
-			rto = s.cfg.MaxRTO
+		target := deadline
+		if next, ok := s.tx.NextArrival(now); ok && next < target {
+			target = next
+		}
+		if err := s.clock.Sleep(ctx, target-now); err != nil {
+			return false, fmt.Errorf("reliable: send canceled: %w", err)
 		}
 	}
+	return true, nil
+}
+
+// backoff counts a flight or probe that waited out its timer in
+// silence and returns the next timeout: rto times rtoBackoff, capped
+// at MaxRTO.
+func (s *Session) backoff(rep *Report, rto time.Duration) time.Duration {
+	rep.Timeouts++
+	if s.metrics != nil {
+		s.metrics.Timeouts.Add(1)
+	}
+	return min(time.Duration(float64(rto)*rtoBackoff), s.cfg.MaxRTO)
 }
 
 func (s *Session) baseSeqOf(win *window) byte {

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"symbee/internal/channel"
 	"symbee/internal/core"
@@ -66,10 +67,58 @@ func soakRun(t *testing.T, seed int64) *Report {
 	if len(msgs) != 1 || !bytes.Equal(msgs[0], msg) {
 		t.Fatalf("seed %d: message not delivered intact (%d messages)", seed, len(msgs))
 	}
-	if rs := sl.ReverseStats(); rs.AcksSent == 0 || rs.Airtime == 0 {
+	rs := sl.ReverseStats()
+	if rs.AcksSent == 0 || rs.Airtime == 0 {
 		t.Fatalf("seed %d: reverse channel never transmitted (%+v)", seed, rs)
 	}
+	if seed < int64(len(soakPins)) {
+		checkOutcome(t, rep, rs, soakPins[seed])
+	}
 	return rep
+}
+
+// arqOutcome is what one seeded transfer did: the session report's
+// counters and the downlink ledger.
+type arqOutcome struct {
+	frames, retransmits, timeouts, escalations, deescalations int
+	airtime, elapsed                                          time.Duration
+
+	acksSent, acksCoalesced, acksDropped, ackCollisions, forwardCollisions int
+	reverseAirtime                                                         time.Duration
+}
+
+// Pinned outcomes of the first soak seeds: TestARQSoak's batch group
+// (ProfileSoak), TestARQBidirectionalSoak (ProfileBidir, Repeat-2 acks)
+// and TestARQHarshProfile. Every one of these transfers escalates and
+// de-escalates, so besides the flight loop and the downlink they pin
+// the resync probe and the coding-mode switch. A refactor of the
+// session or the downlink must reproduce them exactly.
+var (
+	soakPins = [...]arqOutcome{
+		{1701, 1248, 13, 2, 2, 7142398404, 14322577036, 349, 734, 17, 112, 385, 3216384000},
+		{1841, 1382, 15, 2, 2, 7739902249, 16691230681, 390, 772, 28, 130, 400, 3594240000},
+		{1605, 1174, 17, 1, 1, 6757118444, 13793566894, 333, 683, 21, 111, 341, 3068928000},
+	}
+	bidirPins = [...]arqOutcome{
+		{2172, 1624, 53, 6, 6, 9046078155, 22077424412, 566, 1043, 52, 153, 559, 5216256000},
+		{2355, 1692, 66, 10, 10, 9711998214, 26697002732, 642, 1104, 66, 170, 594, 5916672000},
+		{2345, 1752, 48, 7, 7, 9743550039, 24547764433, 618, 1139, 54, 158, 554, 5695488000},
+	}
+	harshPin = arqOutcome{2237, 1670, 52, 7, 7, 9303358102, 21166051453, 465, 812, 51, 132, 431, 4285440000}
+)
+
+// checkOutcome compares a transfer's report and ledger with its pin.
+func checkOutcome(t *testing.T, rep *Report, led link.DownlinkLedger, want arqOutcome) {
+	t.Helper()
+	got := arqOutcome{
+		rep.FramesSent, rep.Retransmits, rep.Timeouts, rep.Escalations, rep.Deescalations,
+		rep.Airtime, rep.Elapsed,
+		led.AcksSent, led.AcksCoalesced, led.AcksDropped, led.AckCollisions, led.ForwardCollisions,
+		led.Airtime,
+	}
+	if got != want {
+		t.Errorf("transfer outcome changed:\n got %+v\nwant %+v", got, want)
+	}
 }
 
 // The streaming replay sends streamFrames frames per seed and pushes IQ
@@ -261,6 +310,9 @@ func TestARQBidirectionalSoak(t *testing.T) {
 			if rs.AcksSent == 0 {
 				t.Fatalf("seed %d: reverse channel idle", seed)
 			}
+			if seed < int64(len(bidirPins)) {
+				checkOutcome(t, rep, rs, bidirPins[seed])
+			}
 			mu.Lock()
 			dropped += rs.AcksDropped
 			collided += rs.AckCollisions + rs.ForwardCollisions
@@ -341,4 +393,5 @@ func TestARQHarshProfile(t *testing.T) {
 	if lost == 0 || jammed == 0 {
 		t.Fatalf("harsh profile exercised nothing: lost=%d jammed=%d", lost, jammed)
 	}
+	checkOutcome(t, rep, sl.ReverseStats(), harshPin)
 }

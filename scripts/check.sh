@@ -39,7 +39,7 @@ go test ./internal/link/ -run "$LINK_EQUIVALENCE_RUN" -count=1
 # match the per-sample reference scanner bit for bit and allocate
 # nothing once warm (DESIGN.md §13).
 go test ./internal/core/ -run "$HUNT_EQUIVALENCE_RUN" -count=1
-# Duplex downlink equivalence: the staged ack stack must match the
+# Duplex downlink equivalence: the ack downlink must match the
 # retired monolithic reverse channel bit for bit over 100 seeds, and
 # the committed downlink golden traces must replay byte-identically at
 # every polling cadence (DESIGN.md §15).

@@ -19,9 +19,9 @@ HUNT_EQUIVALENCE_RUN='TestHuntScalarBatchEquivalence|TestHuntBatchZeroAlloc'
 # synthesizer must reproduce the dense reference bit-for-bit.
 MEDIUM_EQUIVALENCE_RUN='TestMediumLinkEquivalence'
 
-# Duplex downlink equivalence gate (DESIGN.md §15): the staged
-# link.DownStack must match the retired monolithic reverseChannel bit
-# for bit over 100 randomized seeds (the reference survives verbatim in
+# Duplex downlink equivalence gate (DESIGN.md §15): link.DownStack
+# must match the retired monolithic reverseChannel bit for bit over 100
+# randomized seeds (the reference survives verbatim in
 # internal/reliable as a test-only pin), and the committed downlink
 # golden traces must replay byte-identically at every polling cadence.
 # Run over both packages: the golden fixture lives in internal/link,
