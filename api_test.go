@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"symbee/internal/core"
 	"symbee/internal/reliable"
 )
 
@@ -151,6 +153,14 @@ func TestNewReceiverOptions(t *testing.T) {
 	}
 	if m.FramesDecoded.Load() != 1 {
 		t.Fatalf("shared metrics missed the frame: %d", m.FramesDecoded.Load())
+	}
+}
+
+// A NaN compensation would build a receiver that never decodes;
+// NewReceiver refuses it.
+func TestNewReceiverRejectsNonFiniteCompensation(t *testing.T) {
+	if _, err := NewReceiver(Params20(), WithCompensation(math.NaN())); !errors.Is(err, core.ErrBadCompensation) {
+		t.Fatalf("NewReceiver(WithCompensation(NaN)) error %v, want core.ErrBadCompensation", err)
 	}
 }
 

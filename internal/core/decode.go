@@ -55,10 +55,15 @@ func DefaultCaptureThreshold(p Params) float64 {
 	return 5 * sigmaFloor
 }
 
-// NewDecoder returns a decoder for the given parameters.
+// NewDecoder returns a decoder for the given parameters. A NaN or
+// infinite compensation reports ErrBadCompensation (wrapped); any finite
+// value is accepted.
 func NewDecoder(p Params, compensation float64) (*Decoder, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if math.IsNaN(compensation) || math.IsInf(compensation, 0) {
+		return nil, fmt.Errorf("%w: %v", ErrBadCompensation, compensation)
 	}
 	tmpl, runOffset, err := codewordTemplate(p)
 	if err != nil {

@@ -277,6 +277,23 @@ func TestPreambleCaptureInDeepNoise(t *testing.T) {
 	}
 }
 
+// TestNewDecoderRejectsNonFiniteCompensation: a NaN or infinite
+// compensation turns every compensated phase into NaN, so the decoder
+// could never lock; NewDecoder refuses it and keeps accepting every
+// finite value, however large.
+func TestNewDecoderRejectsNonFiniteCompensation(t *testing.T) {
+	for _, comp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewDecoder(Params20(), comp); !errors.Is(err, ErrBadCompensation) {
+			t.Errorf("NewDecoder(compensation %v) error %v, want ErrBadCompensation", comp, err)
+		}
+	}
+	for _, comp := range []float64{0, math.Copysign(0, -1), StablePhase, -1e300, math.MaxFloat64} {
+		if _, err := NewDecoder(Params20(), comp); err != nil {
+			t.Errorf("NewDecoder(compensation %v): %v", comp, err)
+		}
+	}
+}
+
 func TestCapturePreambleRejectsNoise(t *testing.T) {
 	p := Params20()
 	dec, err := NewDecoder(p, 0)

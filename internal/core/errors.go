@@ -28,6 +28,10 @@ var (
 	// ErrFlushed: data was pushed into a FrameMachine that has already
 	// been flushed; Reset it before reuse.
 	ErrFlushed = errors.New("core: stream already flushed")
+	// ErrBadCompensation: a decoder was asked for a NaN or infinite CFO
+	// compensation, which turns every compensated phase into NaN so the
+	// receiver could never decode.
+	ErrBadCompensation = errors.New("core: CFO compensation must be finite")
 )
 
 // Specific sentinels retained from the original per-file taxonomy. Each

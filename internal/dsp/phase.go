@@ -4,17 +4,33 @@ import "math"
 
 // WrapPhase wraps an angle in radians to the interval (-π, π].
 //
-// The near-range branches are bit-identical to the math.Mod path: for
-// |phi| ≤ 4π every ±2π step is exact (Sterbenz), and two exact results
-// in a half-open 2π interval that differ by a multiple of 2π are the
-// same value. They just skip math.Mod, which dominates the per-sample
-// cost of CFO compensation on the streaming hot path.
+// On (−3π, 3π] — every compensated phase of the receive path — it
+// subtracts 2π, −2π or +0 with no branch: masks built from the sign
+// bits of π−φ (set iff φ > π) and −π−φ (clear iff φ ≤ −π) pick the
+// step, so the ~40% of noise phases a +4π/5 compensation pushes across
+// π cost no mispredict. One exact step lands there, φ − (+0) keeps a
+// −0 input −0, and each result is the one repeated ±2π steps give.
+// Everything else — NaN, ±Inf and the rest of the line, −3π included,
+// which needs two steps — goes through wrapPhaseFar.
 //
 //symbee:hotpath
 func WrapPhase(phi float64) float64 {
-	if phi > -math.Pi && phi <= math.Pi {
-		return phi
+	if phi > -3*math.Pi && phi <= 3*math.Pi {
+		above := math.Float64bits(math.Pi-phi) >> 63   // 1 iff phi > π
+		below := ^math.Float64bits(-math.Pi-phi) >> 63 // 1 iff phi ≤ −π
+		return phi - math.Float64frombits(-(above|below)&twoPiBits|below<<63)
 	}
+	return wrapPhaseFar(phi)
+}
+
+// twoPiBits is the bit pattern of 2π.
+var twoPiBits = math.Float64bits(2 * math.Pi)
+
+// wrapPhaseFar is WrapPhase outside (−3π, 3π]. The near-range steps
+// are bit-identical to the math.Mod path: for |phi| ≤ 4π every ±2π step
+// is exact (Sterbenz), and two exact results in a half-open 2π interval
+// that differ by a multiple of 2π are the same value.
+func wrapPhaseFar(phi float64) float64 {
 	if phi >= -4*math.Pi && phi <= 4*math.Pi {
 		for phi > math.Pi {
 			phi -= 2 * math.Pi
@@ -52,12 +68,7 @@ func PhaseDiffStream(x []complex128, lag int) []float64 {
 	if lag <= 0 || len(x) <= lag {
 		return nil
 	}
-	out := make([]float64, len(x)-lag)
-	for n := range out {
-		p := x[n] * complex(real(x[n+lag]), -imag(x[n+lag]))
-		out[n] = FastAtan2(imag(p), real(p))
-	}
-	return out
+	return appendPhaseDiff(make([]float64, 0, len(x)-lag), x, lag)
 }
 
 // CompensatePhases adds offset to every phase in place, re-wrapping to

@@ -146,3 +146,96 @@ func TestPhaseDistanceProperty(t *testing.T) {
 		}
 	}
 }
+
+// wrapPhaseReference is WrapPhase before its near range went
+// branch-free, kept verbatim as the oracle the production function must
+// match bit for bit.
+func wrapPhaseReference(phi float64) float64 {
+	if phi > -math.Pi && phi <= math.Pi {
+		return phi
+	}
+	if phi >= -4*math.Pi && phi <= 4*math.Pi {
+		for phi > math.Pi {
+			phi -= 2 * math.Pi
+		}
+		for phi <= -math.Pi {
+			phi += 2 * math.Pi
+		}
+		return phi
+	}
+	phi = math.Mod(phi, 2*math.Pi)
+	switch {
+	case phi > math.Pi:
+		phi -= 2 * math.Pi
+	case phi <= -math.Pi:
+		phi += 2 * math.Pi
+	}
+	return phi
+}
+
+// sameFloat reports whether a and b have identical bits, counting any
+// NaN equal to any NaN.
+func sameFloat(a, b float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.IsNaN(a) && math.IsNaN(b)
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// TestWrapPhaseMatchesReference pins WrapPhase to wrapPhaseReference
+// on the inputs CFO compensation produces (FastAtan2 outputs of noise
+// lag products shifted by every compensation the receivers use), on
+// uniform values well past ±3π, and on the seams, specials and
+// extremes with three ulp neighbours either side.
+func TestWrapPhaseMatchesReference(t *testing.T) {
+	check := func(phi float64) {
+		if got, want := WrapPhase(phi), wrapPhaseReference(phi); !sameFloat(got, want) {
+			t.Fatalf("WrapPhase(%v [%#016x]) = %v [%#016x], reference %v [%#016x]",
+				phi, math.Float64bits(phi), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	offsets := []float64{0, 4 * math.Pi / 5, -4 * math.Pi / 5, math.Pi, -math.Pi, 2 * math.Pi}
+	for i := 0; i < 5_000_000; i++ {
+		a := complex(rng.NormFloat64(), rng.NormFloat64())
+		b := complex(rng.NormFloat64(), rng.NormFloat64())
+		p := a * complex(real(b), -imag(b))
+		phi := FastAtan2(imag(p), real(p))
+		for _, off := range offsets {
+			check(phi + off)
+		}
+	}
+	for i := 0; i < 1_000_000; i++ {
+		check((2*rng.Float64() - 1) * 20)
+	}
+	for _, e := range []float64{
+		0, math.Pi / 5, 4 * math.Pi / 5, math.Pi, 2 * math.Pi, 3 * math.Pi, 4 * math.Pi,
+		math.Inf(1), math.NaN(), math.MaxFloat64, math.SmallestNonzeroFloat64,
+	} {
+		for _, v := range []float64{e, -e} {
+			check(v)
+			lo, hi := v, v
+			for k := 0; k < 3; k++ {
+				lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+				check(lo)
+				check(hi)
+			}
+		}
+	}
+}
+
+// BenchmarkWrapPhase times the CFO compensation step: WrapPhase of
+// FastAtan2 noise phases shifted by the canonical +4π/5, of which about
+// 40% cross π.
+func BenchmarkWrapPhase(b *testing.B) {
+	rng := rand.New(rand.NewSource(25))
+	phases := PhaseDiffStream(randomIQ(1<<16+16, rng), 16)
+	out := make([]float64, len(phases))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, phi := range phases {
+			out[j] = WrapPhase(phi + 4*math.Pi/5)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(phases)), "ns/sample")
+}

@@ -60,18 +60,15 @@ func (s *PhaseDiffStreamer) Push(x complex128) (phi float64, ok bool) {
 // available to out, returning the extended slice. It is bit-identical
 // to calling Push per sample; only the first lag samples of a chunk go
 // through the ring — every later sample finds its lag-delayed partner
-// inside the chunk itself, so the body runs as a flat 4-wide unrolled
-// loop over the input with no per-sample ring bookkeeping (the batched
-// front-end half of the idle-hunt kernel).
+// inside the chunk itself, so the body runs through the block kernel
+// PhaseDiffStream uses, with no per-sample ring bookkeeping (the
+// batched front-end half of the idle-hunt kernel).
 //
 //symbee:hotpath
 func (s *PhaseDiffStreamer) Process(in []complex128, out []float64) []float64 {
 	// Ring boundary: samples whose partner predates the chunk (or that
 	// are still warming the ring) go through the scalar push.
-	head := s.lag
-	if head > len(in) {
-		head = len(in)
-	}
+	head := min(s.lag, len(in))
 	for _, x := range in[:head] {
 		if phi, ok := s.Push(x); ok {
 			out = append(out, phi)
@@ -80,31 +77,12 @@ func (s *PhaseDiffStreamer) Process(in []complex128, out []float64) []float64 {
 	if head == len(in) {
 		return out
 	}
-	// Flat body: in[n] pairs with in[n-lag]. Same expression and kernel
-	// as Push so the two paths agree to the last bit.
-	lag := s.lag
-	n := lag
-	for ; n+4 <= len(in); n += 4 {
-		x0, x1, x2, x3 := in[n], in[n+1], in[n+2], in[n+3]
-		p0 := in[n-lag] * complex(real(x0), -imag(x0))
-		p1 := in[n-lag+1] * complex(real(x1), -imag(x1))
-		p2 := in[n-lag+2] * complex(real(x2), -imag(x2))
-		p3 := in[n-lag+3] * complex(real(x3), -imag(x3))
-		out = append(out,
-			FastAtan2(imag(p0), real(p0)),
-			FastAtan2(imag(p1), real(p1)),
-			FastAtan2(imag(p2), real(p2)),
-			FastAtan2(imag(p3), real(p3)))
-	}
-	for ; n < len(in); n++ {
-		x := in[n]
-		p := in[n-lag] * complex(real(x), -imag(x))
-		out = append(out, FastAtan2(imag(p), real(p)))
-	}
+	// Body: in[n] pairs with in[n+lag].
+	out = appendPhaseDiff(out, in, s.lag)
 	// The ring ends up holding the last lag samples, oldest first.
-	copy(s.ring, in[len(in)-lag:])
+	copy(s.ring, in[len(in)-s.lag:])
 	s.pos = 0
-	s.fill = lag
+	s.fill = s.lag
 	return out
 }
 

@@ -3,6 +3,8 @@ package stream
 import (
 	"bytes"
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -36,6 +38,20 @@ func makeStreamCapture(t *testing.T, p core.Params, seq byte, seed int64) []comp
 		t.Fatal(err)
 	}
 	return m.Transmit(sig)
+}
+
+// TestNewPoolRejectsNonFiniteCompensation: a pool whose decoder adds an
+// infinite compensation would hunt forever on NaN phases; NewPool
+// refuses it before starting any worker.
+func TestNewPoolRejectsNonFiniteCompensation(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Compensation = math.Inf(1)
+	if p, err := NewPool(cfg); !errors.Is(err, core.ErrBadCompensation) {
+		if err == nil {
+			p.Close()
+		}
+		t.Fatalf("NewPool(compensation +Inf) error %v, want core.ErrBadCompensation", err)
+	}
 }
 
 // TestPoolDecodesConcurrentStreams drives many streams from concurrent

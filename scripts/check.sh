@@ -39,6 +39,10 @@ go test ./internal/link/ -run "$LINK_EQUIVALENCE_RUN" -count=1
 # match the per-sample reference scanner bit for bit and allocate
 # nothing once warm (DESIGN.md §13).
 go test ./internal/core/ -run "$HUNT_EQUIVALENCE_RUN" -count=1
+# Phase kernel equivalence: the shared block kernel behind the batch
+# and streaming phase paths, and the branch-free WrapPhase, must match
+# their per-sample references bit for bit (DESIGN.md §7).
+go test ./internal/dsp/ -run "$PHASE_EQUIVALENCE_RUN" -count=1
 # Duplex downlink equivalence: the ack downlink must match the
 # retired monolithic reverse channel bit for bit over 100 seeds, and
 # the committed downlink golden traces must replay byte-identically at

@@ -15,6 +15,14 @@ LINK_EQUIVALENCE_RUN='TestGoldenTraceEquivalence|TestStreamingChunkInvariance|Te
 # batch hunt must stay allocation-free.
 HUNT_EQUIVALENCE_RUN='TestHuntScalarBatchEquivalence|TestHuntBatchZeroAlloc'
 
+# Phase kernel gate (DESIGN.md §7): PhaseDiffStream and
+# PhaseDiffStreamer.Process share one block kernel, so their agreement
+# alone no longer proves bit identity. Both must match the per-sample
+# FastAtan2 reference at every chunking, on noise laced with zeros,
+# subnormals, near-overflow values, ±Inf and NaN, and the branch-free
+# WrapPhase must match its reference bit for bit.
+PHASE_EQUIVALENCE_RUN='TestWrapPhaseMatchesReference|TestPhaseKernelMatchesScalar|TestPhaseDiffStreamerMatchesBatch'
+
 # Medium-engine equivalence (DESIGN.md §12): the event-driven lazy
 # synthesizer must reproduce the dense reference bit-for-bit.
 MEDIUM_EQUIVALENCE_RUN='TestMediumLinkEquivalence'
