@@ -162,9 +162,11 @@ func (d *Decoder) DecodeUnsync(phases []float64) []DetectedBit {
 // anchor to the strongest window.
 //
 // The scan itself is incremental (preambleScanner in scan.go) so that
-// the streaming FrameMachine shares it; this batch entry point feeds
-// the whole capture through one scanner and finishes with the full
-// stream as the template window.
+// the streaming FrameMachine shares it; this batch entry point runs the
+// whole capture through one scanner's batched kernel as a flushed
+// stream and finishes with the full stream as the template window. As
+// for FrameMachine.PushChunk, at compensation 0 the phases must lie in
+// [−π, π] or be NaN.
 func (d *Decoder) CapturePreamble(phases []float64) (int, error) {
 	return d.capturePreamble(d.prepare(phases))
 }
@@ -174,12 +176,9 @@ func (d *Decoder) capturePreamble(phases []float64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, phi := range phases {
-		if sc.push(phi) {
-			break
-		}
-	}
-	return sc.finish(phaseWindow{data: phases})
+	win := phaseWindow{data: phases}
+	sc.huntChunk(win, len(phases), false, true)
+	return sc.finish(win)
 }
 
 // DecodeSyncBits majority-votes n bits at their known positions: bit k

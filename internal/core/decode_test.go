@@ -438,3 +438,77 @@ func TestDecodeFrame40MHz(t *testing.T) {
 		t.Errorf("frame = %+v", got)
 	}
 }
+
+// scalarCapturePreamble is the per-sample reference for
+// CapturePreamble: a fresh scanner fed one phase at a time until its
+// refinement span ends, then selection over the whole capture.
+func scalarCapturePreamble(d *Decoder, phases []float64) (int, error) {
+	phases = d.prepare(phases)
+	sc, err := d.newPreambleScanner(0)
+	if err != nil {
+		return 0, err
+	}
+	for _, phi := range phases {
+		if sc.push(phi) {
+			break
+		}
+	}
+	return sc.finish(phaseWindow{data: phases})
+}
+
+// TestCapturePreambleMatchesScalarScan pins CapturePreamble, which scans
+// through the batched hunt kernel, to the per-sample reference scan over
+// noise, single frames at 0–20 dB and back-to-back frames, each whole
+// and cut at a random length (every fourth cut inside one fold span).
+func TestCapturePreambleMatchesScalarScan(t *testing.T) {
+	p := Params20()
+	rng := rand.New(rand.NewSource(23))
+	l := mustLink(t, p, wifi.CanonicalCompensation)
+	d := l.Decoder()
+	foldSpan := PreambleBits * p.BitPeriod
+	randomFrame := func() *Frame {
+		data := make([]byte, rng.Intn(MaxDataBytes+1))
+		rng.Read(data)
+		return &Frame{Seq: uint8(rng.Intn(256)), Data: data}
+	}
+	inputs, locked := 0, 0
+	for trial := 0; trial < 120; trial++ {
+		var phases []float64
+		switch trial % 3 {
+		case 0:
+			// Idle or hot noise: hot noise keeps false-locking.
+			scale := math.Pi
+			if trial%2 == 0 {
+				scale /= 2
+			}
+			phases = make([]float64, 1000+rng.Intn(40000))
+			for i := range phases {
+				phases[i] = (2*rng.Float64() - 1) * scale
+			}
+		case 1:
+			phases = transmitPhases(t, l, rng, 0, 20, 500, 6000, randomFrame())
+		default:
+			phases = transmitPhases(t, l, rng, 10, 16, 1000, 3000, randomFrame(), randomFrame(), randomFrame())
+		}
+		cut := rng.Intn(len(phases) + 1)
+		if trial%4 == 0 {
+			cut = rng.Intn(foldSpan)
+		}
+		for _, capture := range [][]float64{phases, phases[:cut]} {
+			want, wantErr := scalarCapturePreamble(d, capture)
+			got, gotErr := d.CapturePreamble(capture)
+			if got != want || (gotErr == nil) != (wantErr == nil) ||
+				(gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Errorf("trial %d, %d phases: CapturePreamble = %d, %v; scalar scan = %d, %v",
+					trial, len(capture), got, gotErr, want, wantErr)
+			}
+			inputs++
+			if wantErr == nil {
+				locked++
+			}
+		}
+	}
+	if locked < inputs/3 {
+		t.Errorf("only %d of %d inputs locked: the scan's lock path is barely exercised", locked, inputs)
+	}
+}

@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
+
+	"symbee/internal/wifi"
 )
 
 // fuzzPhases maps fuzz bytes onto a bounded phase stream: one phase per
@@ -142,6 +147,130 @@ func FuzzReassemblerAdd(f *testing.F) {
 			if done && !bytes.Equal(msg, data) {
 				t.Fatal("round trip lost bytes")
 			}
+		}
+	})
+}
+
+// FuzzHuntBatch input words: each phase is two little-endian bytes.
+// Two words are reserved for NaN and −0; the rest map linearly onto
+// [−π, π], ends included.
+const (
+	huntWordNaN     = 0xFFFF
+	huntWordNegZero = 0xFFFE
+	huntWordMax     = 0xFFFD // maps to +π
+)
+
+// huntFuzzPhases maps fuzz bytes two at a time onto phases.
+func huntFuzzPhases(data []byte) []float64 {
+	phases := make([]float64, len(data)/2)
+	for i := range phases {
+		switch w := binary.LittleEndian.Uint16(data[2*i:]); w {
+		case huntWordNaN:
+			phases[i] = math.NaN()
+		case huntWordNegZero:
+			phases[i] = math.Copysign(0, -1)
+		default:
+			phases[i] = (float64(w)/huntWordMax*2 - 1) * math.Pi
+		}
+	}
+	return phases
+}
+
+// huntFuzzInput is the inverse direction for seeding the corpus: the
+// header byte, then each phase as its nearest word.
+func huntFuzzInput(header byte, phases []float64) []byte {
+	out := make([]byte, 1, 1+2*len(phases))
+	out[0] = header
+	for _, v := range phases {
+		var w uint16
+		switch {
+		case math.IsNaN(v):
+			w = huntWordNaN
+		case v == 0 && math.Signbit(v):
+			w = huntWordNegZero
+		default:
+			w = uint16(math.Round((v/math.Pi + 1) / 2 * huntWordMax))
+		}
+		out = binary.LittleEndian.AppendUint16(out, w)
+	}
+	return out
+}
+
+// FuzzHuntBatch drives arbitrary phase streams through the batched hunt
+// kernel and the per-sample reference scanner. The header byte's low
+// bit picks the decoder (compensation 0 or canonical) and the rest
+// seeds the chunk cuts. Both paths must emit the same events, complete
+// their scans at the same positions and leave the same scanner state,
+// and CapturePreamble must match the reference capture loop.
+func FuzzHuntBatch(f *testing.F) {
+	p := Params20()
+	rng := rand.New(rand.NewSource(9))
+	l, err := NewLink(p, wifi.CanonicalCompensation)
+	if err != nil {
+		f.Fatal(err)
+	}
+	noise := make([]float64, 8000)
+	for i := range noise {
+		noise[i] = (2*rng.Float64() - 1) * math.Pi / 2
+	}
+	f.Add(huntFuzzInput(1, noise))
+	clean := transmitPhases(f, l, rng, 20, 20, 300, 300, &Frame{Seq: 1})
+	f.Add(huntFuzzInput(3, clean))
+	// Tight back to back: the last 5,000 phases of one transmission
+	// (its checksum tail, which can false-lock, and a 1,000–1,500
+	// sample pad), then the next frame after a pad of the same range.
+	first := transmitPhases(f, l, rng, 10, 16, 1000, 1500, &Frame{Seq: 2})
+	second := transmitPhases(f, l, rng, 10, 16, 1000, 1500, &Frame{Seq: 3, Data: []byte("b")})
+	f.Add(huntFuzzInput(5, append(first[len(first)-5000:], second...)))
+	// The NaN ramp TestHuntGateNaNPhases pins, at compensation 0.
+	ramp := make([]float64, 8000)
+	for i := range ramp {
+		ramp[i] = -math.Pi
+	}
+	for k := 0; k < PreambleBits; k++ {
+		for i := 1003 + k*p.BitPeriod; i < 1003+k*p.BitPeriod+55; i++ {
+			ramp[i] = math.Pi
+		}
+	}
+	ramp[1003+49+3*p.BitPeriod] = math.NaN()
+	f.Add(huntFuzzInput(0, ramp))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 1<<17 {
+			return
+		}
+		comp := 0.0
+		if data[0]&1 != 0 {
+			comp = wifi.CanonicalCompensation
+		}
+		d, err := NewDecoder(p, comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phases := huntFuzzPhases(data[1:])
+		cutRng := rand.New(rand.NewSource(int64(data[0] >> 1)))
+		var cuts []int
+		for total := 0; total < len(phases); {
+			c := 1 + cutRng.Intn(4096)
+			cuts = append(cuts, c)
+			total += c
+		}
+		cut := func(k int) int { return cuts[k] }
+		batch := replayHuntCuts(t, d, phases, cut, false)
+		scalar := replayHuntCuts(t, d, phases, cut, true)
+		if !reflect.DeepEqual(batch.events, scalar.events) {
+			t.Fatalf("events diverge\n batched: %+v\nscalar: %+v", batch.events, scalar.events)
+		}
+		if !reflect.DeepEqual(batch.state, scalar.state) {
+			t.Fatalf("scanner state diverges\n batched: %+v\nscalar: %+v", batch.state, scalar.state)
+		}
+		if !reflect.DeepEqual(batch.done, scalar.done) {
+			t.Fatalf("scan completions diverge\n batched: %+v\nscalar: %+v", batch.done, scalar.done)
+		}
+		want, wantErr := scalarCapturePreamble(d, phases)
+		got, gotErr := d.CapturePreamble(phases)
+		if got != want || (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("CapturePreamble = %d, %v; scalar scan = %d, %v", got, gotErr, want, wantErr)
 		}
 	})
 }

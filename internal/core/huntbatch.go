@@ -2,40 +2,50 @@ package core
 
 import "math"
 
-// This file is the batched idle-hunt kernel: the chunk-at-a-time
-// counterpart of preambleScanner.push for the cold-hunt state the
-// receiver sits in ~99% of the time on an idle channel.
+// This file is the batched preamble-scan kernel: the chunk-at-a-time
+// counterpart of preambleScanner.push, and the one scan every
+// production path runs, in every scanner state — the fold warm-up after
+// a reset, the cold hunt the receiver sits in ~99% of the time on an
+// idle channel, and the refinement span after a lock.
 //
 // The scalar path pays three ring data structures (folder, windowed
 // mean, sign counter) per sample. The batch kernel removes all of them:
 // fold sums are gathered directly from the retained phase history with
 // a 4-tap strided read, and the windowed mean/sign state is carried in
 // three scalars (msum, neg, plus one chronological ring of fold sums).
-// On top of that sits a decimated pre-gate that proves whole segments
-// of anchors cannot reach the capture threshold and skips them without
-// touching any per-anchor state.
+// In the cold hunt a decimated pre-gate sits on top: it proves whole
+// segments of anchors cannot reach the capture threshold and skips
+// them without touching any per-anchor state.
 //
 // Bit-identity with the scalar path is engineered, not hoped for:
 //
 //   - Both paths re-anchor the windowed state (recompute the window sum
 //     oldest→newest, recount negatives) at the same deterministic
 //     absolute fold anchors: every multiple of huntSegment once the
-//     windows are full. At those points the state is a pure function of
-//     the phase window, so a segment whose interior the batch path never
-//     evaluated resumes with exactly the state the scalar path holds.
+//     windows are full, locked or not. At those points the state is a
+//     pure function of the phase window, so a segment whose interior
+//     the batch path never evaluated resumes with exactly the state the
+//     scalar path holds.
 //   - Between re-anchors the kernel replicates the scalar update order
 //     exactly: the fold sum adds taps oldest→newest (SlidingFolder.Push
 //     order) and the window sum subtracts the evicted value before
 //     adding the new one (MovingAverage.Push order).
+//   - The warm-up after reset starts from a ring of +0 and a +0 sum.
+//     Evicting a +0 leaves every sum unchanged and is never negative,
+//     so the first StableLen anchors fill the window exactly as the
+//     scalar rings do; the statistic is tested from the anchor at which
+//     MovingSignCounter.Push first reports full.
 //   - The pre-gate is sound by construction: it evaluates exact window
 //     means at decimated checkpoints and adds the worst-case Lipschitz
 //     slack of the statistic between checkpoints, so a skipped anchor
 //     provably could not have crossed the threshold (analysis in
 //     DESIGN.md §13). A gate false-alarm only costs speed: the segment
-//     is evaluated exactly.
+//     is evaluated exactly. A NaN in the checkpoint total counts as a
+//     false alarm.
 //
-// The equivalence is pinned by TestHuntScalarBatchEquivalence and the
-// golden trace fixtures, which run both paths over identical streams.
+// The equivalence is pinned by TestHuntScalarBatchEquivalence,
+// TestCapturePreambleMatchesScalarScan, FuzzHuntBatch and the golden
+// trace fixtures, which run both paths over identical streams.
 
 const (
 	// huntSegment is the re-anchor period in fold anchors, and the
@@ -76,88 +86,55 @@ func huntGateSlack(p Params) float64 {
 // segment until more phases arrive (deferral is invisible — a provably
 // idle tail emits nothing — but a flush must drain it).
 //
+// The scan position s.i is where push would leave it whenever the
+// scanner completes or the input is drained; only a deferred tail parks
+// it earlier, at its segment boundary.
+//
 //symbee:hotpath
 func (s *preambleScanner) huntChunk(win phaseWindow, n int, scalarOnly, flushed bool) bool {
 	if s.done {
 		return true
 	}
-	stable := s.d.p.StableLen
-	for s.i < n {
-		// The batch kernel runs only in the cold hunt: locked scanners
-		// are in the bounded refinement span where per-sample cost no
-		// longer matters, and the warm-up before the first re-anchor
-		// boundary has no batch-derivable state. PreambleBits != 4 never
-		// holds today (compile-time constant); the guard documents the
-		// kernel's 4-tap specialization.
-		a := s.i - s.foldSpan + 1
-		if scalarOnly || PreambleBits != 4 || s.locked() ||
-			(!s.batchValid && (a-s.start < stable || a&(huntSegment-1) != 0)) {
+	// PreambleBits != 4 never holds today (compile-time constant); the
+	// guard documents the kernel's 4-tap specialization.
+	if scalarOnly || PreambleBits != 4 {
+		for s.i < n {
 			if s.push(win.at(s.i)) {
 				return true
 			}
-			continue
 		}
-		if s.huntBatch(win, n, flushed) {
-			// Locked: the handoff rebuilt the scalar rings; the
-			// refinement span continues per-sample above.
-			continue
-		}
-		// Everything processable was consumed (or an idle frontier tail
-		// was deferred); s.i marks the resume point either way.
 		return false
 	}
-	return false
-}
-
-// huntBatch runs the batched kernel from fold anchor s.i-foldSpan+1 to
-// the last processable anchor, skipping segments the pre-gate proves
-// idle. It returns true when a threshold crossing locked the scanner
-// (state handed back to the scalar rings); otherwise it has consumed
-// the input, except possibly an idle sub-segment frontier tail, which
-// stays deferred at its segment boundary unless flushed.
-func (s *preambleScanner) huntBatch(win phaseWindow, n int, flushed bool) bool {
 	aEnd := n - s.foldSpan + 1 // one past the last processable anchor
 	a := s.i - s.foldSpan + 1
+	if a < s.start {
+		a = s.start // fold warm-up: no anchor exists before start
+	}
 	for a < aEnd {
-		if a&(huntSegment-1) == 0 {
+		e := a - (a & (huntSegment - 1)) + huntSegment
+		if a&(huntSegment-1) == 0 && a-s.start >= s.d.p.StableLen {
 			// Segment boundary: both paths re-anchor here, so state may
 			// be re-derived fresh — which is what makes gate skips free.
-			e := a + huntSegment
-			partial := e > aEnd
-			if partial {
-				e = aEnd
-			}
-			if s.gateIdle(win, a, e) {
-				if partial && !flushed {
+			if !s.locked() && s.gateIdle(win, a, min(e, aEnd)) {
+				if e > aEnd && !flushed {
 					// Idle frontier tail: defer until more phases
 					// arrive, so the next call re-gates the fuller
 					// segment from this same boundary.
 					s.setScanPos(a)
 					return false
 				}
-				s.batchValid = false
 				a = e
 				continue
 			}
 			s.rederive(win, a)
-			if s.runSpan(win, a, e) {
-				return true
-			}
-			a = e
-		} else {
-			// Mid-segment resume: carried state continues exactly to
-			// the next boundary (batchValid holds by construction — the
-			// only mid-segment entries are chunk-boundary resumes of a
-			// segment this kernel was already evaluating).
-			e := a - (a & (huntSegment - 1)) + huntSegment
-			if e > aEnd {
-				e = aEnd
-			}
-			if s.runSpan(win, a, e) {
-				return true
-			}
-			a = e
 		}
+		// Evaluate up to the next boundary from the state in hand: just
+		// re-derived, the warm-up from reset, or the state carried from
+		// the previous chunk, which continues exactly.
+		if s.runSpan(win, a, min(e, aEnd)) {
+			return true
+		}
+		a = e
 	}
 	s.setScanPos(aEnd)
 	return false
@@ -194,14 +171,14 @@ func (s *preambleScanner) rederive(win phaseWindow, a int) {
 	s.foldPos = 0
 	s.msum = msum
 	s.neg = neg
-	s.batchValid = true
 }
 
 // runSpan evaluates the exact detection statistic at every fold anchor
 // in [a, e) using the carried kernel state, replicating the scalar
-// update order bit for bit. On a threshold crossing that locks the
-// scanner it hands the state back to the scalar rings and returns true;
-// otherwise it leaves the carried state continuing at anchor e.
+// update order bit for bit, and counts down the refinement span once
+// the scanner is locked. It returns true when the span is exhausted
+// (the scan is complete, s.i just past the completing anchor's last
+// phase); otherwise it leaves the carried state continuing at anchor e.
 //
 //symbee:hotpath
 func (s *preambleScanner) runSpan(win phaseWindow, a, e int) bool {
@@ -215,10 +192,13 @@ func (s *preambleScanner) runSpan(win phaseWindow, a, e int) bool {
 	// the exact mean test below still decides every borderline case.
 	thrSumLo := thr*float64(stable) - 1e-6
 	invStable := float64(stable)
+	// The first anchor whose window is full, where
+	// MovingSignCounter.Push first reports full.
+	full := s.start + stable - 1
 	data := win.data
 	ring := s.foldRing
 	j := a - win.base
-	msum, neg, pos := s.msum, s.neg, s.foldPos
+	msum, neg, pos, rem := s.msum, s.neg, s.foldPos, s.remaining
 	for ; a < e; a++ {
 		f := data[j] + data[j+p] + data[j+2*p] + data[j+3*p]
 		old := ring[pos]
@@ -237,42 +217,26 @@ func (s *preambleScanner) runSpan(win phaseWindow, a, e int) bool {
 			neg++
 		}
 		j++
-		if stable-neg >= tau && msum >= thrSumLo {
-			mean := msum / invStable
-			if mean >= thr {
-				if s.consider(a-stable+1, mean) {
-					// First crossing: the scanner locked. Mirror the
-					// locking push's own countdown tick, then hand the
-					// state back to the scalar rings.
-					s.remaining--
-					s.msum, s.neg, s.foldPos = msum, neg, pos
-					s.handoff(win, a)
-					return true
-				}
+		if stable-neg >= tau && msum >= thrSumLo && a >= full {
+			if mean := msum / invStable; mean >= thr && s.consider(a-stable+1, mean) {
+				rem = s.remaining // first crossing: the scanner locked
+			}
+		}
+		// Locked (so the window is full): the refinement countdown
+		// ticks once per anchor, the locking one included.
+		if rem >= 0 {
+			rem--
+			if rem <= 0 {
+				s.msum, s.neg, s.foldPos, s.remaining = msum, neg, pos, rem
+				s.done = true
+				s.i = a + s.foldSpan // just past the completing push
+				return true
 			}
 		}
 	}
-	s.msum, s.neg, s.foldPos = msum, neg, pos
+	s.msum, s.neg, s.foldPos, s.remaining = msum, neg, pos, rem
 	s.setScanPos(e)
-	s.batchValid = true
 	return false
-}
-
-// handoff rebuilds the scalar rings from the kernel state after a lock
-// at fold anchor a, leaving the scanner exactly as if every phase had
-// gone through push: the folder ring holds the last foldSpan phases,
-// and the mean/counter rings hold the chronological window of fold
-// sums with the carried (not recomputed) running sum.
-//
-//symbee:coldpath
-func (s *preambleScanner) handoff(win phaseWindow, a int) {
-	s.i = a + s.foldSpan // just past the locking push
-	k := copy(s.handScratch, s.foldRing[s.foldPos:])
-	copy(s.handScratch[k:], s.foldRing[:s.foldPos])
-	s.folder.LoadWindow(win.data[s.i-s.foldSpan-win.base : s.i-win.base])
-	s.mean.LoadWindow(s.handScratch, s.msum)
-	s.counter.LoadWindow(s.handScratch)
-	s.batchValid = false
 }
 
 // gateIdle reports whether no fold anchor in [a, e) can reach the
@@ -311,7 +275,9 @@ func (s *preambleScanner) gateIdle(win phaseWindow, a, e int) bool {
 			total += v
 		}
 	}
-	if total >= limit {
+	// !(total < limit), not total >= limit: a NaN phase makes the total
+	// NaN for the rest of the segment, and NaN must mean "not idle".
+	if !(total < limit) {
 		return false
 	}
 	for c := a; c < e-1; {
@@ -328,7 +294,7 @@ func (s *preambleScanner) gateIdle(win phaseWindow, a, e int) bool {
 		}
 		off += step
 		c += step
-		if total >= limit {
+		if !(total < limit) {
 			return false
 		}
 	}

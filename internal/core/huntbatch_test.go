@@ -40,8 +40,9 @@ func flattenEvents(events []StreamEvent) []huntEvent {
 }
 
 // huntState captures the scanner decision state a hunt leaves behind:
-// everything that influences future events.
+// everything that influences future events, and the scan position.
 type huntState struct {
+	Pos       int
 	Cands     []foldCandidate
 	BestMean  float64
 	BestIdx   int
@@ -52,6 +53,7 @@ type huntState struct {
 
 func captureHuntState(m *FrameMachine) huntState {
 	return huntState{
+		Pos:       m.scan.i,
 		Cands:     append([]foldCandidate(nil), m.scan.cands...),
 		BestMean:  m.scan.bestMean,
 		BestIdx:   m.scan.bestIdx,
@@ -61,40 +63,111 @@ func captureHuntState(m *FrameMachine) huntState {
 	}
 }
 
-// replayHunt feeds phases through a fresh machine in chunks, with the
-// hunt path selected, and returns the flattened events plus the final
-// scanner state.
-func replayHunt(t *testing.T, d *Decoder, phases []float64, chunk int, scalar bool) ([]huntEvent, huntState) {
+// huntReplay is what one chunked replay of a stream leaves behind.
+type huntReplay struct {
+	events []huntEvent
+	state  huntState
+	// done holds the scanner state at each completion, read after every
+	// push while the scanner is done (repeats of a scan position
+	// dropped). Its Pos is where rearm resumes hunting after a decode
+	// error, and its candidates carry every fold mean bit for bit.
+	done []huntState
+}
+
+// replayHunt feeds phases through a fresh machine in chunks of one
+// size, with the hunt path selected.
+func replayHunt(t *testing.T, d *Decoder, phases []float64, chunk int, scalar bool) huntReplay {
+	t.Helper()
+	return replayHuntCuts(t, d, phases, func(int) int { return chunk }, scalar)
+}
+
+// replayHuntCuts feeds phases through a fresh machine, chunk k holding
+// cut(k) phases, with the hunt path selected, and returns the flattened
+// events, the final scanner state and the state at each completion.
+func replayHuntCuts(t *testing.T, d *Decoder, phases []float64, cut func(k int) int, scalar bool) huntReplay {
 	t.Helper()
 	m := mustMachine(t, d)
 	m.scalarHunt = scalar
-	var events []huntEvent
-	for off := 0; off < len(phases); off += chunk {
-		end := off + chunk
+	var r huntReplay
+	record := func() {
+		r.events = append(r.events, flattenEvents(m.Events())...)
+		if m.scan.done && (len(r.done) == 0 || r.done[len(r.done)-1].Pos != m.scan.i) {
+			r.done = append(r.done, captureHuntState(m))
+		}
+	}
+	for off, k := 0, 0; off < len(phases); k++ {
+		end := off + cut(k)
 		if end > len(phases) {
 			end = len(phases)
 		}
 		if err := m.PushChunk(phases[off:end]); err != nil {
 			t.Fatal(err)
 		}
-		events = append(events, flattenEvents(m.Events())...)
+		record()
+		off = end
 	}
 	m.Flush()
-	events = append(events, flattenEvents(m.Events())...)
-	return events, captureHuntState(m)
+	record()
+	r.state = captureHuntState(m)
+	return r
+}
+
+// huntCase is one equivalence input: a phase stream and the decoder
+// that replays it.
+type huntCase struct {
+	d      *Decoder
+	phases []float64
+}
+
+// transmitPhases sends frames through independent AWGN channels at
+// the default carrier offset, one frame each at an SNR drawn from
+// [snrLo, snrHi] dB with a noise pad drawn from [padLo, padHi] samples
+// on both sides, and returns the concatenated raw phase streams: frames
+// back to back, separated by the two pads between them. A range with
+// equal ends draws nothing from rng.
+func transmitPhases(t testing.TB, l *Link, rng *rand.Rand, snrLo, snrHi float64, padLo, padHi int, frames ...*Frame) []float64 {
+	t.Helper()
+	p := l.Params()
+	var phases []float64
+	for _, f := range frames {
+		sig, err := l.TransmitFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snr, pad := snrLo, padLo
+		if snrHi > snrLo {
+			snr += (snrHi - snrLo) * rng.Float64()
+		}
+		if padHi > padLo {
+			pad += rng.Intn(padHi - padLo + 1)
+		}
+		med, err := channel.NewMedium(channel.Config{
+			SampleRate: p.SampleRate,
+			SNRdB:      snr,
+			FreqOffset: channel.DefaultFreqOffset,
+			Pad:        pad,
+		}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phases = append(phases, l.Phases(med.Transmit(sig))...)
+	}
+	return phases
 }
 
 // huntCaptures builds the randomized scenario set: pure noise (the
-// idle-listening state the batch kernel exists for), a clean frame, a
-// noisy frame, and back-to-back frames with idle gaps — each as a
-// compensated phase stream.
-func huntCaptures(t *testing.T) map[string][]float64 {
+// idle-listening state the pre-gate exists for), a clean frame, a noisy
+// frame, frames with idle gaps and tightly back to back, a clean frame
+// cut inside its fold warm-up and inside its refinement span, and a
+// compensation-0 stream of signed-zero runs around a biased region.
+func huntCaptures(t *testing.T) map[string]huntCase {
 	t.Helper()
 	p := Params20()
 	rng := rand.New(rand.NewSource(77))
 	l := mustLink(t, p, wifi.CanonicalCompensation)
+	d := l.Decoder()
 
-	captures := make(map[string][]float64)
+	captures := make(map[string]huntCase)
 
 	// Truly idle noise: full-circle uniform phase diffs, mean zero even
 	// after compensation — the pre-gate skips almost every segment.
@@ -102,44 +175,91 @@ func huntCaptures(t *testing.T) map[string][]float64 {
 	for i := range idle {
 		idle[i] = (2*rng.Float64() - 1) * math.Pi
 	}
-	captures["noise-idle"] = idle
+	captures["noise-idle"] = huntCase{d, idle}
 
 	// Hot noise: half-amplitude uniform phases that the compensation
 	// shift biases off zero, driving constant false locks, decode
-	// errors and rearms — the gate almost never fires and the paths
-	// churn through lock handoffs.
+	// errors and rearms — the gate almost never fires and every lock
+	// runs its whole refinement span.
 	hot := make([]float64, 300000)
 	for i := range hot {
 		hot[i] = (2*rng.Float64() - 1) * math.Pi / 2
 	}
-	captures["noise-hot"] = hot
+	captures["noise-hot"] = huntCase{d, hot}
 
-	frame := func(name string, snr float64, pad int, frames ...*Frame) {
-		var phases []float64
-		for _, f := range frames {
-			sig, err := l.TransmitFrame(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			med, err := channel.NewMedium(channel.Config{
-				SampleRate: p.SampleRate,
-				SNRdB:      snr,
-				FreqOffset: channel.DefaultFreqOffset,
-				Pad:        pad,
-			}, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			phases = append(phases, l.Phases(med.Transmit(sig))...)
-		}
-		captures[name] = phases
+	frame := func(name string, snr float64, pad int, frames ...*Frame) []float64 {
+		phases := transmitPhases(t, l, rng, snr, snr, pad, pad, frames...)
+		captures[name] = huntCase{d, phases}
+		return phases
 	}
-	frame("frame-clean", 30, 2500, &Frame{Seq: 5, Flags: 1, Data: []byte("hunt")})
+	clean := frame("frame-clean", 30, 2500, &Frame{Seq: 5, Flags: 1, Data: []byte("hunt")})
 	frame("frame-noisy", 3, 4000, &Frame{Seq: 6, Data: []byte("low snr")})
 	frame("frames-gapped", 12, 6000,
 		&Frame{Seq: 7, Data: []byte("one")},
 		&Frame{Seq: 8, Data: []byte("two")},
 		&Frame{Seq: 9, Data: []byte("three")})
+
+	// Back to back at 10–16 dB with 2,000–6,000-sample gaps: each
+	// rearm's fold warm-up lands just before the next preamble.
+	var tight []*Frame
+	for k := 0; k < 6; k++ {
+		data := make([]byte, rng.Intn(MaxDataBytes+1))
+		rng.Read(data)
+		tight = append(tight, &Frame{Seq: uint8(10 + k), Data: data})
+	}
+	captures["frames-back-to-back"] = huntCase{d, transmitPhases(t, l, rng, 10, 16, 1000, 3000, tight...)}
+
+	// The clean frame cut (and flushed) inside the fold warm-up, at
+	// either side of the first fold anchor, and inside the refinement
+	// span the lock opens.
+	sc, err := d.newPreambleScanner(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared := d.prepare(clean)
+	for _, phi := range prepared {
+		if sc.push(phi); sc.locked() {
+			break
+		}
+	}
+	if !sc.locked() {
+		t.Fatal("clean frame never locked")
+	}
+	foldSpan := PreambleBits * p.BitPeriod
+	for name, n := range map[string]int{
+		"cut-100":        100,
+		"cut-foldspan-1": foldSpan - 1,
+		"cut-foldspan":   foldSpan,
+		"cut-refinement": sc.i + 5000,
+	} {
+		captures["frame-clean-"+name] = huntCase{d, clean[:n]}
+	}
+
+	// Compensation 0: runs of −0 and +0 (the kernel's fold taps and the
+	// scalar folder's 0-seeded sum disagree on the sign of an all-zero
+	// sum) around a biased region that locks.
+	d0, err := NewDecoder(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var zeros []float64
+	zeroRuns := func(n int) {
+		for len(zeros) < n {
+			z := 0.0
+			if rng.Intn(2) == 0 {
+				z = math.Copysign(0, -1)
+			}
+			for run := 1 + rng.Intn(1500); run > 0; run-- {
+				zeros = append(zeros, z)
+			}
+		}
+	}
+	zeroRuns(15000)
+	for i := 0; i < 12000; i++ {
+		zeros = append(zeros, (1.25*rng.Float64()-0.25)*math.Pi)
+	}
+	zeroRuns(len(zeros) + 40000)
+	captures["signed-zeros-comp0"] = huntCase{d0, zeros}
 	return captures
 }
 
@@ -183,32 +303,84 @@ func TestHuntBatchZeroAlloc(t *testing.T) {
 }
 
 // TestHuntScalarBatchEquivalence pins the tentpole guarantee of the
-// batched idle-hunt kernel: over noise-only and frame-bearing streams,
-// at every chunk size down to one sample, the batched path emits
-// exactly the events of the per-sample reference path and leaves the
-// scanner in the same decision state.
+// batched hunt kernel: over noise-only and frame-bearing streams, at
+// every chunk size down to one sample, the batched path emits exactly
+// the events of the per-sample reference path, completes its scans at
+// the same stream positions and leaves the scanner in the same decision
+// state.
 func TestHuntScalarBatchEquivalence(t *testing.T) {
-	d := mustLink(t, Params20(), wifi.CanonicalCompensation).Decoder()
-	for name, phases := range huntCaptures(t) {
+	for name, c := range huntCaptures(t) {
 		t.Run(name, func(t *testing.T) {
-			wantEvents, wantState := replayHunt(t, d, phases, len(phases), true)
-			for _, chunk := range []int{1, 7, 64, 1024, len(phases)} {
-				gotEvents, gotState := replayHunt(t, d, phases, chunk, false)
-				if !reflect.DeepEqual(gotEvents, wantEvents) {
+			want := replayHunt(t, c.d, c.phases, len(c.phases), true)
+			var wantDone []huntState
+			for _, chunk := range []int{1, 7, 64, 1024, 4096, len(c.phases)} {
+				got := replayHunt(t, c.d, c.phases, chunk, false)
+				if !reflect.DeepEqual(got.events, want.events) {
 					t.Errorf("chunk %d: batched events diverge from scalar reference\n got: %+v\nwant: %+v",
-						chunk, gotEvents, wantEvents)
+						chunk, got.events, want.events)
 				}
-				if !reflect.DeepEqual(gotState, wantState) {
+				if !reflect.DeepEqual(got.state, want.state) {
 					t.Errorf("chunk %d: batched scanner state diverges\n got: %+v\nwant: %+v",
-						chunk, gotState, wantState)
+						chunk, got.state, want.state)
 				}
 				// The scalar path must itself be chunk-invariant with the
 				// re-anchor schedule in place.
-				scalarEvents, scalarState := replayHunt(t, d, phases, chunk, true)
-				if !reflect.DeepEqual(scalarEvents, wantEvents) || !reflect.DeepEqual(scalarState, wantState) {
+				scalar := replayHunt(t, c.d, c.phases, chunk, true)
+				if !reflect.DeepEqual(scalar.events, want.events) || !reflect.DeepEqual(scalar.state, want.state) {
 					t.Errorf("chunk %d: scalar path not chunk-invariant", chunk)
+				}
+				// Up to 4096 phases a chunk, every completion is seen
+				// while the machine waits for its selection or decode
+				// coverage, so the lists are complete and comparable.
+				if chunk > 4096 {
+					continue
+				}
+				if !reflect.DeepEqual(got.done, scalar.done) {
+					t.Errorf("chunk %d: batched scan completions diverge\n got: %+v\nwant: %+v", chunk, got.done, scalar.done)
+				}
+				if wantDone == nil {
+					wantDone = scalar.done
+				} else if !reflect.DeepEqual(scalar.done, wantDone) {
+					t.Errorf("chunk %d: scalar completions not chunk-invariant", chunk)
 				}
 			}
 		})
+	}
+}
+
+// TestHuntGateNaNPhases pins the pre-gate's NaN handling. A NaN phase
+// turns the gate's running checkpoint total NaN for the rest of the
+// segment; the gate must then evaluate the segment exactly rather than
+// skip it. Here the fold mean crosses the threshold between a finite
+// checkpoint under the gate's limit and the first NaN checkpoint, and
+// the per-sample reference locks.
+func TestHuntGateNaNPhases(t *testing.T) {
+	d, err := NewDecoder(Params20(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.Params()
+	for r := 1003; r <= 1039; r += 4 {
+		phases := make([]float64, 8000)
+		for i := range phases {
+			phases[i] = -math.Pi
+		}
+		for k := 0; k < PreambleBits; k++ {
+			for i := r + k*p.BitPeriod; i < r+k*p.BitPeriod+55; i++ {
+				phases[i] = math.Pi
+			}
+		}
+		phases[r+49+3*p.BitPeriod] = math.NaN()
+		want := replayHunt(t, d, phases, len(phases), true)
+		if len(want.events) == 0 || want.events[0].Kind != EventLock || want.events[0].Anchor != r-35 {
+			t.Fatalf("R=%d: reference events %+v, want a lock at %d", r, want.events, r-35)
+		}
+		for _, chunk := range []int{1, 1000, len(phases)} {
+			got := replayHunt(t, d, phases, chunk, false)
+			if !reflect.DeepEqual(got.events, want.events) || !reflect.DeepEqual(got.state, want.state) {
+				t.Errorf("R=%d chunk %d: batched %+v %+v, reference %+v %+v",
+					r, chunk, got.events, got.state, want.events, want.state)
+			}
+		}
 	}
 }

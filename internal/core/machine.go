@@ -104,10 +104,10 @@ type FrameMachine struct {
 	// exists trimming stops, so selection always sees a stable window.
 	retention int
 
-	// scalarHunt forces the per-sample reference hunt path instead of the
-	// batched kernel (huntbatch.go); the two are bit-identical and the
-	// in-package equivalence tests set it to diff them over randomized
-	// streams.
+	// scalarHunt forces the per-sample reference scan (push) instead of
+	// the batched kernel (huntbatch.go); the two are bit-identical and
+	// the in-package equivalence tests set it to diff them over
+	// randomized streams.
 	scalarHunt bool
 
 	lockEmitted bool
@@ -198,6 +198,12 @@ func (m *FrameMachine) Events() []StreamEvent {
 // zero) and advances the machine. The chunk is copied; the caller may
 // reuse the slice. Pushing into a flushed machine reports ErrFlushed
 // (wrapped); Reset first.
+//
+// At compensation 0 the phases must lie in [−π, π] or be NaN, as every
+// phase producer in this module guarantees: the preamble scan's pre-gate
+// bounds how far the fold statistic can move between its checkpoints
+// from that range (DESIGN.md §13.2). A nonzero compensation wraps every
+// phase into range.
 //
 //symbee:hotpath
 func (m *FrameMachine) PushChunk(phases []float64) error {

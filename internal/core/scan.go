@@ -39,9 +39,9 @@ type foldCandidate struct {
 }
 
 // preambleScanner is the incremental half of preamble capture (§V): it
-// consumes the phase stream one value at a time, maintaining the sliding
-// fold sums, the sign counter and the windowed mean across pushes, and
-// collects candidate anchors. It carries all state between pushes, so a
+// consumes the phase stream in order, maintaining the sliding fold
+// sums, the sign counter and the windowed mean across calls, and
+// collects candidate anchors. It carries all state between calls, so a
 // stream split at any chunk boundary scans identically to a single
 // batch pass — this is what lets internal/stream decode unbounded
 // captures with bounded memory.
@@ -49,19 +49,22 @@ type foldCandidate struct {
 // The scan semantics are exactly those of the former Decoder
 // capturePreamble loop: candidates are local maxima of the fold-mean
 // statistic, collected for a bounded refinement span after the first
-// threshold crossing; push reports true when that span is exhausted
+// threshold crossing; the scan completes when that span is exhausted
 // (the batch loop's break). finish then runs candidate selection.
+//
+// Every production path scans through the batched kernel, huntChunk
+// (huntbatch.go). push and its three rings are the per-sample
+// reference the kernel is pinned to; only tests reach them, through
+// FrameMachine.scalarHunt or directly. A scanner runs one of the two
+// from each reset on, never both.
 type preambleScanner struct {
 	d        *Decoder
-	folder   *dsp.SlidingFolder
-	counter  *dsp.MovingSignCounter
-	mean     *dsp.MovingAverage
 	foldSpan int
 	// i is the absolute stream index of the next phase to consume.
 	i int
 	// start is the stream index the scanner was (re)set at; fold anchors
 	// exist from start onward, and the re-anchor schedule (below) is
-	// phased off absolute anchor positions so the scalar and batched hunt
+	// phased off absolute anchor positions so the scalar and batched
 	// paths re-derive their windowed state at identical points.
 	start     int
 	cands     []foldCandidate
@@ -75,18 +78,20 @@ type preambleScanner struct {
 	// scores is finish's per-shortlist scratch, retained so a scanner
 	// that is reset per frame keeps the streaming decode allocation-free.
 	scores []float64
-	// Batched hunt kernel state (huntbatch.go). foldRing mirrors the
-	// mean/counter rings as one chronological ring of the last StableLen
-	// fold sums; msum and neg are the incremental window sum and negative
-	// count; foldPos is the ring cursor (oldest element). batchValid
-	// marks that this state continues exactly at fold anchor i-foldSpan+1.
-	foldRing    []float64
-	handScratch []float64
-	foldPos     int
-	msum        float64
-	neg         int
-	batchValid  bool
-	gateSlack   float64
+	// The per-sample reference's rings (push only).
+	folder  *dsp.SlidingFolder
+	counter *dsp.MovingSignCounter
+	mean    *dsp.MovingAverage
+	// Batched kernel state (huntbatch.go). foldRing holds the last
+	// StableLen fold sums chronologically from foldPos (the oldest); msum
+	// and neg are their incremental window sum and negative count. reset
+	// zeroes all four, so the warm-up fills the window from +0 exactly as
+	// the scalar rings fill from empty.
+	foldRing  []float64
+	foldPos   int
+	msum      float64
+	neg       int
+	gateSlack float64
 }
 
 // newPreambleScanner returns a scanner whose next consumed phase has
@@ -110,20 +115,17 @@ func (d *Decoder) newPreambleScanner(start int) (*preambleScanner, error) {
 		counter:  counter,
 		mean:     mean,
 		foldSpan: d.p.BitPeriod * PreambleBits,
-		// Batched hunt kernel state (huntbatch.go): the rolling window of
-		// the last StableLen fold sums, and the chronological scratch the
-		// lock handoff rebuilds the scalar rings through. Allocated here,
-		// at setup, so the sustained hunt path never has to.
-		foldRing:    make([]float64, d.p.StableLen),
-		handScratch: make([]float64, d.p.StableLen),
-		gateSlack:   huntGateSlack(d.p),
+		// The batched kernel's window of the last StableLen fold sums,
+		// allocated here, at setup, so the sustained scan never has to.
+		foldRing:  make([]float64, d.p.StableLen),
+		gateSlack: huntGateSlack(d.p),
 	}
 	s.reset(start)
 	return s, nil
 }
 
 // reset rewinds the scanner to a cold hunting state whose next consumed
-// phase has absolute stream index start, reusing the DSP rings and the
+// phase has absolute stream index start, reusing the rings and the
 // candidate storage. The streaming FrameMachine resets one scanner per
 // rearm instead of allocating a fresh one per frame.
 func (s *preambleScanner) reset(start int) {
@@ -138,7 +140,8 @@ func (s *preambleScanner) reset(start int) {
 	s.remaining = -1
 	s.lockAnchor = 0
 	s.done = false
-	s.batchValid = false
+	clear(s.foldRing)
+	s.foldPos, s.msum, s.neg = 0, 0, 0
 }
 
 // locked reports whether the detection statistic has crossed the capture
@@ -149,6 +152,9 @@ func (s *preambleScanner) locked() bool { return s.remaining >= 0 }
 // reports whether the scan is complete: the bounded candidate-refinement
 // span after the first threshold crossing has been exhausted. Callers
 // must stop pushing once push returns true and move on to finish.
+//
+// push is the per-sample reference for the batched kernel (huntChunk);
+// only tests reach it.
 //
 //symbee:hotpath
 func (s *preambleScanner) push(phi float64) bool {
@@ -162,12 +168,12 @@ func (s *preambleScanner) push(phi float64) bool {
 		return false
 	}
 	// a is the fold anchor this push completes. Re-anchor the windowed
-	// state at the deterministic absolute positions the batched hunt
-	// kernel re-derives its state at (every huntSegment anchors, once the
-	// windows are full): at those points the incremental sums become pure
-	// functions of the window contents, which is what lets the batch path
-	// skip whole idle segments and still agree with this path to the last
-	// bit (see huntbatch.go).
+	// state at the deterministic absolute positions the batched kernel
+	// re-derives its state at (every huntSegment anchors, once the
+	// windows are full, locked or not): at those points the incremental
+	// sums become pure functions of the window contents, which is what
+	// lets the batch path skip whole idle segments and still agree with
+	// this path to the last bit (see huntbatch.go).
 	a := i - s.foldSpan + 1
 	if a&(huntSegment-1) == 0 && a-s.start >= s.d.p.StableLen {
 		s.mean.Reanchor()

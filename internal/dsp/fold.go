@@ -99,16 +99,3 @@ func (f *SlidingFolder) Reset() {
 	f.pos = 0
 	f.count = 0
 }
-
-// LoadWindow replaces the folder's window with the given period*reps
-// samples (oldest first), leaving it exactly as if they had been pushed
-// in order into a full folder: the next Push evicts values[0] and
-// returns the fold sum anchored at values[1]. The batched hunt kernel,
-// which computes fold sums by direct indexing into the retained phase
-// history instead of through this ring, uses LoadWindow to hand a
-// scanner back to the scalar path after a fold lock.
-func (f *SlidingFolder) LoadWindow(values []float64) {
-	copy(f.ring, values)
-	f.pos = 0
-	f.count = len(f.ring)
-}

@@ -50,10 +50,11 @@ func (c *MovingSignCounter) Reset() {
 }
 
 // Reanchor recounts the negatives from the ring contents. The count is
-// integer-exact either way; the method exists so the scalar hunt path
-// re-anchors its whole windowed state (counter and average together) at
-// the deterministic stream positions the batched hunt kernel re-derives
-// its state at — see the hunt-kernel notes in internal/core/scan.go.
+// integer-exact either way; the method exists so the scalar preamble
+// scan re-anchors its whole windowed state (counter and average
+// together) at the deterministic stream positions the batched kernel
+// re-derives its state at — see the kernel notes in
+// internal/core/huntbatch.go.
 func (c *MovingSignCounter) Reanchor() {
 	neg := 0
 	for _, v := range c.ring[:c.fill] {
@@ -62,18 +63,6 @@ func (c *MovingSignCounter) Reanchor() {
 		}
 	}
 	c.neg = neg
-}
-
-// LoadWindow replaces the window with the given values (oldest first)
-// and recounts the negatives, leaving the counter exactly as if the
-// values had been pushed in order into a full counter. len(values) must
-// equal the window size. The batched hunt kernel uses it to hand a
-// scanner back to the scalar path after a fold lock.
-func (c *MovingSignCounter) LoadWindow(values []float64) {
-	copy(c.ring, values)
-	c.pos = 0
-	c.fill = len(c.ring)
-	c.Reanchor()
 }
 
 // MovingAverage maintains a sliding-window mean over a float stream:
@@ -117,7 +106,7 @@ func (a *MovingAverage) Push(v float64) float64 {
 // importantly, makes the sum at those positions a pure function of the
 // window contents — the property that lets the batched hunt kernel skip
 // whole idle segments and still agree with the scalar path to the last
-// bit (internal/core/scan.go).
+// bit (internal/core/huntbatch.go).
 func (a *MovingAverage) Reanchor() {
 	var s float64
 	if a.fill == len(a.ring) {
@@ -134,20 +123,6 @@ func (a *MovingAverage) Reanchor() {
 		}
 	}
 	a.sum = s
-}
-
-// LoadWindow replaces the window with the given values (oldest first)
-// and installs the carried running sum, leaving the average exactly as
-// the incremental scalar path would hold it at the same stream
-// position. len(values) must equal the window size. The batched hunt
-// kernel uses it to hand a scanner back to the scalar path after a fold
-// lock: the kernel maintains the same incremental sum, so the carried
-// value — not a fresh recomputation — preserves bit-identity.
-func (a *MovingAverage) LoadWindow(values []float64, sum float64) {
-	copy(a.ring, values)
-	a.pos = 0
-	a.fill = len(a.ring)
-	a.sum = sum
 }
 
 // Reset empties the window so the average can be reused without

@@ -35,9 +35,10 @@ go test -race ./internal/link/ -run "$MEDIUM_EQUIVALENCE_RUN" -count=1
 # Stack configuration at every ingest chunk size, and the warm ingest
 # path must stay allocation-free (DESIGN.md §11).
 go test ./internal/link/ -run "$LINK_EQUIVALENCE_RUN" -count=1
-# Batched idle-hunt kernel equivalence: the chunked batch hunt must
-# match the per-sample reference scanner bit for bit and allocate
-# nothing once warm (DESIGN.md §13).
+# Batched preamble-scan equivalence: the chunked batch scan, in every
+# scanner state, and the batch CapturePreamble must match the
+# per-sample reference scanner bit for bit, and the warm hunt must
+# allocate nothing (DESIGN.md §13).
 go test ./internal/core/ -run "$HUNT_EQUIVALENCE_RUN" -count=1
 # Phase kernel equivalence: the shared block kernel behind the batch
 # and streaming phase paths, and the branch-free WrapPhase, must match

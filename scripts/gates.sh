@@ -10,10 +10,11 @@
 # plus the warm-ingest zero-alloc pin.
 LINK_EQUIVALENCE_RUN='TestGoldenTraceEquivalence|TestStreamingChunkInvariance|TestStackSteadyStateZeroAlloc'
 
-# Batched idle-hunt kernel gate (DESIGN.md §13): the chunked batch path
-# must match the per-sample reference scanner bit for bit, and the warm
-# batch hunt must stay allocation-free.
-HUNT_EQUIVALENCE_RUN='TestHuntScalarBatchEquivalence|TestHuntBatchZeroAlloc'
+# Batched preamble-scan gate (DESIGN.md §13): the chunked batch path,
+# in every scanner state, and the batch CapturePreamble must match the
+# per-sample reference scanner bit for bit, NaN phases included, and
+# the warm batch hunt must stay allocation-free.
+HUNT_EQUIVALENCE_RUN='TestHuntScalarBatchEquivalence|TestHuntGateNaNPhases|TestCapturePreambleMatchesScalarScan|TestHuntBatchZeroAlloc'
 
 # Phase kernel gate (DESIGN.md §7): PhaseDiffStream and
 # PhaseDiffStreamer.Process share one block kernel, so their agreement
