@@ -172,12 +172,9 @@ func (d *Decoder) CapturePreamble(phases []float64) (int, error) {
 }
 
 func (d *Decoder) capturePreamble(phases []float64) (int, error) {
-	sc, err := d.newPreambleScanner(0)
-	if err != nil {
-		return 0, err
-	}
+	sc := d.newPreambleScanner()
 	win := phaseWindow{data: phases}
-	sc.huntChunk(win, len(phases), false, true)
+	sc.huntChunk(win, len(phases), true)
 	return sc.finish(win)
 }
 
@@ -234,10 +231,7 @@ func (d *Decoder) DecodeBits(phases []float64, n int) ([]byte, error) {
 // the same stream positions regardless of chunking, so this is
 // bit-identical to feeding the capture sample by sample.
 func (d *Decoder) DecodeFrame(phases []float64) (*Frame, error) {
-	m, err := d.NewBatchMachine()
-	if err != nil {
-		return nil, err
-	}
+	m := d.newMachine(0)
 	if err := m.PushChunk(phases); err != nil {
 		return nil, err
 	}

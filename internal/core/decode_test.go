@@ -439,23 +439,6 @@ func TestDecodeFrame40MHz(t *testing.T) {
 	}
 }
 
-// scalarCapturePreamble is the per-sample reference for
-// CapturePreamble: a fresh scanner fed one phase at a time until its
-// refinement span ends, then selection over the whole capture.
-func scalarCapturePreamble(d *Decoder, phases []float64) (int, error) {
-	phases = d.prepare(phases)
-	sc, err := d.newPreambleScanner(0)
-	if err != nil {
-		return 0, err
-	}
-	for _, phi := range phases {
-		if sc.push(phi) {
-			break
-		}
-	}
-	return sc.finish(phaseWindow{data: phases})
-}
-
 // TestCapturePreambleMatchesScalarScan pins CapturePreamble, which scans
 // through the batched hunt kernel, to the per-sample reference scan over
 // noise, single frames at 0–20 dB and back-to-back frames, each whole

@@ -256,8 +256,7 @@ func FuzzHuntBatch(f *testing.F) {
 			total += c
 		}
 		cut := func(k int) int { return cuts[k] }
-		batch := replayHuntCuts(t, d, phases, cut, false)
-		scalar := replayHuntCuts(t, d, phases, cut, true)
+		batch, scalar := replayHuntCuts(t, d, phases, cut)
 		if !reflect.DeepEqual(batch.events, scalar.events) {
 			t.Fatalf("events diverge\n batched: %+v\nscalar: %+v", batch.events, scalar.events)
 		}

@@ -2,39 +2,40 @@ package core
 
 import "math"
 
-// This file is the batched preamble-scan kernel: the chunk-at-a-time
-// counterpart of preambleScanner.push, and the one scan every
-// production path runs, in every scanner state — the fold warm-up after
-// a reset, the cold hunt the receiver sits in ~99% of the time on an
-// idle channel, and the refinement span after a lock.
+// This file is the batched preamble-scan kernel: the one scan every
+// path runs, in every scanner state — the fold warm-up after a reset,
+// the cold hunt the receiver sits in ~99% of the time on an idle
+// channel, and the refinement span after a lock.
 //
-// The scalar path pays three ring data structures (folder, windowed
-// mean, sign counter) per sample. The batch kernel removes all of them:
-// fold sums are gathered directly from the retained phase history with
-// a 4-tap strided read, and the windowed mean/sign state is carried in
+// A per-sample scan pays three ring data structures (folder, windowed
+// mean, sign counter) per phase. The kernel removes all of them: fold
+// sums are gathered directly from the retained phase history with a
+// 4-tap strided read, and the windowed mean/sign state is carried in
 // three scalars (msum, neg, plus one chronological ring of fold sums).
 // In the cold hunt a decimated pre-gate sits on top: it proves whole
 // segments of anchors cannot reach the capture threshold and skips
 // them without touching any per-anchor state.
 //
-// Bit-identity with the scalar path is engineered, not hoped for:
+// The kernel is pinned bit for bit to such a per-sample scan, kept as
+// the test-only reference refScanner (scanref_test.go). Bit identity
+// is engineered, not hoped for:
 //
-//   - Both paths re-anchor the windowed state (recompute the window sum
+//   - Both re-anchor the windowed state (recompute the window sum
 //     oldest→newest, recount negatives) at the same deterministic
 //     absolute fold anchors: every multiple of huntSegment once the
-//     windows are full, locked or not. At those points the state is a
+//     window is full, locked or not. At those points the state is a
 //     pure function of the phase window, so a segment whose interior
-//     the batch path never evaluated resumes with exactly the state the
-//     scalar path holds.
-//   - Between re-anchors the kernel replicates the scalar update order
-//     exactly: the fold sum adds taps oldest→newest (SlidingFolder.Push
-//     order) and the window sum subtracts the evicted value before
-//     adding the new one (MovingAverage.Push order).
+//     the kernel never evaluated resumes with exactly the state the
+//     reference holds.
+//   - Between re-anchors the kernel replicates the reference's
+//     update order exactly: the fold sum adds taps oldest→newest and
+//     the window sum subtracts the evicted value before adding the new
+//     one.
 //   - The warm-up after reset starts from a ring of +0 and a +0 sum.
 //     Evicting a +0 leaves every sum unchanged and is never negative,
 //     so the first StableLen anchors fill the window exactly as the
-//     scalar rings do; the statistic is tested from the anchor at which
-//     MovingSignCounter.Push first reports full.
+//     reference's rings fill from empty; the statistic is tested from
+//     the first anchor whose window is full.
 //   - The pre-gate is sound by construction: it evaluates exact window
 //     means at decimated checkpoints and adds the worst-case Lipschitz
 //     slack of the statistic between checkpoints, so a skipped anchor
@@ -44,14 +45,14 @@ import "math"
 //     false alarm.
 //
 // The equivalence is pinned by TestHuntScalarBatchEquivalence,
-// TestCapturePreambleMatchesScalarScan, FuzzHuntBatch and the golden
-// trace fixtures, which run both paths over identical streams.
+// TestHuntGateNaNPhases, TestCapturePreambleMatchesScalarScan,
+// FuzzHuntBatch and the golden trace fixtures.
 
 const (
 	// huntSegment is the re-anchor period in fold anchors, and the
 	// granularity at which the pre-gate skips. Must be a power of two
-	// (the scalar path tests anchors with a mask). 512 keeps re-anchor
-	// cost ≈0.3 adds/sample while bounding the deferred-tail lag.
+	// (anchors are tested with a mask). 512 keeps re-anchor cost
+	// ≈0.3 adds/sample while bounding the deferred-tail lag.
 	huntSegment = 512
 	// gateDecim is the pre-gate checkpoint spacing in anchors. The gate
 	// slides four StableLen-run sums by gateDecim between checkpoints:
@@ -78,32 +79,25 @@ func huntGateSlack(p Params) float64 {
 	return perStep * float64(gateDecim/2)
 }
 
+// The kernel's fold taps are unrolled for four preamble bits: this
+// line stops the build for any other PreambleBits.
+var _ = [1]struct{}{}[PreambleBits-4]
+
 // huntChunk consumes the buffered phase stream [s.i, n) from win,
-// exactly as a loop of push(win.at(s.i)) would, and reports whether the
-// scan is complete. scalarOnly forces the per-sample reference path
-// (the equivalence tests diff the two). flushed marks end of stream:
+// exactly as feeding the reference one phase at a time would, and
+// reports whether the scan is complete. flushed marks end of stream:
 // the kernel may otherwise defer an idle frontier tail shorter than a
 // segment until more phases arrive (deferral is invisible — a provably
 // idle tail emits nothing — but a flush must drain it).
 //
-// The scan position s.i is where push would leave it whenever the
-// scanner completes or the input is drained; only a deferred tail parks
-// it earlier, at its segment boundary.
+// The scan position s.i is where the reference would leave it whenever
+// the scanner completes or the input is drained; only a deferred tail
+// parks it earlier, at its segment boundary.
 //
 //symbee:hotpath
-func (s *preambleScanner) huntChunk(win phaseWindow, n int, scalarOnly, flushed bool) bool {
+func (s *preambleScanner) huntChunk(win phaseWindow, n int, flushed bool) bool {
 	if s.done {
 		return true
-	}
-	// PreambleBits != 4 never holds today (compile-time constant); the
-	// guard documents the kernel's 4-tap specialization.
-	if scalarOnly || PreambleBits != 4 {
-		for s.i < n {
-			if s.push(win.at(s.i)) {
-				return true
-			}
-		}
-		return false
 	}
 	aEnd := n - s.foldSpan + 1 // one past the last processable anchor
 	a := s.i - s.foldSpan + 1
@@ -113,8 +107,9 @@ func (s *preambleScanner) huntChunk(win phaseWindow, n int, scalarOnly, flushed 
 	for a < aEnd {
 		e := a - (a & (huntSegment - 1)) + huntSegment
 		if a&(huntSegment-1) == 0 && a-s.start >= s.d.p.StableLen {
-			// Segment boundary: both paths re-anchor here, so state may
-			// be re-derived fresh — which is what makes gate skips free.
+			// Segment boundary: the reference re-anchors here too, so
+			// state may be re-derived fresh — which is what makes gate
+			// skips free.
 			if !s.locked() && s.gateIdle(win, a, min(e, aEnd)) {
 				if e > aEnd && !flushed {
 					// Idle frontier tail: defer until more phases
@@ -141,7 +136,7 @@ func (s *preambleScanner) huntChunk(win phaseWindow, n int, scalarOnly, flushed 
 }
 
 // setScanPos positions the scanner so the next consumed phase completes
-// fold anchor a: the scalar push of stream index i completes anchor
+// fold anchor a: the phase at stream index i completes anchor
 // i-foldSpan+1.
 func (s *preambleScanner) setScanPos(a int) {
 	s.i = a + s.foldSpan - 1
@@ -150,8 +145,8 @@ func (s *preambleScanner) setScanPos(a int) {
 // rederive rebuilds the kernel's windowed state fresh at segment-start
 // anchor a: the chronological ring of fold sums for anchors
 // [a-StableLen, a), their oldest→newest sum, and the negative count —
-// exactly the state the scalar path holds after its Reanchor calls at
-// the same position.
+// exactly the state the reference holds after re-anchoring at the same
+// anchor.
 func (s *preambleScanner) rederive(win phaseWindow, a int) {
 	p := s.d.p.BitPeriod
 	stable := s.d.p.StableLen
@@ -174,7 +169,7 @@ func (s *preambleScanner) rederive(win phaseWindow, a int) {
 }
 
 // runSpan evaluates the exact detection statistic at every fold anchor
-// in [a, e) using the carried kernel state, replicating the scalar
+// in [a, e) using the carried kernel state, replicating the reference's
 // update order bit for bit, and counts down the refinement span once
 // the scanner is locked. It returns true when the span is exhausted
 // (the scan is complete, s.i just past the completing anchor's last
@@ -192,8 +187,8 @@ func (s *preambleScanner) runSpan(win phaseWindow, a, e int) bool {
 	// the exact mean test below still decides every borderline case.
 	thrSumLo := thr*float64(stable) - 1e-6
 	invStable := float64(stable)
-	// The first anchor whose window is full, where
-	// MovingSignCounter.Push first reports full.
+	// The first anchor whose window is full, where the statistic is
+	// first tested.
 	full := s.start + stable - 1
 	data := win.data
 	ring := s.foldRing
@@ -207,7 +202,7 @@ func (s *preambleScanner) runSpan(win phaseWindow, a, e int) bool {
 		if pos == stable {
 			pos = 0
 		}
-		// MovingAverage.Push order: evict, then add.
+		// Evict, then add: the reference's order.
 		msum -= old
 		msum += f
 		if old < 0 {
@@ -229,7 +224,7 @@ func (s *preambleScanner) runSpan(win phaseWindow, a, e int) bool {
 			if rem <= 0 {
 				s.msum, s.neg, s.foldPos, s.remaining = msum, neg, pos, rem
 				s.done = true
-				s.i = a + s.foldSpan // just past the completing push
+				s.i = a + s.foldSpan // just past the completing phase
 				return true
 			}
 		}

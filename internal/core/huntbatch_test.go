@@ -74,23 +74,39 @@ type huntReplay struct {
 	done []huntState
 }
 
-// replayHunt feeds phases through a fresh machine in chunks of one
-// size, with the hunt path selected.
-func replayHunt(t *testing.T, d *Decoder, phases []float64, chunk int, scalar bool) huntReplay {
-	t.Helper()
-	return replayHuntCuts(t, d, phases, func(int) int { return chunk }, scalar)
+// huntMachine is what a replay drives: the production FrameMachine or
+// the reference refMachine.
+type huntMachine interface {
+	PushChunk(phases []float64) error
+	Flush()
+	Events() []StreamEvent
 }
 
-// replayHuntCuts feeds phases through a fresh machine, chunk k holding
-// cut(k) phases, with the hunt path selected, and returns the flattened
-// events, the final scanner state and the state at each completion.
-func replayHuntCuts(t *testing.T, d *Decoder, phases []float64, cut func(k int) int, scalar bool) huntReplay {
+// replayHunt feeds phases through a fresh production machine and a
+// fresh reference machine in chunks of one size.
+func replayHunt(t *testing.T, d *Decoder, phases []float64, chunk int) (batch, ref huntReplay) {
+	t.Helper()
+	return replayHuntCuts(t, d, phases, func(int) int { return chunk })
+}
+
+// replayHuntCuts feeds phases, chunk k holding cut(k) phases, through a
+// fresh production machine and through a fresh reference machine
+// (scanref_test.go), and returns for each the flattened events, the
+// final scanner state and the state at each completion.
+func replayHuntCuts(t *testing.T, d *Decoder, phases []float64, cut func(k int) int) (batch, ref huntReplay) {
 	t.Helper()
 	m := mustMachine(t, d)
-	m.scalarHunt = scalar
+	rm := newRefMachine(d)
+	return replayMachine(t, m, m, phases, cut), replayMachine(t, rm, rm.FrameMachine, phases, cut)
+}
+
+// replayMachine feeds phases through drv at the given cuts, reading the
+// scanner and stage from m, the machine drv runs.
+func replayMachine(t *testing.T, drv huntMachine, m *FrameMachine, phases []float64, cut func(k int) int) huntReplay {
+	t.Helper()
 	var r huntReplay
 	record := func() {
-		r.events = append(r.events, flattenEvents(m.Events())...)
+		r.events = append(r.events, flattenEvents(drv.Events())...)
 		if m.scan.done && (len(r.done) == 0 || r.done[len(r.done)-1].Pos != m.scan.i) {
 			r.done = append(r.done, captureHuntState(m))
 		}
@@ -100,13 +116,13 @@ func replayHuntCuts(t *testing.T, d *Decoder, phases []float64, cut func(k int) 
 		if end > len(phases) {
 			end = len(phases)
 		}
-		if err := m.PushChunk(phases[off:end]); err != nil {
+		if err := drv.PushChunk(phases[off:end]); err != nil {
 			t.Fatal(err)
 		}
 		record()
 		off = end
 	}
-	m.Flush()
+	drv.Flush()
 	record()
 	r.state = captureHuntState(m)
 	return r
@@ -212,10 +228,7 @@ func huntCaptures(t *testing.T) map[string]huntCase {
 	// The clean frame cut (and flushed) inside the fold warm-up, at
 	// either side of the first fold anchor, and inside the refinement
 	// span the lock opens.
-	sc, err := d.newPreambleScanner(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := newRefScanner(d)
 	prepared := d.prepare(clean)
 	for _, phi := range prepared {
 		if sc.push(phi); sc.locked() {
@@ -236,8 +249,8 @@ func huntCaptures(t *testing.T) map[string]huntCase {
 	}
 
 	// Compensation 0: runs of −0 and +0 (the kernel's fold taps and the
-	// scalar folder's 0-seeded sum disagree on the sign of an all-zero
-	// sum) around a biased region that locks.
+	// reference's 0-seeded sum disagree on the sign of an all-zero sum)
+	// around a biased region that locks.
 	d0, err := NewDecoder(p, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -311,10 +324,10 @@ func TestHuntBatchZeroAlloc(t *testing.T) {
 func TestHuntScalarBatchEquivalence(t *testing.T) {
 	for name, c := range huntCaptures(t) {
 		t.Run(name, func(t *testing.T) {
-			want := replayHunt(t, c.d, c.phases, len(c.phases), true)
+			_, want := replayHunt(t, c.d, c.phases, len(c.phases))
 			var wantDone []huntState
 			for _, chunk := range []int{1, 7, 64, 1024, 4096, len(c.phases)} {
-				got := replayHunt(t, c.d, c.phases, chunk, false)
+				got, scalar := replayHunt(t, c.d, c.phases, chunk)
 				if !reflect.DeepEqual(got.events, want.events) {
 					t.Errorf("chunk %d: batched events diverge from scalar reference\n got: %+v\nwant: %+v",
 						chunk, got.events, want.events)
@@ -323,9 +336,8 @@ func TestHuntScalarBatchEquivalence(t *testing.T) {
 					t.Errorf("chunk %d: batched scanner state diverges\n got: %+v\nwant: %+v",
 						chunk, got.state, want.state)
 				}
-				// The scalar path must itself be chunk-invariant with the
+				// The reference must itself be chunk-invariant with the
 				// re-anchor schedule in place.
-				scalar := replayHunt(t, c.d, c.phases, chunk, true)
 				if !reflect.DeepEqual(scalar.events, want.events) || !reflect.DeepEqual(scalar.state, want.state) {
 					t.Errorf("chunk %d: scalar path not chunk-invariant", chunk)
 				}
@@ -371,12 +383,12 @@ func TestHuntGateNaNPhases(t *testing.T) {
 			}
 		}
 		phases[r+49+3*p.BitPeriod] = math.NaN()
-		want := replayHunt(t, d, phases, len(phases), true)
+		_, want := replayHunt(t, d, phases, len(phases))
 		if len(want.events) == 0 || want.events[0].Kind != EventLock || want.events[0].Anchor != r-35 {
 			t.Fatalf("R=%d: reference events %+v, want a lock at %d", r, want.events, r-35)
 		}
 		for _, chunk := range []int{1, 1000, len(phases)} {
-			got := replayHunt(t, d, phases, chunk, false)
+			got, _ := replayHunt(t, d, phases, chunk)
 			if !reflect.DeepEqual(got.events, want.events) || !reflect.DeepEqual(got.state, want.state) {
 				t.Errorf("R=%d chunk %d: batched %+v %+v, reference %+v %+v",
 					r, chunk, got.events, got.state, want.events, want.state)

@@ -66,8 +66,13 @@ type StreamEvent struct {
 // stream in arbitrarily sized chunks, carrying all DSP state (fold
 // sums, sign counts, windowed means) and a bounded phase history across
 // chunk boundaries, so a capture split at any offset decodes
-// bit-identically to a single batch pass — Decoder.DecodeFrame is
-// literally "one big chunk" through this machine.
+// bit-identically to one push of the whole capture —
+// Decoder.DecodeFrame is literally "one big chunk" through a batch
+// machine (NewBatchMachine). A bounded machine (NewFrameMachine) keeps
+// history only from each re-arm point on, so on a multi-frame stream a
+// decode error after a re-arm can report another anchor than a batch
+// machine, whose selection reads back across the previous frame's
+// tail.
 //
 // Decisions are taken at deterministic stream positions, never at chunk
 // boundaries: after a fold lock the machine waits until the retained
@@ -88,9 +93,9 @@ type FrameMachine struct {
 	// n is the total number of phases pushed (the next stream index).
 	n int
 
+	// scan is the preamble scanner; scan.i is the next stream index it
+	// consumes.
 	scan *preambleScanner
-	// scanPos is the next stream index to feed the scanner.
-	scanPos int
 
 	state MachineState
 	// anchor is the selected preamble anchor (StateDecoding).
@@ -104,15 +109,8 @@ type FrameMachine struct {
 	// exists trimming stops, so selection always sees a stable window.
 	retention int
 
-	// scalarHunt forces the per-sample reference scan (push) instead of
-	// the batched kernel (huntbatch.go); the two are bit-identical and
-	// the in-package equivalence tests set it to diff them over
-	// randomized streams.
-	scalarHunt bool
-
-	lockEmitted bool
-	flushed     bool
-	events      []StreamEvent
+	flushed bool
+	events  []StreamEvent
 	// bitBuf is the frame bit-decode scratch (maxFrameBits once a frame
 	// has been attempted); with the scanner reset-in-place and the
 	// events buffer recycled by Events, it keeps the machine's sustained
@@ -135,33 +133,32 @@ func defaultRetention(p Params) int {
 
 // NewFrameMachine returns a streaming machine with bounded history
 // retention. The machine applies the decoder's Compensation to every
-// pushed phase, mirroring the batch prepare step.
+// pushed phase, mirroring the batch prepare step. The error is always
+// nil.
 func (d *Decoder) NewFrameMachine() (*FrameMachine, error) {
-	scan, err := d.newPreambleScanner(0)
-	if err != nil {
-		return nil, err
-	}
-	return &FrameMachine{
-		d:         d,
-		retention: defaultRetention(d.p),
-		scan:      scan,
-		// The frame bit-decode scratch is allocated here, at setup, so
-		// the sustained push path never has to.
-		bitBuf: make([]byte, maxFrameBits),
-	}, nil
+	return d.newMachine(defaultRetention(d.p)), nil
 }
 
 // NewBatchMachine returns a machine with unbounded history — the
 // configuration under which it reproduces the historical whole-capture
 // decode exactly, including template reads arbitrarily far back. The
-// link package's batch stack preset is built on it.
+// link package's batch stack preset is built on it. The error is always
+// nil.
 func (d *Decoder) NewBatchMachine() (*FrameMachine, error) {
-	m, err := d.NewFrameMachine()
-	if err != nil {
-		return nil, err
+	return d.newMachine(0), nil
+}
+
+// newMachine returns a hunting machine that keeps retention phases of
+// hunting history (0: unbounded).
+func (d *Decoder) newMachine(retention int) *FrameMachine {
+	return &FrameMachine{
+		d:         d,
+		retention: retention,
+		scan:      d.newPreambleScanner(),
+		// The frame bit-decode scratch is allocated here, at setup, so
+		// the sustained push path never has to.
+		bitBuf: make([]byte, maxFrameBits),
 	}
-	m.retention = 0
-	return m, nil
 }
 
 // DecodeGateSpan returns, in phase values, the largest span a frame
@@ -234,10 +231,9 @@ func (m *FrameMachine) Flush() {
 // Reset returns the machine to a fresh hunting state at stream index 0.
 func (m *FrameMachine) Reset() {
 	m.buf = m.buf[:0]
-	m.base, m.n, m.scanPos = 0, 0, 0
+	m.base, m.n = 0, 0
 	m.scan.reset(0)
 	m.state = StateHunting
-	m.lockEmitted = false
 	m.flushed = false
 	m.events = m.events[:0]
 }
@@ -269,7 +265,7 @@ func (m *FrameMachine) advance() {
 			if err != nil {
 				// No candidates survived: nothing to decode, resume
 				// hunting over whatever follows.
-				m.rearm(m.scanPos)
+				m.rearm(m.scan.i)
 				continue
 			}
 			m.anchor = anchor
@@ -284,7 +280,7 @@ func (m *FrameMachine) advance() {
 			frame, usedAnchor, err := m.d.decodeFrameWinWithRetry(m.window(), m.anchor, m.bitBuf)
 			if err != nil {
 				m.events = append(m.events, StreamEvent{Kind: EventDecodeError, Anchor: m.anchor, Err: err})
-				m.rearm(m.scanPos)
+				m.rearm(m.scan.i)
 			} else {
 				total := HeaderBits + len(frame.Data)*8 + CRCBits
 				end := usedAnchor + (PreambleBits+total-1)*m.d.p.BitPeriod + m.d.p.StableLen
@@ -297,35 +293,29 @@ func (m *FrameMachine) advance() {
 
 // feedScanner streams buffered phases into the preamble scanner via the
 // batched hunt kernel, reporting whether the scan completed. It also
-// emits the lock event on the first threshold crossing. The scan
-// position may lag the newest phase by up to a hunt segment while the
-// kernel defers a provably idle frontier tail; trim never cuts past it.
+// emits the lock event on the first threshold crossing: every rearm and
+// Reset unlocks the scanner, so the crossing is the call that finds it
+// unlocked and leaves it locked. The scan position may lag the newest
+// phase by up to a hunt segment while the kernel defers a provably idle
+// frontier tail; trim never cuts past it.
 func (m *FrameMachine) feedScanner() bool {
-	done := m.scan.huntChunk(m.window(), m.n, m.scalarHunt, m.flushed)
-	m.scanPos = m.scan.i
-	if !m.lockEmitted && m.scan.locked() {
-		m.lockEmitted = true
+	wasLocked := m.scan.locked()
+	done := m.scan.huntChunk(m.window(), m.n, m.flushed)
+	if !wasLocked && m.scan.locked() {
 		m.events = append(m.events, StreamEvent{Kind: EventLock, Anchor: m.scan.lockAnchor})
 	}
 	return done
 }
 
-// rearm restarts hunting at stream index from: the scanner is reset
-// cold (fold warm-up included, rings reused in place) and
-// already-buffered phases past from will be rescanned by the caller's
-// advance loop. Frame bodies are skipped wholesale (from = frame end),
-// so their codeword runs cannot re-trigger the fold detector.
+// rearm restarts hunting at stream index from, clamped to between the
+// scan position and the newest phase: the scanner is reset cold (fold
+// warm-up included, ring reused in place) and already-buffered phases
+// past from will be rescanned by the caller's advance loop. Frame
+// bodies are skipped wholesale (from = frame end), so their codeword
+// runs cannot re-trigger the fold detector.
 func (m *FrameMachine) rearm(from int) {
-	if from < m.scanPos {
-		from = m.scanPos
-	}
-	if from > m.n {
-		from = m.n
-	}
-	m.scanPos = from
-	m.scan.reset(from)
+	m.scan.reset(min(max(from, m.scan.i), m.n))
 	m.state = StateHunting
-	m.lockEmitted = false
 	m.trim()
 }
 
@@ -342,10 +332,10 @@ func (m *FrameMachine) trim() {
 		return
 	}
 	cut := len(m.buf) - m.retention
-	// Never cut past the scan position: everything from scanPos on is
+	// Never cut past the scan position: everything from scan.i on is
 	// still unscanned (e.g. the lookahead buffered while a previous
 	// frame was being decoded) and will be fed to the scanner next.
-	if maxCut := m.scanPos - m.base; cut > maxCut {
+	if maxCut := m.scan.i - m.base; cut > maxCut {
 		cut = maxCut
 	}
 	if cut > 0 {

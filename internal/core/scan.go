@@ -27,10 +27,6 @@ func (w phaseWindow) contains(from, to int) bool {
 	return from >= w.base && to <= w.end()
 }
 
-// at returns the phase at absolute stream index idx (caller must ensure
-// containment).
-func (w phaseWindow) at(idx int) float64 { return w.data[idx-w.base] }
-
 // foldCandidate is one local maximum of the preamble detection
 // statistic: a potential anchor with the fold-window mean that scored it.
 type foldCandidate struct {
@@ -39,12 +35,11 @@ type foldCandidate struct {
 }
 
 // preambleScanner is the incremental half of preamble capture (§V): it
-// consumes the phase stream in order, maintaining the sliding fold
-// sums, the sign counter and the windowed mean across calls, and
-// collects candidate anchors. It carries all state between calls, so a
-// stream split at any chunk boundary scans identically to a single
-// batch pass — this is what lets internal/stream decode unbounded
-// captures with bounded memory.
+// consumes the phase stream in order, carrying the windowed fold state
+// across calls, and collects candidate anchors. It carries all state
+// between calls, so a stream split at any chunk boundary scans
+// identically to a single batch pass — this is what lets
+// internal/stream decode unbounded captures with bounded memory.
 //
 // The scan semantics are exactly those of the former Decoder
 // capturePreamble loop: candidates are local maxima of the fold-mean
@@ -52,20 +47,17 @@ type foldCandidate struct {
 // threshold crossing; the scan completes when that span is exhausted
 // (the batch loop's break). finish then runs candidate selection.
 //
-// Every production path scans through the batched kernel, huntChunk
-// (huntbatch.go). push and its three rings are the per-sample
-// reference the kernel is pinned to; only tests reach them, through
-// FrameMachine.scalarHunt or directly. A scanner runs one of the two
-// from each reset on, never both.
+// The scan itself is the batched kernel, huntChunk (huntbatch.go), in
+// every scanner state. The per-sample reference it is pinned to lives
+// in the package tests (scanref_test.go).
 type preambleScanner struct {
 	d        *Decoder
 	foldSpan int
 	// i is the absolute stream index of the next phase to consume.
 	i int
-	// start is the stream index the scanner was (re)set at; fold anchors
-	// exist from start onward, and the re-anchor schedule (below) is
-	// phased off absolute anchor positions so the scalar and batched
-	// paths re-derive their windowed state at identical points.
+	// start is the stream index the scanner was (re)set at: fold anchors
+	// exist from start onward, and the fold warm-up fills the window
+	// from there (huntbatch.go).
 	start     int
 	cands     []foldCandidate
 	bestMean  float64
@@ -78,15 +70,11 @@ type preambleScanner struct {
 	// scores is finish's per-shortlist scratch, retained so a scanner
 	// that is reset per frame keeps the streaming decode allocation-free.
 	scores []float64
-	// The per-sample reference's rings (push only).
-	folder  *dsp.SlidingFolder
-	counter *dsp.MovingSignCounter
-	mean    *dsp.MovingAverage
-	// Batched kernel state (huntbatch.go). foldRing holds the last
-	// StableLen fold sums chronologically from foldPos (the oldest); msum
-	// and neg are their incremental window sum and negative count. reset
-	// zeroes all four, so the warm-up fills the window from +0 exactly as
-	// the scalar rings fill from empty.
+	// Kernel state (huntbatch.go). foldRing holds the last StableLen
+	// fold sums chronologically from foldPos (the oldest); msum and neg
+	// are their incremental window sum and negative count. reset zeroes
+	// all four, so the warm-up fills the window from +0 exactly as a
+	// per-sample scan fills its rings from empty.
 	foldRing  []float64
 	foldPos   int
 	msum      float64
@@ -95,43 +83,25 @@ type preambleScanner struct {
 }
 
 // newPreambleScanner returns a scanner whose next consumed phase has
-// absolute stream index start (0 for a batch pass over a whole capture).
-func (d *Decoder) newPreambleScanner(start int) (*preambleScanner, error) {
-	folder, err := dsp.NewSlidingFolder(d.p.BitPeriod, PreambleBits)
-	if err != nil {
-		return nil, fmt.Errorf("core: preamble scanner: %w", err)
-	}
-	counter, err := dsp.NewMovingSignCounter(d.p.StableLen)
-	if err != nil {
-		return nil, fmt.Errorf("core: preamble scanner: %w", err)
-	}
-	mean, err := dsp.NewMovingAverage(d.p.StableLen)
-	if err != nil {
-		return nil, fmt.Errorf("core: preamble scanner: %w", err)
-	}
+// stream index 0; rearming resets it to any later start.
+func (d *Decoder) newPreambleScanner() *preambleScanner {
 	s := &preambleScanner{
 		d:        d,
-		folder:   folder,
-		counter:  counter,
-		mean:     mean,
 		foldSpan: d.p.BitPeriod * PreambleBits,
-		// The batched kernel's window of the last StableLen fold sums,
-		// allocated here, at setup, so the sustained scan never has to.
+		// The kernel's window of the last StableLen fold sums, allocated
+		// here, at setup, so the sustained scan never has to.
 		foldRing:  make([]float64, d.p.StableLen),
 		gateSlack: huntGateSlack(d.p),
 	}
-	s.reset(start)
-	return s, nil
+	s.reset(0)
+	return s
 }
 
 // reset rewinds the scanner to a cold hunting state whose next consumed
-// phase has absolute stream index start, reusing the rings and the
+// phase has absolute stream index start, reusing the fold ring and the
 // candidate storage. The streaming FrameMachine resets one scanner per
 // rearm instead of allocating a fresh one per frame.
 func (s *preambleScanner) reset(start int) {
-	s.folder.Reset()
-	s.counter.Reset()
-	s.mean.Reset()
 	s.i = start
 	s.start = start
 	s.cands = s.cands[:0]
@@ -147,57 +117,6 @@ func (s *preambleScanner) reset(start int) {
 // locked reports whether the detection statistic has crossed the capture
 // threshold at least once (the stream holds a preamble-like pattern).
 func (s *preambleScanner) locked() bool { return s.remaining >= 0 }
-
-// push consumes one phase value (compensation already applied) and
-// reports whether the scan is complete: the bounded candidate-refinement
-// span after the first threshold crossing has been exhausted. Callers
-// must stop pushing once push returns true and move on to finish.
-//
-// push is the per-sample reference for the batched kernel (huntChunk);
-// only tests reach it.
-//
-//symbee:hotpath
-func (s *preambleScanner) push(phi float64) bool {
-	if s.done {
-		return true
-	}
-	i := s.i
-	s.i++
-	sum, ok := s.folder.Push(phi)
-	if !ok {
-		return false
-	}
-	// a is the fold anchor this push completes. Re-anchor the windowed
-	// state at the deterministic absolute positions the batched kernel
-	// re-derives its state at (every huntSegment anchors, once the
-	// windows are full, locked or not): at those points the incremental
-	// sums become pure functions of the window contents, which is what
-	// lets the batch path skip whole idle segments and still agree with
-	// this path to the last bit (see huntbatch.go).
-	a := i - s.foldSpan + 1
-	if a&(huntSegment-1) == 0 && a-s.start >= s.d.p.StableLen {
-		s.mean.Reanchor()
-		s.counter.Reanchor()
-	}
-	mean := s.mean.Push(sum)
-	full, _, nonneg := s.counter.Push(sum)
-	if !full {
-		return false
-	}
-	// The counter window covers fold anchors [a-StableLen+1 .. a].
-	anchor := a - s.d.p.StableLen + 1
-	if mean >= s.d.CaptureThreshold && nonneg >= s.d.p.TauSync {
-		s.consider(anchor, mean)
-	}
-	if s.remaining >= 0 {
-		s.remaining--
-		if s.remaining <= 0 {
-			s.done = true
-			return true
-		}
-	}
-	return false
-}
 
 // consider records a threshold-crossing anchor, merging it with the
 // previous candidate when they fall within half a bit period (the fold

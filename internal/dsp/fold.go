@@ -41,7 +41,10 @@ func Fold(x []float64, period, reps int) ([]float64, error) {
 //
 //	Σ_{i=0}^{reps-1} x[t-reps*period+1 + i*period]
 //
-// (valid once at least reps*period samples have been pushed).
+// (valid once at least reps*period samples have been pushed). The terms
+// are added oldest first to +0, the order of the batched preamble kernel
+// in internal/core, so the per-sample reference scan its tests pin it to
+// agrees with it bit for bit.
 type SlidingFolder struct {
 	period int
 	reps   int
@@ -93,8 +96,7 @@ func (f *SlidingFolder) Push(v float64) (sum float64, ok bool) {
 
 // Reset returns the folder to its initial empty state. O(1): stale ring
 // values are never read, because Push only sums once count reaches the
-// ring length again, by which point every slot has been rewritten —
-// this keeps per-frame scanner rearming on the streaming path cheap.
+// ring length again, by which point every slot has been rewritten.
 func (f *SlidingFolder) Reset() {
 	f.pos = 0
 	f.count = 0

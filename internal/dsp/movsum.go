@@ -48,85 +48,3 @@ func (c *MovingSignCounter) Push(v float64) (full bool, neg, nonneg int) {
 func (c *MovingSignCounter) Reset() {
 	c.pos, c.fill, c.neg = 0, 0, 0
 }
-
-// Reanchor recounts the negatives from the ring contents. The count is
-// integer-exact either way; the method exists so the scalar preamble
-// scan re-anchors its whole windowed state (counter and average
-// together) at the deterministic stream positions the batched kernel
-// re-derives its state at — see the kernel notes in
-// internal/core/huntbatch.go.
-func (c *MovingSignCounter) Reanchor() {
-	neg := 0
-	for _, v := range c.ring[:c.fill] {
-		if v < 0 {
-			neg++
-		}
-	}
-	c.neg = neg
-}
-
-// MovingAverage maintains a sliding-window mean over a float stream:
-// the preamble scanner's running fold-sum average (internal/core).
-type MovingAverage struct {
-	ring []float64
-	pos  int
-	fill int
-	sum  float64
-}
-
-// NewMovingAverage returns a moving average with the given window size.
-func NewMovingAverage(window int) (*MovingAverage, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("dsp: NewMovingAverage window %d must be positive", window)
-	}
-	return &MovingAverage{ring: make([]float64, window)}, nil
-}
-
-// Push adds v and returns the mean over the (possibly partially filled)
-// window.
-func (a *MovingAverage) Push(v float64) float64 {
-	if a.fill == len(a.ring) {
-		a.sum -= a.ring[a.pos]
-	} else {
-		a.fill++
-	}
-	a.ring[a.pos] = v
-	a.sum += v
-	a.pos++
-	if a.pos == len(a.ring) {
-		a.pos = 0
-	}
-	return a.sum / float64(a.fill)
-}
-
-// Reanchor recomputes the running sum from the ring contents, summing
-// oldest to newest. The incremental sum drifts from the true window sum
-// by at most one rounding per push since the last re-anchor; calling
-// Reanchor at deterministic stream positions caps that drift and, more
-// importantly, makes the sum at those positions a pure function of the
-// window contents — the property that lets the batched hunt kernel skip
-// whole idle segments and still agree with the scalar path to the last
-// bit (internal/core/huntbatch.go).
-func (a *MovingAverage) Reanchor() {
-	var s float64
-	if a.fill == len(a.ring) {
-		// Full ring: oldest at pos, chronological order wraps once.
-		for _, v := range a.ring[a.pos:] {
-			s += v
-		}
-		for _, v := range a.ring[:a.pos] {
-			s += v
-		}
-	} else {
-		for _, v := range a.ring[:a.fill] {
-			s += v
-		}
-	}
-	a.sum = s
-}
-
-// Reset empties the window so the average can be reused without
-// reallocating its ring.
-func (a *MovingAverage) Reset() {
-	a.pos, a.fill, a.sum = 0, 0, 0
-}

@@ -1,7 +1,6 @@
 package dsp
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -65,24 +64,5 @@ func TestMovingSignCounterRandomAgainstBruteForce(t *testing.T) {
 	c.Reset()
 	if full, _, _ := c.Push(1); full {
 		t.Error("full after Reset")
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	a, err := NewMovingAverage(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewMovingAverage(0); err == nil {
-		t.Error("expected error for non-positive window")
-	}
-	if got := a.Push(2); got != 2 {
-		t.Errorf("first = %v", got)
-	}
-	if got := a.Push(4); got != 3 {
-		t.Errorf("second = %v", got)
-	}
-	if got := a.Push(6); math.Abs(got-5) > 1e-12 {
-		t.Errorf("third = %v, want 5", got)
 	}
 }

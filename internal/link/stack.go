@@ -30,10 +30,13 @@ type Event struct {
 // Stack is one assembled receive pipeline: the optional IQ front-end
 // (dsp.PhaseDiffStreamer), the preamble-scan/frame machine
 // (core.FrameMachine), and a reused queue of pending events the owner
-// Drains. It accepts IQ or phase chunks of any size and emits events
-// exactly as a batch decode of the concatenated stream would. A Stack is
-// owned by one goroutine (its pool worker or harness); it is not safe
-// for concurrent use.
+// Drains. It accepts IQ or phase chunks of any size and emits the same
+// events at any chunking. The batch preset decodes exactly as
+// core.Decoder.DecodeFrame; the streaming preset's bounded history
+// starts at each re-arm point, so on a multi-frame stream a decode
+// error after a re-arm can report another anchor than the batch preset
+// (DESIGN.md §11.2). A Stack is owned by one goroutine (its pool worker
+// or harness); it is not safe for concurrent use.
 type Stack struct {
 	dec     *core.Decoder
 	phaser  *dsp.PhaseDiffStreamer // nil when phase-fed

@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 
@@ -161,7 +162,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.airtime = len(probe)
 	for s := 0; s < cfg.Senders; s++ {
-		e.queue.push(newSenderSource(cfg, s, e.airtime))
+		heap.Push(&e.queue, newSenderSource(cfg, s, e.airtime))
 	}
 	return e, nil
 }
@@ -187,12 +188,12 @@ func (e *Engine) Run(sink Sink) (*Report, error) {
 		// Admit every transmission starting inside the next window;
 		// admission synthesizes its waveform and may re-queue the
 		// sender's next frame.
-		for e.queue.len() > 0 && e.queue.peekStart() < cur+len(chunk) {
+		for len(e.queue) > 0 && e.queue[0].nextStart < cur+len(chunk) {
 			if err := e.admit(); err != nil {
 				return nil, err
 			}
 		}
-		if endAt < 0 && e.queue.len() == 0 {
+		if endAt < 0 && len(e.queue) == 0 {
 			// All transmissions known: the capture ends after the last
 			// airtime plus the decode-gate pad that forces the final
 			// frame's deferred decode (phase stream trails by Lag).
@@ -229,7 +230,7 @@ const padSlackPeriods = 12
 // the collision bookkeeping, synthesizes its waveform and activates
 // it. Admission order is (start, sender) — the dense reference's sort.
 func (e *Engine) admit() error {
-	src := e.queue.pop()
+	src := heap.Pop(&e.queue).(*senderSource)
 	rec := &txState{
 		sender: src.id,
 		seq:    src.nextSeq,
@@ -261,7 +262,7 @@ func (e *Engine) admit() error {
 		e.peakWindow = e.activeSamples
 	}
 	if src.advance() {
-		e.queue.push(src)
+		heap.Push(&e.queue, src)
 	}
 	return nil
 }

@@ -83,67 +83,28 @@ func (s *senderSource) advance() bool {
 	return true
 }
 
-// eventQueue is a min-heap of sender sources ordered by next
-// transmission start (ties by sender id — the dense reference's sort
-// order, which the renderer's mixing order must reproduce). It is used
-// directly rather than through container/heap to keep the item type
-// concrete.
-type eventQueue struct {
-	srcs []*senderSource
-}
+// eventQueue is a container/heap min-heap of sender sources ordered by
+// next transmission start, ties by sender id: the dense reference's
+// sort order, which the renderer's mixing order must reproduce. The
+// (start, id) keys are unique, so the pop order is fully determined.
+type eventQueue []*senderSource
 
-func (q *eventQueue) len() int { return len(q.srcs) }
+func (q eventQueue) Len() int      { return len(q) }
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*senderSource)) }
 
-// peekStart returns the earliest pending transmission start.
-func (q *eventQueue) peekStart() int { return q.srcs[0].nextStart }
-
-func (q *eventQueue) less(i, j int) bool {
-	if q.srcs[i].nextStart != q.srcs[j].nextStart {
-		return q.srcs[i].nextStart < q.srcs[j].nextStart
+func (q eventQueue) Less(i, j int) bool {
+	if q[i].nextStart != q[j].nextStart {
+		return q[i].nextStart < q[j].nextStart
 	}
-	return q.srcs[i].id < q.srcs[j].id
+	return q[i].id < q[j].id
 }
 
-// push adds a source and restores the heap invariant.
-func (q *eventQueue) push(s *senderSource) {
-	q.srcs = append(q.srcs, s)
-	i := len(q.srcs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.srcs[i], q.srcs[parent] = q.srcs[parent], q.srcs[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the source with the earliest pending start.
-func (q *eventQueue) pop() *senderSource {
-	top := q.srcs[0]
-	last := len(q.srcs) - 1
-	q.srcs[0] = q.srcs[last]
-	q.srcs[last] = nil
-	q.srcs = q.srcs[:last]
-	q.siftDown(0)
-	return top
-}
-
-func (q *eventQueue) siftDown(i int) {
-	n := len(q.srcs)
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && q.less(left, smallest) {
-			smallest = left
-		}
-		if right < n && q.less(right, smallest) {
-			smallest = right
-		}
-		if smallest == i {
-			return
-		}
-		q.srcs[i], q.srcs[smallest] = q.srcs[smallest], q.srcs[i]
-		i = smallest
-	}
+func (q *eventQueue) Pop() any {
+	old := *q
+	last := len(old) - 1
+	s := old[last]
+	old[last] = nil
+	*q = old[:last]
+	return s
 }

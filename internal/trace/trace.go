@@ -131,29 +131,34 @@ func Read(r io.Reader) (*Trace, error) {
 	if n > maxSamples {
 		return nil, fmt.Errorf("trace: implausible sample count %d", n)
 	}
+	// The payload slice grows as entries arrive, from at most readBlock:
+	// a header that claims more samples than its payload holds costs
+	// memory in proportion to the payload, not to the claim.
+	const readBlock = 4096
 	switch t.Kind {
 	case KindIQ:
-		t.IQ = make([]complex128, n)
-		buf := make([]byte, 8)
-		for i := range t.IQ {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, err
-			}
-			re := math.Float32frombits(binary.LittleEndian.Uint32(buf))
-			im := math.Float32frombits(binary.LittleEndian.Uint32(buf[4:]))
-			t.IQ[i] = complex(float64(re), float64(im))
-		}
+		t.IQ = make([]complex128, 0, min(n, readBlock))
 	case KindPhase:
-		t.Phases = make([]float64, n)
-		buf := make([]byte, 8)
-		for i := range t.Phases {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, err
-			}
-			t.Phases[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		}
+		t.Phases = make([]float64, 0, min(n, readBlock))
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadKind, kind)
+	}
+	buf := make([]byte, 8)
+	for i := uint64(0); i < n; i++ {
+		_, err := io.ReadFull(br, buf)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, fmt.Errorf("trace: header claims %d samples, payload holds %d: %w", n, i, io.ErrUnexpectedEOF)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if t.Kind == KindPhase {
+			t.Phases = append(t.Phases, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
+			continue
+		}
+		re := math.Float32frombits(binary.LittleEndian.Uint32(buf))
+		im := math.Float32frombits(binary.LittleEndian.Uint32(buf[4:]))
+		t.IQ = append(t.IQ, complex(float64(re), float64(im)))
 	}
 	return t, nil
 }

@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -153,4 +156,36 @@ func TestReadErrors(t *testing.T) {
 			t.Error("expected error for missing file")
 		}
 	})
+}
+
+// TestReadShortPayloadAllocatesWhatArrives reads headers that claim
+// 2^22 entries (64 MiB of IQ) over a payload of 10: Read must fail with
+// io.ErrUnexpectedEOF, name both counts and allocate for what arrived.
+func TestReadShortPayloadAllocatesWhatArrives(t *testing.T) {
+	const claim = 1 << 22
+	for _, tr := range []*Trace{
+		{Kind: KindIQ, SampleRate: 20e6, IQ: make([]complex128, 10)},
+		{Kind: KindPhase, SampleRate: 20e6, Phases: make([]float64, 10)},
+	} {
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		// The entry count is the header's last field, bytes 14–21.
+		raw := buf.Bytes()
+		binary.LittleEndian.PutUint64(raw[14:22], claim)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("kind %d: err = %v, want io.ErrUnexpectedEOF", tr.Kind, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "4194304") || !strings.Contains(msg, " 10") {
+			t.Errorf("kind %d: error %q does not name the claimed and read counts", tr.Kind, msg)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("kind %d: Read allocated %d bytes for a 10-entry payload", tr.Kind, grew)
+		}
+	}
 }

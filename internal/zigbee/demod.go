@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/cmplx"
 )
 
 // ErrNoSync is returned when frame synchronization fails to find a
@@ -31,7 +32,9 @@ func NewDemodulator(sampleRate float64) (*Demodulator, error) {
 // SoftChips matched-filters nChips chips from x starting at sample
 // offset. Even chips correlate the in-phase rail and odd chips the
 // quadrature rail against the half-sine pulse; the sign of each value is
-// the hard chip decision and its magnitude the confidence.
+// the hard chip decision and its magnitude the confidence. x must be
+// phase-aligned with the transmitter's carrier (ReceiveAt derotates it
+// first).
 func (d *Demodulator) SoftChips(x []complex128, offset, nChips int) ([]float64, error) {
 	sps := d.mod.samplesPerSlot
 	need := offset + (nChips+1)*sps
@@ -93,31 +96,21 @@ func (d *Demodulator) DemodulateSymbols(x []complex128, offset, nSymbols int) ([
 // everywhere). It returns ErrNoSync when the peak correlation is too
 // weak relative to the signal energy to be a real header.
 func (d *Demodulator) Synchronize(x []complex128, searchLen int, order SymbolOrder) (int, error) {
-	ref := d.mod.ModulateBytes(append(makeZeros(PreambleLen), SFD), order)
+	ref := d.shr(order)
 	if searchLen <= 0 || searchLen > len(x)-len(ref) {
 		searchLen = len(x) - len(ref)
 	}
 	if searchLen <= 0 {
 		return 0, ErrNoSync
 	}
-	refEnergy := 0.0
-	for _, v := range ref {
-		refEnergy += real(v)*real(v) + imag(v)*imag(v)
-	}
+	_, refEnergy := correlate(ref, ref)
 	bestOff, bestMag := -1, 0.0
 	for off := 0; off < searchLen; off++ {
-		var accRe, accIm, energy float64
-		for i, r := range ref {
-			v := x[off+i]
-			// conj(ref)*x accumulated coherently per rail pair.
-			accRe += real(v)*real(r) + imag(v)*imag(r)
-			accIm += imag(v)*real(r) - real(v)*imag(r)
-			energy += real(v)*real(v) + imag(v)*imag(v)
-		}
+		acc, energy := correlate(x[off:], ref)
 		if energy == 0 {
 			continue
 		}
-		mag := (accRe*accRe + accIm*accIm) / (energy * refEnergy)
+		mag := (real(acc)*real(acc) + imag(acc)*imag(acc)) / (energy * refEnergy)
 		if mag > bestMag {
 			bestOff, bestMag = off, mag
 		}
@@ -142,8 +135,17 @@ func (d *Demodulator) Receive(x []complex128, order SymbolOrder) ([]byte, error)
 }
 
 // ReceiveAt is Receive with a known frame start offset (in samples).
+// The receiver is not phase-locked to the sender: it estimates the
+// carrier phase from the synchronization header at start (the argument
+// of the header's coherent correlation with the ideal waveform) and
+// derotates the samples it demodulates by it. Sample offsets in its
+// errors count from start.
 func (d *Demodulator) ReceiveAt(x []complex128, start int, order SymbolOrder) ([]byte, error) {
-	headerSyms, err := d.DemodulateSymbols(x, start, HeaderSymbols)
+	if start < 0 || start > len(x) {
+		return nil, fmt.Errorf("zigbee: frame start %d outside the %d-sample input", start, len(x))
+	}
+	x = derotate(x[start:], d.shr(order))
+	headerSyms, err := d.DemodulateSymbols(x, 0, HeaderSymbols)
 	if err != nil {
 		return nil, err
 	}
@@ -158,8 +160,7 @@ func (d *Demodulator) ReceiveAt(x []complex128, start int, order SymbolOrder) ([
 	if psduLen < FCSLen || psduLen > MaxPSDULen {
 		return nil, fmt.Errorf("%w: %d", ErrBadLength, psduLen)
 	}
-	sps := d.mod.samplesPerSlot
-	psduOffset := start + HeaderSymbols*ChipsPerSymbol*sps
+	psduOffset := HeaderSymbols * ChipsPerSymbol * d.mod.samplesPerSlot
 	psduSyms, err := d.DemodulateSymbols(x, psduOffset, psduLen*2)
 	if err != nil {
 		return nil, err
@@ -172,4 +173,40 @@ func (d *Demodulator) ReceiveAt(x []complex128, start int, order SymbolOrder) ([
 	return ParsePPDU(ppdu)
 }
 
-func makeZeros(n int) []byte { return make([]byte, n) }
+// shr returns the ideal synchronization-header waveform (preamble and
+// SFD) in the given symbol order.
+func (d *Demodulator) shr(order SymbolOrder) []complex128 {
+	return d.mod.ModulateBytes(append(make([]byte, PreambleLen), SFD), order)
+}
+
+// correlate returns the coherent correlation Σ x·conj(ref) over the
+// span x and ref share, accumulated per rail, and the energy of x over
+// that span.
+func correlate(x, ref []complex128) (acc complex128, energy float64) {
+	n := min(len(x), len(ref))
+	x, ref = x[:n], ref[:n]
+	var re, im float64
+	for i, r := range ref {
+		v := x[i]
+		re += real(v)*real(r) + imag(v)*imag(r)
+		im += imag(v)*real(r) - real(v)*imag(r)
+		energy += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return complex(re, im), energy
+}
+
+// derotate returns a copy of x rotated by minus the carrier phase
+// measured against ref, the waveform x starts with. A zero correlation
+// (no signal) leaves the copy unrotated.
+func derotate(x, ref []complex128) []complex128 {
+	acc, _ := correlate(x, ref)
+	rot := complex(1, 0)
+	if mag := cmplx.Abs(acc); mag > 0 {
+		rot = complex(real(acc)/mag, -imag(acc)/mag)
+	}
+	out := make([]complex128, len(x))
+	for i, v := range x {
+		out[i] = v * rot
+	}
+	return out
+}

@@ -2,6 +2,8 @@ package zigbee
 
 import (
 	"bytes"
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -126,6 +128,37 @@ func TestReceiveWithSynchronization(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Errorf("payload = %v, want %v", got, payload)
+	}
+}
+
+// TestReceiveUnderCarrierRotation receives a lightly noisy frame whose
+// carrier arrives at every phase from 0° to 330° in 30° steps: a
+// receiver that is not phase-locked to the sender must still decode it.
+func TestReceiveUnderCarrierRotation(t *testing.T) {
+	m, _ := NewModulator(20e6)
+	d, _ := NewDemodulator(20e6)
+	rng := rand.New(rand.NewSource(5))
+	payload := []byte("rotated carrier")
+	ppdu, err := BuildPPDU(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := m.ModulateBytes(ppdu, OrderMSBFirst)
+	const offset = 700
+	for deg := 0; deg < 360; deg += 30 {
+		rot := cmplx.Rect(1, float64(deg)*math.Pi/180)
+		rotated := make([]complex128, offset+len(sig)+300)
+		for i, v := range sig {
+			rotated[offset+i] = v * rot
+		}
+		capture := addNoise(rotated, 0.07, rng)
+		start, err := d.Synchronize(capture, 2*offset, OrderMSBFirst)
+		if err != nil || start != offset {
+			t.Fatalf("%d°: sync offset = %d, %v; want %d", deg, start, err, offset)
+		}
+		if got, err := d.ReceiveAt(capture, start, OrderMSBFirst); err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("%d°: payload %q, %v; want %q", deg, got, err, payload)
+		}
 	}
 }
 

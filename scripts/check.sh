@@ -37,7 +37,8 @@ go test -race ./internal/link/ -run "$MEDIUM_EQUIVALENCE_RUN" -count=1
 go test ./internal/link/ -run "$LINK_EQUIVALENCE_RUN" -count=1
 # Batched preamble-scan equivalence: the chunked batch scan, in every
 # scanner state, and the batch CapturePreamble must match the
-# per-sample reference scanner bit for bit, and the warm hunt must
+# per-sample reference scanner (test code in
+# internal/core/scanref_test.go) bit for bit, and the warm hunt must
 # allocate nothing (DESIGN.md §13).
 go test ./internal/core/ -run "$HUNT_EQUIVALENCE_RUN" -count=1
 # Phase kernel equivalence: the shared block kernel behind the batch

@@ -13,7 +13,9 @@ LINK_EQUIVALENCE_RUN='TestGoldenTraceEquivalence|TestStreamingChunkInvariance|Te
 # Batched preamble-scan gate (DESIGN.md §13): the chunked batch path,
 # in every scanner state, and the batch CapturePreamble must match the
 # per-sample reference scanner bit for bit, NaN phases included, and
-# the warm batch hunt must stay allocation-free.
+# the warm batch hunt must stay allocation-free. The reference, and the
+# copy of the machine's decision loop that drives it, are test code in
+# internal/core/scanref_test.go.
 HUNT_EQUIVALENCE_RUN='TestHuntScalarBatchEquivalence|TestHuntGateNaNPhases|TestCapturePreambleMatchesScalarScan|TestHuntBatchZeroAlloc'
 
 # Phase kernel gate (DESIGN.md §7): PhaseDiffStream and

@@ -118,8 +118,12 @@ func resolveStreamOptions(opts []StreamOption) streamOptions {
 
 // NewReceiver builds a single-stream incremental receiver for the given
 // parameter set: push IQ (or phase) chunks of any size, drain events.
-// It decodes exactly what a batch decode of the concatenated stream
-// would. It skips all metrics accounting unless WithMetrics is given.
+// It emits the same events at any chunking. It keeps bounded history,
+// so after a re-arm it cannot read back across the previous frame's
+// tail as a batch decode of the concatenated stream does: on a
+// multi-frame stream a decode error there can report another anchor
+// than the batch decode. It skips all metrics accounting unless
+// WithMetrics is given.
 //
 //	rx, err := symbee.NewReceiver(symbee.Params20(), symbee.WithCompensation(0))
 //	rx.PushIQ(capture)
