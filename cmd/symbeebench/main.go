@@ -13,6 +13,10 @@
 //	symbeebench -kernel -kernel-out BENCH_kernel.json -kernel-baseline BENCH_kernel.json
 //	symbeebench -reliable -reliable-out BENCH_reliable.json
 //	symbeebench -density -density-out BENCH_density.json
+//	symbeebench -density -density-widths 256 -cpuprofile crowd.prof
+//
+// -cpuprofile and -memprofile (off by default) profile any mode with
+// runtime/pprof; read the files with go tool pprof.
 package main
 
 import (
@@ -56,41 +60,29 @@ func main() {
 		densityFrames = flag.Int("density-frames", 4, "frames each sender transmits in the density sweep")
 		densityGap    = flag.Float64("density-gap", 4, "mean inter-frame gap in airtime multiples for the density sweep")
 		densityWidths = flag.String("density-widths", "8,64,256,1024", "comma-separated sender populations to sweep")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (\"\" = off)")
+		memProfile = flag.String("memprofile", "", "write a heap profile at the end of the run to this file (\"\" = off)")
 	)
 	flag.Parse()
-	if *densityBench {
-		widths, err := cli.ParseIntList(*densityWidths)
-		if err == nil {
-			err = runDensityBench(*seed, *densityFrames, *densityGap, widths, *densityOut)
+	err := withProfiles(*cpuProfile, *memProfile, func() error {
+		switch {
+		case *densityBench:
+			widths, err := cli.ParseIntList(*densityWidths)
+			if err != nil {
+				return err
+			}
+			return runDensityBench(*seed, *densityFrames, *densityGap, widths, *densityOut)
+		case *reliableBench:
+			return runReliableBench(*seed, *reliableRuns, *reliableMsg, *reliableOut)
+		case *kernelBench:
+			return runKernelBench(*seed, *kernelSamples, *kernelOut, *kernelBaseline)
+		case *streamBench:
+			return runStreamBench(*seed, *streamChunk, *streamSamples, *streamOut, *streamBaseline)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "symbeebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *reliableBench {
-		if err := runReliableBench(*seed, *reliableRuns, *reliableMsg, *reliableOut); err != nil {
-			fmt.Fprintln(os.Stderr, "symbeebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *kernelBench {
-		if err := runKernelBench(*seed, *kernelSamples, *kernelOut, *kernelBaseline); err != nil {
-			fmt.Fprintln(os.Stderr, "symbeebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *streamBench {
-		if err := runStreamBench(*seed, *streamChunk, *streamSamples, *streamOut, *streamBaseline); err != nil {
-			fmt.Fprintln(os.Stderr, "symbeebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := realMain(*list, *run, *all, sim.Options{Seed: *seed, Packets: *packets, Short: *short}, *csv); err != nil {
+		return realMain(*list, *run, *all, sim.Options{Seed: *seed, Packets: *packets, Short: *short}, *csv)
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "symbeebench:", err)
 		os.Exit(1)
 	}

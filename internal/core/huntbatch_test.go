@@ -396,3 +396,86 @@ func TestHuntGateNaNPhases(t *testing.T) {
 		}
 	}
 }
+
+// TestHuntGateNaNOneAnchor pins gateIdle's test of the four arms'
+// total before its checkpoint loop. On a one-anchor segment (e == a+1)
+// the loop never runs, so that test alone decides, and a NaN anywhere
+// in an arm must mean "not idle": a NaN total is not below the limit.
+// The same segment over finite idle phases must still be idle, so a
+// gate that never skips does not meet the pin.
+func TestHuntGateNaNOneAnchor(t *testing.T) {
+	d := mustLink(t, Params20(), wifi.CanonicalCompensation).Decoder()
+	p := d.Params()
+	s := d.newPreambleScanner()
+	// Anchor a's arms cover [a−StableLen+1, a+1+3·BitPeriod).
+	a := p.StableLen + 100
+	lo := a - p.StableLen + 1
+	phases := make([]float64, a+1+3*p.BitPeriod+10)
+	win := phaseWindow{data: phases}
+	if !s.gateIdle(win, a, a+1) {
+		t.Fatal("zero phases: gateIdle reports a one-anchor segment not idle")
+	}
+	for _, at := range []int{lo, lo + p.StableLen - 1, lo + 3*p.BitPeriod, lo + 3*p.BitPeriod + p.StableLen - 1} {
+		clear(phases)
+		phases[at] = math.NaN()
+		if s.gateIdle(win, a, a+1) {
+			t.Errorf("NaN at phase %d of anchor %d's arms: gateIdle reports the one-anchor segment idle", at, a)
+		}
+	}
+}
+
+// TestHuntRearmBehindScanPosition pins rearm's clamp of the restart
+// point to the scan position. A bounded machine hunts long enough for
+// trim to cut its history, is re-armed at stream index 0, behind both
+// the cut and the scan position, and is then fed a frame: it must
+// resume at the scan position and emit exactly what a machine that was
+// never re-armed emits.
+func TestHuntRearmBehindScanPosition(t *testing.T) {
+	p := Params20()
+	rng := rand.New(rand.NewSource(23))
+	l := mustLink(t, p, wifi.CanonicalCompensation)
+	d := l.Decoder()
+	idle := make([]float64, 4*defaultRetention(p))
+	for i := range idle {
+		idle[i] = (2*rng.Float64() - 1) * math.Pi
+	}
+	frame := transmitPhases(t, l, rng, 20, 20, 6000, 6000, &Frame{Seq: 4, Data: []byte("rearm")})
+	run := func(rearm bool) []huntEvent {
+		m := mustMachine(t, d)
+		var events []StreamEvent
+		push := func(phases []float64) {
+			for off := 0; off < len(phases); off += 4096 {
+				if err := m.PushChunk(phases[off:min(off+4096, len(phases))]); err != nil {
+					t.Fatal(err)
+				}
+				events = append(events, m.Events()...)
+			}
+		}
+		push(idle)
+		if rearm {
+			if m.base == 0 || m.state != StateHunting || m.scan.locked() {
+				t.Fatalf("before the re-arm: base %d, state %v, locked %v; want cut history and an unlocked hunt",
+					m.base, m.state, m.scan.locked())
+			}
+			pos := m.scan.i
+			m.rearm(0)
+			if m.scan.i != pos {
+				t.Fatalf("rearm(0) resumed at %d, want the scan position %d", m.scan.i, pos)
+			}
+		}
+		push(frame)
+		m.Flush()
+		return flattenEvents(append(events, m.Events()...))
+	}
+	want := run(false)
+	decoded := false
+	for _, e := range want {
+		decoded = decoded || e.Kind == EventFrame && e.Data == "rearm"
+	}
+	if !decoded {
+		t.Fatalf("un-re-armed machine: events %+v, want the frame among them", want)
+	}
+	if got := run(true); !reflect.DeepEqual(got, want) {
+		t.Errorf("re-armed behind the scan position: events %+v, want %+v", got, want)
+	}
+}

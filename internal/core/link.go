@@ -50,20 +50,29 @@ func (l *Link) Params() Params { return l.params }
 // Decoder returns the link's phase decoder.
 func (l *Link) Decoder() *Decoder { return l.decoder }
 
+// Modulator returns the link's ZigBee modulator, the one
+// PayloadToSignal shapes chips with.
+func (l *Link) Modulator() *zigbee.Modulator { return l.mod }
+
 // PayloadToSignal wraps SymBee payload bytes in a ZigBee PPDU and
-// modulates it to complex baseband. When the resulting PHR length byte
-// would itself be a SymBee codeword (PSDU length 0x67) the payload is
-// padded by one byte: such a PHR is phase-indistinguishable from a
-// preamble bit and would make the anchor ambiguous. The pad byte is not
-// a codeword, so both the WiFi and ZigBee receivers ignore it.
+// modulates it to complex baseband: Modulator().ModulateChips of
+// PayloadToChips.
 func (l *Link) PayloadToSignal(payload []byte) ([]complex128, error) {
-	return l.PayloadToSignalInto(nil, payload)
+	chips, err := l.PayloadToChips(payload)
+	if err != nil {
+		return nil, err
+	}
+	return l.mod.ModulateChips(chips), nil
 }
 
-// PayloadToSignalInto is PayloadToSignal modulating into dst's storage
-// when its capacity suffices (a new slice otherwise); every returned
-// sample is overwritten.
-func (l *Link) PayloadToSignalInto(dst []complex128, payload []byte) ([]complex128, error) {
+// PayloadToChips wraps SymBee payload bytes in a ZigBee PPDU and
+// spreads it into the chip stream PayloadToSignal modulates. When the
+// resulting PHR length byte would itself be a SymBee codeword (PSDU
+// length 0x67) the payload is padded by one byte: such a PHR is
+// phase-indistinguishable from a preamble bit and would make the anchor
+// ambiguous. The pad byte is not a codeword, so both the WiFi and
+// ZigBee receivers ignore it.
+func (l *Link) PayloadToChips(payload []byte) ([]byte, error) {
 	if len(payload)+zigbee.FCSLen == int(Bit0Byte) {
 		padded := make([]byte, len(payload)+1)
 		copy(padded, payload)
@@ -73,7 +82,7 @@ func (l *Link) PayloadToSignalInto(dst []complex128, payload []byte) ([]complex1
 	if err != nil {
 		return nil, err
 	}
-	return l.mod.ModulateBytesInto(dst, ppdu, l.order), nil
+	return zigbee.SpreadSymbols(zigbee.BytesToSymbols(ppdu, l.order)), nil
 }
 
 // TransmitBits modulates a raw SymBee bit string (preamble prepended)

@@ -71,13 +71,18 @@ func TestMediumLinkEquivalenceOddChunk(t *testing.T) {
 // chunk by chunk with the dense reference's superposed capture, bit
 // pattern by bit pattern: a sign-flipped zero would change the phase
 // atan2 reports (+π against −π), so value equality is not enough. The
-// engine synthesizes into recycled buffers; any sample left over from
-// an earlier frame shows up here even when it does not change a
-// decode.
+// engine renders each transmission's stretch of every chunk on demand,
+// carrying the CFO rotator across chunks; a stretch rendered from the
+// wrong source samples, or a rotator carried wrongly, shows up here even
+// when it does not change a decode. A 64-sample chunk puts
+// transmission starts and rotator reseeds mid-chunk, many chunks into
+// a frame; 2e5 ppm makes a chunk's source stretch longer than the chunk
+// (clock ratios up to 1.2) and gives fast-clock frames a resampler
+// zero tail of thousands of samples.
 func testMediumCaptureEquivalence(t *testing.T) {
 	for _, n := range []int{1, 8} {
-		for _, sfo := range []float64{0, 10, 40} {
-			for _, chunk := range []int{4096, 1009} {
+		for _, sfo := range []float64{0, 10, 40, 2e5} {
+			for _, chunk := range []int{4096, 1009, 64} {
 				cfg := medium.Defaults()
 				cfg.Senders = n
 				cfg.FramesPerSender = 4

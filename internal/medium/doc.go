@@ -13,18 +13,22 @@
 //     per-sender CFO/SFO/gain impairments and then one exponential idle
 //     gap per frame, exactly one draw ahead of the render cursor.
 //   - A min-heap event queue admits transmissions in (start, sender)
-//     order as the cursor approaches them; admission synthesizes the
-//     frame's impaired waveform on demand and streams the collision
-//     bookkeeping (interval overlap against the running max-end).
-//   - The renderer produces the capture chunk-by-chunk: each chunk is
-//     zeroed, every active transmission's overlap is mixed in admission
-//     order, and unit receiver noise (splitmix stream −1) is added last
-//     — the same per-sample addition order as the dense reference, so
-//     captures match bit-for-bit and so does every downstream decode.
-//   - A transmission's waveform is freed as soon as the cursor passes
-//     its end: peak memory is bounded by the concurrent-overlap width
-//     (PeakWindowSamples in the Report), not by total airtime, and idle
-//     air costs two Gaussian draws per sample and nothing else.
+//     order as the cursor approaches them; admission spreads the frame
+//     into its chip stream, sets up the sender's SFO ratio, gain and
+//     CFO rotator, and streams the collision bookkeeping (interval
+//     overlap against the running max-end).
+//   - The renderer produces the capture chunk-by-chunk in one pass:
+//     each chunk is zeroed, every active transmission's stretch is
+//     modulated from its chips, resampled, rotated, scaled and added in
+//     admission order, and unit receiver noise (splitmix stream −1) is
+//     added last — the same per-sample operations and addition order
+//     as the dense reference, so captures match bit-for-bit and so does
+//     every downstream decode.
+//   - No waveform is held: memory is the chunk, one chunk-sized source
+//     buffer and a chip stream per active transmission, bounded by the
+//     concurrent-overlap width (PeakOverlap in the Report), not by
+//     total airtime, and idle air costs two Gaussian draws per sample
+//     and nothing else.
 //
 // The engine knows nothing about reception: it pushes chunks into a
 // Sink (internal/link wraps a streaming-preset Stack) and is told about

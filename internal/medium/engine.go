@@ -5,11 +5,12 @@ import (
 	"errors"
 	"fmt"
 
+	"math"
 	"math/rand"
 
-	"symbee/internal/channel"
 	"symbee/internal/core"
 	"symbee/internal/splitmix"
+	"symbee/internal/zigbee"
 )
 
 // Sink consumes the synthesized shared-medium capture chunk-by-chunk
@@ -70,9 +71,12 @@ type Report struct {
 	// PeakOverlap is the maximum number of simultaneously-active
 	// transmissions the renderer held.
 	PeakOverlap int `json:"peak_overlap"`
-	// PeakWindowSamples is the maximum total waveform samples held at
-	// once — the engine's memory bound, a function of overlap width and
-	// airtime, independent of FramesPerSender and capture length.
+	// PeakWindowSamples is PeakOverlap × AirtimeSamples: the summed
+	// airtime of the transmissions active at once at the peak, a
+	// function of overlap width and airtime, independent of
+	// FramesPerSender and capture length. The renderer holds no
+	// waveform: it renders each chunk's stretch of every active
+	// transmission on demand.
 	PeakWindowSamples int `json:"peak_window_samples"`
 	// PerSender is each sender's accounting, ordered by sender id.
 	PerSender []SenderStats `json:"per_sender"`
@@ -81,12 +85,12 @@ type Report struct {
 // Engine run errors.
 var (
 	errRan     = errors.New("medium: engine already ran")
-	errAirtime = errors.New("medium: synthesized waveform length disagrees with schedule airtime")
+	errAirtime = errors.New("medium: frame airtime disagrees with schedule airtime")
 	errNilSink = errors.New("medium: nil sink")
 )
 
 // txState is one transmission's accounting record. Records are tiny
-// and kept for the whole run (the waveform is not).
+// and kept for the whole run.
 type txState struct {
 	sender, seq int
 	start, end  int
@@ -94,13 +98,31 @@ type txState struct {
 	decoded     bool
 }
 
-// activeTx is a transmission currently overlapping the render window:
-// the only state whose size scales with airtime, held from admission
-// until the cursor passes its end.
+// activeTx is a transmission currently overlapping the render window,
+// held from admission until the cursor passes its end. It holds what
+// renders any stretch of its impaired waveform on demand (synth.go),
+// never the waveform itself: the frame's chip stream, the sender's
+// impairments and the CFO rotator's state.
 type activeTx struct {
-	rec  *txState
-	sig  []complex128
-	gain complex128
+	rec   *txState
+	chips []byte
+	// sfo reports a nonzero clock offset; ratio is then the resampler's
+	// source samples per output sample, 1 + sfoPPM·1e-6 (the expression
+	// of channel.ApplySFOInto).
+	sfo   bool
+	ratio float64
+	// live is the number of leading waveform samples the resampler
+	// interpolates; the rest of the airtime is its zero tail. It is the
+	// whole airtime without SFO.
+	live int
+	// gain is the real receive amplitude √snr.
+	gain float64
+	// step and inc are dsp.RotateFrequency's per-sample phase step and
+	// phasor increment for the sender's CFO; rot is the rotator's
+	// phasor for the next waveform sample to render.
+	step float64
+	inc  complex128
+	rot  complex128
 }
 
 // Engine runs one shared-medium scenario. Build with NewEngine, drive
@@ -109,6 +131,7 @@ type activeTx struct {
 type Engine struct {
 	cfg     Config
 	phy     *core.Link
+	mod     *zigbee.Modulator
 	airtime int
 	queue   eventQueue
 	noise   *rand.Rand
@@ -116,21 +139,12 @@ type Engine struct {
 	records []*txState
 	active  []*activeTx
 
-	// scratch is the reused modulation buffer an SFO resample reads
-	// from; free holds airtime-length waveform buffers retire handed
-	// back, which admission takes before allocating a new one. Both
-	// fill lazily during Run.
-	scratch []complex128
-	free    [][]complex128
-
 	// Streaming interval-overlap collision state: the running max end
 	// and the record that set it (the dense reference's exact rule).
 	maxEnd  int
 	lastMax *txState
 
-	activeSamples int
-	peakOverlap   int
-	peakWindow    int
+	peakOverlap int
 
 	ran bool
 }
@@ -150,17 +164,18 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:    cfg,
 		phy:    phy,
+		mod:    phy.Modulator(),
 		maxEnd: -1,
 		noise:  splitmix.New(cfg.Seed, splitmix.NoiseStream),
 	}
-	// Every frame modulates the same payload length, and SFO
-	// resampling preserves length, so one probe pins the airtime every
-	// schedule draw depends on.
-	probe, err := e.waveform(0, 0, 0, 0)
+	// Every frame spreads the same payload length, and SFO resampling
+	// preserves length, so one chip-stream probe pins the airtime every
+	// schedule draw depends on: (chips+1) chip slots.
+	probe, err := e.chips(0, 0)
 	if err != nil {
 		return nil, err
 	}
-	e.airtime = len(probe)
+	e.airtime = e.frameSamples(probe)
 	for s := 0; s < cfg.Senders; s++ {
 		heap.Push(&e.queue, newSenderSource(cfg, s, e.airtime))
 	}
@@ -182,12 +197,17 @@ func (e *Engine) Run(sink Sink) (*Report, error) {
 	}
 	e.ran = true
 	chunk := make([]complex128, e.cfg.ChunkSamples)
+	// src holds the source samples one transmission's stretch of a
+	// chunk reads (synth.go): at most (ChunkSamples−1)·ratio + 3, and no
+	// sender's clock ratio exceeds 1 + SFOppm·1e-6. The +4 leaves one
+	// sample for the rounding of the float positions.
+	src := make([]complex128, int(float64(e.cfg.ChunkSamples)*(1+e.cfg.SFOppm*1e-6))+4)
 	cur := 0
 	endAt := -1
 	for {
 		// Admit every transmission starting inside the next window;
-		// admission synthesizes its waveform and may re-queue the
-		// sender's next frame.
+		// admission spreads its chips and may re-queue the sender's
+		// next frame.
 		for len(e.queue) > 0 && e.queue[0].nextStart < cur+len(chunk) {
 			if err := e.admit(); err != nil {
 				return nil, err
@@ -208,7 +228,7 @@ func (e *Engine) Run(sink Sink) (*Report, error) {
 			n = endAt - cur
 		}
 		buf := chunk[:n]
-		renderChunk(buf, e.active, cur, e.noise)
+		renderChunk(buf, src, e.active, cur, e.mod, e.noise)
 		if err := sink.PushChunk(buf); err != nil {
 			return nil, err
 		}
@@ -227,8 +247,9 @@ func (e *Engine) Run(sink Sink) (*Report, error) {
 const padSlackPeriods = 12
 
 // admit pops the earliest pending transmission, records it, streams
-// the collision bookkeeping, synthesizes its waveform and activates
-// it. Admission order is (start, sender) — the dense reference's sort.
+// the collision bookkeeping, spreads its frame into chips and
+// activates it. Admission order is (start, sender) — the dense
+// reference's sort.
 func (e *Engine) admit() error {
 	src := heap.Pop(&e.queue).(*senderSource)
 	rec := &txState{
@@ -246,34 +267,42 @@ func (e *Engine) admit() error {
 		e.lastMax = rec
 	}
 	e.records = append(e.records, rec)
-	sig, err := e.waveform(rec.sender, rec.seq, src.sfoPPM, src.cfoHz)
+	chips, err := e.chips(rec.sender, rec.seq)
 	if err != nil {
 		return err
 	}
-	if len(sig) != e.airtime {
-		return fmt.Errorf("%w: got %d, want %d", errAirtime, len(sig), e.airtime)
+	if n := e.frameSamples(chips); n != e.airtime {
+		return fmt.Errorf("%w: got %d, want %d", errAirtime, n, e.airtime)
 	}
-	e.active = append(e.active, &activeTx{rec: rec, sig: sig, gain: src.gain})
-	e.activeSamples += len(sig)
-	if len(e.active) > e.peakOverlap {
-		e.peakOverlap = len(e.active)
+	// dsp.RotateFrequency's expressions, so the rotator reproduces
+	// channel.ApplyCFO's phasors bit for bit. A zero CFO rotates by
+	// exactly 1+0i, which can only flip the sign of a zero.
+	step := 2 * math.Pi * src.cfoHz / e.cfg.Params.SampleRate
+	a := &activeTx{
+		rec:   rec,
+		chips: chips,
+		sfo:   src.sfoPPM != 0,
+		ratio: 1 + src.sfoPPM*1e-6,
+		live:  e.airtime,
+		gain:  src.gain,
+		step:  step,
+		inc:   complex(math.Cos(step), math.Sin(step)),
 	}
-	if e.activeSamples > e.peakWindow {
-		e.peakWindow = e.activeSamples
+	if a.sfo {
+		a.live = resampledLive(a.ratio, e.airtime)
 	}
+	e.active = append(e.active, a)
+	e.peakOverlap = max(e.peakOverlap, len(e.active))
 	if src.advance() {
 		heap.Push(&e.queue, src)
 	}
 	return nil
 }
 
-// waveform synthesizes one frame's impaired transmit signal: identity
-// bytes (low id, sequence, high id), SymBee frame encoding, ZigBee
-// modulation, then the sender's SFO resample and CFO rotation. The
-// signal ends up in a buffer from the free list: without SFO it is
-// modulated straight into it, with SFO it is modulated into the
-// scratch buffer and resampled into it. The CFO rotation is in place.
-func (e *Engine) waveform(sender, seq int, sfoPPM, cfoHz float64) ([]complex128, error) {
+// chips spreads one frame into its chip stream: identity bytes (low
+// id, sequence, high id), SymBee frame encoding, then the ZigBee PPDU
+// and spreading of core.Link.PayloadToSignal.
+func (e *Engine) chips(sender, seq int) ([]byte, error) {
 	data := make([]byte, e.cfg.DataBytes)
 	data[0] = byte(sender)
 	if e.cfg.DataBytes > 1 {
@@ -286,52 +315,28 @@ func (e *Engine) waveform(sender, seq int, sfoPPM, cfoHz float64) ([]complex128,
 	if err != nil {
 		return nil, fmt.Errorf("medium: %w", err)
 	}
-	var sig []complex128
-	if sfoPPM == 0 {
-		sig, err = e.phy.PayloadToSignalInto(e.take(), payload)
-	} else {
-		e.scratch, err = e.phy.PayloadToSignalInto(e.scratch, payload)
-		sig = channel.ApplySFOInto(e.take(), e.scratch, sfoPPM)
-	}
+	chips, err := e.phy.PayloadToChips(payload)
 	if err != nil {
 		return nil, fmt.Errorf("medium: %w", err)
 	}
-	if cfoHz != 0 {
-		channel.ApplyCFO(sig, cfoHz, e.cfg.Params.SampleRate)
-	}
-	return sig, nil
+	return chips, nil
 }
 
-// take pops a waveform buffer off the free list, or returns nil (the
-// synthesis then allocates one) when the list is empty.
-func (e *Engine) take() []complex128 {
-	n := len(e.free)
-	if n == 0 {
-		return nil
-	}
-	buf := e.free[n-1]
-	e.free[n-1] = nil
-	e.free = e.free[:n-1]
-	return buf
+// frameSamples returns the length of the waveform chips modulate to.
+func (e *Engine) frameSamples(chips []byte) int {
+	return (len(chips) + 1) * e.mod.SamplesPerSlot()
 }
 
-// retire releases every active transmission the cursor has passed,
-// handing its waveform buffer back to the free list (the records stay
-// for accounting).
+// retire releases every active transmission the cursor has passed (the
+// records stay for accounting).
 func (e *Engine) retire(cur int) {
 	kept := e.active[:0]
 	for _, a := range e.active {
-		if a.rec.end <= cur {
-			e.activeSamples -= len(a.sig)
-			e.free = append(e.free, a.sig)
-			a.sig = nil
-			continue
+		if a.rec.end > cur {
+			kept = append(kept, a)
 		}
-		kept = append(kept, a)
 	}
-	for i := len(kept); i < len(e.active); i++ {
-		e.active[i] = nil
-	}
+	clear(e.active[len(kept):])
 	e.active = kept
 }
 
@@ -393,7 +398,7 @@ func (e *Engine) buildReport(totalSamples int) *Report {
 		CollisionRate:        float64(collisions) / float64(total),
 		DeliveryRate:         float64(delivered) / float64(total),
 		PeakOverlap:          e.peakOverlap,
-		PeakWindowSamples:    e.peakWindow,
+		PeakWindowSamples:    e.peakOverlap * e.airtime,
 		PerSender:            per,
 	}
 }

@@ -151,9 +151,10 @@ func TestZeroGapZeroSNR(t *testing.T) {
 }
 
 // TestPeakWindowIndependentOfFrames pins the memory model: the peak
-// synthesized-window size is a function of overlap width and airtime
-// (at most twice the sender count when a frame seam straddles a chunk
-// window), not of how many frames each sender sends (total airtime).
+// summed airtime of the active transmissions is a function of overlap
+// width and airtime (at most twice the sender count when a frame seam
+// straddles a chunk window), not of how many frames each sender sends
+// (total airtime).
 func TestPeakWindowIndependentOfFrames(t *testing.T) {
 	for _, senders := range []int{1, 4} {
 		peaks := map[int]bool{}

@@ -18,10 +18,12 @@ import (
 type senderSource struct {
 	id  int
 	rng *rand.Rand
-	// cfoHz/sfoPPM/gain are the sender's fixed impairments.
+	// cfoHz/sfoPPM/gain are the sender's fixed impairments; gain is
+	// the real receive amplitude the dense reference applies as
+	// complex(gain, 0).
 	cfoHz  float64
 	sfoPPM float64
-	gain   complex128
+	gain   float64
 	// meanGapAirtimes scales the exponential idle draws.
 	meanGapAirtimes float64
 	// airtime is the constant per-frame signal length in samples.
@@ -55,7 +57,7 @@ func newSenderSource(cfg Config, id, airtime int) *senderSource {
 		rng:             rng,
 		cfoHz:           cfo,
 		sfoPPM:          sfo,
-		gain:            complex(math.Sqrt(dsp.FromDB(snr)), 0),
+		gain:            math.Sqrt(dsp.FromDB(snr)),
 		meanGapAirtimes: cfg.MeanGapAirtimes,
 		airtime:         airtime,
 		frames:          cfg.FramesPerSender,

@@ -43,7 +43,7 @@ ctc: splitmix
 channel: dsp splitmix wifi
 core: coding dsp wifi zigbee
 cli: core trace
-medium: channel core dsp splitmix
+medium: channel core dsp splitmix zigbee
 link: core dsp medium wifi
 stream: core link
 reliable: channel coding core ctc link splitmix zigbee

@@ -13,13 +13,17 @@ import (
 type Modulator struct {
 	samplesPerSlot int
 	pulse          []float64 // half-sine spanning two chip slots
-	// shape[1] and shape[0] are the rail samples a positive and a
-	// negative chip contribute: 0 + a·pulse[i] for a = ±1, the value a
+	// slots[parity][head][tail] is one chip slot of output. Chip k's
+	// pulse covers slots k and k+1 of its rail, so slot s carries the
+	// first half of chip s (head) and the second half of chip s−1
+	// (tail), one on each rail: the head's rail is in-phase for even s
+	// and quadrature for odd s. A level is 0 for a negative chip, 1 for
+	// a positive one and 2 for none (before the first chip, after the
+	// last). Each rail value is 0 + a·pulse[i] for a = ±1, the value a
 	// zeroed rail accumulator holds after adding the one pulse sample
-	// that ever lands on it (so the −0 of −pulse[0] is stored as +0).
-	// idle is one chip slot of +0 for a rail no pulse covers.
-	shape [2][]float64
-	idle  []float64
+	// that ever lands on it (so the −0 of −pulse[0] is stored as +0),
+	// and +0 for a rail no pulse covers.
+	slots [2][3][3][]complex128
 }
 
 // NewModulator returns a modulator producing samples at sampleRate Hz.
@@ -37,16 +41,34 @@ func NewModulator(sampleRate float64) (*Modulator, error) {
 	m := &Modulator{
 		samplesPerSlot: sps,
 		pulse:          make([]float64, 2*sps),
-		shape:          [2][]float64{make([]float64, 2*sps), make([]float64, 2*sps)},
-		idle:           make([]float64, sps),
 	}
+	// shape[level] is the whole pulse of a chip at that level; the
+	// third level is the idle rail.
+	shape := [3][]float64{make([]float64, 2*sps), make([]float64, 2*sps), make([]float64, 2*sps)}
 	for i := range m.pulse {
 		p := math.Sin(math.Pi * float64(i) / float64(2*sps))
 		m.pulse[i] = p
 		for c, a := range [2]float64{-1, 1} {
 			var acc float64
 			acc += a * p
-			m.shape[c][i] = acc
+			shape[c][i] = acc
+		}
+	}
+	slots := make([]complex128, 2*3*3*sps) // backs all 18 patterns
+	for parity := range m.slots {
+		for head := range m.slots[parity] {
+			for tail := range m.slots[parity][head] {
+				re, im := shape[head][:sps], shape[tail][sps:]
+				if parity == 1 {
+					re, im = im, re
+				}
+				slot := slots[:sps:sps]
+				slots = slots[sps:]
+				for i := range slot {
+					slot[i] = complex(re[i], im[i])
+				}
+				m.slots[parity][head][tail] = slot
+			}
 		}
 	}
 	return m, nil
@@ -71,42 +93,50 @@ func (m *Modulator) ModulateChips(chips []byte) []complex128 {
 }
 
 // modulateChips is ModulateChips writing into dst's storage when its
-// capacity suffices (a new slice otherwise). Every returned sample is
-// written, so nothing dst held before leaks into the waveform.
-//
-// Chip k's pulse covers slots k and k+1 of its rail, so slot s carries
-// the first half of chip s and the second half of chip s−1, one on
-// each rail: chip s's rail is in-phase for even s and quadrature for
-// odd s. Each sample is one store of two precomputed rail values.
+// capacity suffices (a new slice otherwise): ModulateChipsRange over
+// the whole waveform.
 func (m *Modulator) modulateChips(dst []complex128, chips []byte) []complex128 {
-	sps := m.samplesPerSlot
-	n := (len(chips) + 1) * sps
+	n := (len(chips) + 1) * m.samplesPerSlot
 	if cap(dst) < n {
 		dst = make([]complex128, n)
 	}
 	dst = dst[:n]
-	tail := m.idle // second half of the previous chip's pulse
-	for s := 0; s <= len(chips); s++ {
-		head, next := m.idle, m.idle
-		if s < len(chips) {
-			shape := m.shape[0]
-			if chips[s] != 0 {
-				shape = m.shape[1]
-			}
-			head, next = shape[:sps], shape[sps:]
-		}
-		re, im := head, tail
-		if s%2 == 1 {
-			re, im = tail, head
-		}
-		out := dst[s*sps : (s+1)*sps]
-		re, im = re[:len(out)], im[:len(out)]
-		for i := range out {
-			out[i] = complex(re[i], im[i])
-		}
-		tail = next
-	}
+	m.ModulateChipsRange(dst, chips, 0)
 	return dst
+}
+
+// ModulateChipsRange writes samples [from, from+len(dst)) of
+// ModulateChips(chips) into dst, bit for bit, overwriting every
+// element, so a caller can render any stretch of a waveform without
+// holding the rest of it. The range must lie inside the waveform:
+// 0 ≤ from and from+len(dst) ≤ (len(chips)+1)·SamplesPerSlot().
+//
+// Every sample is a copy out of one of the precomputed slot patterns,
+// chosen by the slot's parity and its head and tail chips.
+func (m *Modulator) ModulateChipsRange(dst []complex128, chips []byte, from int) {
+	sps := m.samplesPerSlot
+	s, i := from/sps, from%sps
+	for len(dst) > 0 {
+		head, tail := 2, 2
+		if s < len(chips) {
+			head = chipLevel(chips[s])
+		}
+		if s > 0 {
+			tail = chipLevel(chips[s-1])
+		}
+		n := copy(dst, m.slots[s&1][head][tail][i:])
+		dst = dst[n:]
+		s, i = s+1, 0
+	}
+}
+
+// chipLevel maps a chip byte to its slot-pattern level: any nonzero
+// chip is a positive pulse.
+func chipLevel(c byte) int {
+	if c != 0 {
+		return 1
+	}
+	return 0
 }
 
 // ModulateSymbols spreads the symbols and shapes the resulting chips.

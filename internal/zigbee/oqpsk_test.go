@@ -254,3 +254,60 @@ func dirty(n int) []complex128 {
 	}
 	return buf
 }
+
+// TestModulateChipsRangeMatchesModulateChips pins the range form to the
+// whole-waveform modulator bit for bit: over random chip streams at 20
+// and 40 Msps (empty, single-chip and streams longer than 4096 samples
+// included, non-binary chip bytes too), ModulateChipsRange written into
+// a dirty buffer must equal ModulateChips(chips)[from:from+n] for every
+// from in the first two slots, in the final tail slot and at random
+// offsets between, and for n ∈ {1, sps−1, sps, 4096, to the end}
+// (clipped at the end of the waveform).
+func TestModulateChipsRangeMatchesModulateChips(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, rate := range []float64{20e6, 40e6} {
+		m, err := NewModulator(rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sps := m.SamplesPerSlot()
+		for trial := 0; trial < 12; trial++ {
+			size := rng.Intn(600)
+			if trial < 2 {
+				size = trial
+			}
+			chips := make([]byte, size)
+			for i := range chips {
+				chips[i] = byte(rng.Intn(2))
+				if rng.Intn(16) == 0 {
+					chips[i] = byte(rng.Intn(256))
+				}
+			}
+			want := m.ModulateChips(chips)
+			total := len(want)
+			var froms []int
+			for i := 0; i < 2*sps && i < total; i++ {
+				froms = append(froms, i)
+			}
+			for i := total - sps; i < total; i++ {
+				if i >= 2*sps {
+					froms = append(froms, i)
+				}
+			}
+			for k := 0; k < 8; k++ {
+				froms = append(froms, rng.Intn(total))
+			}
+			for _, from := range froms {
+				for _, n := range []int{1, sps - 1, sps, 4096, total - from} {
+					n = min(n, total-from)
+					got := dirty(n)
+					m.ModulateChipsRange(got, chips, from)
+					if i := sameBits(got, want[from:from+n]); i >= 0 {
+						t.Fatalf("rate %v, %d chips, from %d, n %d: sample %d differs from ModulateChips",
+							rate, len(chips), from, n, i)
+					}
+				}
+			}
+		}
+	}
+}

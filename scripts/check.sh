@@ -27,9 +27,10 @@ go test ./...
 # dedicated soak job.
 RELIABLE_SOAK_RUNS=2 go test -race -timeout 15m $RACE_PACKAGES
 # Medium-engine equivalence under the race detector: the event-driven
-# lazy synthesizer must reproduce the dense reference bit-for-bit
-# (DESIGN.md §12).
-go test -race ./internal/link/ -run "$MEDIUM_EQUIVALENCE_RUN" -count=1
+# lazy synthesizer must reproduce the dense reference bit-for-bit, and
+# the range modulator it renders with must match the whole-waveform
+# modulator (DESIGN.md §12).
+go test -race ./internal/link/ ./internal/zigbee/ -run "$MEDIUM_EQUIVALENCE_RUN" -count=1
 # Link-stack equivalence: the committed golden fixtures must decode
 # byte-identically through the reference batch entrypoint and every
 # Stack configuration at every ingest chunk size, and the warm ingest
