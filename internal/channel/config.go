@@ -3,6 +3,7 @@ package channel
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // This file is the config contract of the channel package: every
@@ -45,6 +46,7 @@ func DefaultMobilityConfig() MobilityConfig {
 
 // Config validation errors.
 var (
+	errNonFinite  = errors.New("channel: non-finite parameter")
 	errSampleRate = errors.New("channel: sample rate must be positive")
 	errPad        = errors.New("channel: negative pad")
 	errRicianK    = errors.New("channel: negative Rician K-factor")
@@ -60,6 +62,10 @@ var (
 // chaining into the embedded interference and mobility configs.
 func (c Config) Validate() error {
 	switch {
+	case math.IsNaN(c.SampleRate) || math.IsInf(c.SampleRate, 0):
+		return fmt.Errorf("%w: SampleRate %v", errNonFinite, c.SampleRate)
+	case math.IsNaN(c.SNRdB) || math.IsInf(c.SNRdB, 0):
+		return fmt.Errorf("%w: SNRdB %v", errNonFinite, c.SNRdB)
 	case c.SampleRate <= 0:
 		return fmt.Errorf("%w: %v", errSampleRate, c.SampleRate)
 	case c.Pad < 0:

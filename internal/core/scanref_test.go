@@ -123,7 +123,7 @@ type refMachine struct {
 }
 
 func newRefMachine(d *Decoder) *refMachine {
-	m := d.newMachine(defaultRetention(d.p))
+	m := d.newMachine()
 	ref := newRefScanner(d)
 	m.scan = ref.preambleScanner
 	return &refMachine{FrameMachine: m, ref: ref}
@@ -174,7 +174,7 @@ func (m *refMachine) advance() {
 			if m.n < m.needUpTo && !m.flushed {
 				return
 			}
-			anchor, err := m.ref.finish(m.window())
+			anchor, err := m.ref.finish(m.selectionWindow())
 			if err != nil {
 				m.rearm(m.ref.i)
 				continue

@@ -4,16 +4,15 @@
 // (core.FrameMachine) → a reused queue of decode events the owner
 // Drains.
 //
-// Every receive path in the repository is one of two presets of the
-// same Stack:
-//
-//   - NewBatch: phase-fed, unbounded machine history, whole-capture
-//     semantics — bit-identical to core's Decoder.DecodeFrame batch
-//     entry (the golden-trace equivalence tests pin this). The ARQ
-//     SimLink resets one per capture it receives over internal/channel.
-//   - NewStreaming: IQ front-end plus bounded history. The public
-//     symbee.Receiver is this stack, and the internal/stream pool runs
-//     one per open stream.
+// Every receive path in the repository runs this one Stack, with the
+// same bounded machine history, so a capture decodes to the same events
+// whether it is pushed whole or in any chunking. The public
+// symbee.Receiver is a Stack, the internal/stream pool runs one per
+// open stream, and the ARQ SimLink resets one (NewBatch) per capture
+// it receives over internal/channel. core.Decoder.DecodeFrame runs the
+// same machine over a phase capture and returns its first terminal
+// event. The committed golden fixtures, decoded at every ingest chunk
+// size, and internal/core's whole-against-chunked tests pin the stack.
 //
 // The Stack's push path keeps the repository's zero-alloc steady-state
 // guarantee (//symbee:hotpath roots, pinned by AllocsPerRun tests), and

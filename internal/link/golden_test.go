@@ -17,10 +17,10 @@ import (
 )
 
 // -update regenerates the committed golden fixtures: the traces are
-// rebuilt from their seeded recipes and the expected frames re-derived
-// through the REFERENCE batch entrypoint (core.Decoder.DecodeFrame).
-// Normal runs only read the committed files, so the test pins the link
-// stack against history, not against itself.
+// rebuilt from their seeded recipes and the expected frames recorded
+// from core.Decoder.DecodeFrame. Normal runs only read the committed
+// files, so the test pins the receive path against the recorded
+// frames, not against itself.
 var update = flag.Bool("update", false, "regenerate golden trace fixtures")
 
 // goldenChunks are the ingest chunk sizes every fixture must decode
@@ -42,8 +42,8 @@ type goldenCase struct {
 	Description string `json:"description"`
 	// Compensation is the receiver CFO compensation for this capture.
 	Compensation float64 `json:"compensation"`
-	// Frame is the expected decode, derived by the reference batch
-	// entrypoint when the fixture was generated.
+	// Frame is the expected decode, recorded when the fixture was
+	// generated.
 	Frame goldenFrame `json:"frame"`
 }
 
@@ -78,10 +78,10 @@ func generateGolden(t *testing.T) []goldenCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The REFERENCE decode: the historical batch entrypoint.
+		// The decode the fixture records.
 		frame, err := dec.DecodeFrame(phases)
 		if err != nil {
-			t.Fatalf("%s: reference decode failed: %v", name, err)
+			t.Fatalf("%s: DecodeFrame failed: %v", name, err)
 		}
 		cases = append(cases, goldenCase{
 			Trace:        name,
@@ -186,11 +186,12 @@ func checkFrame(t *testing.T, label string, got, want *core.Frame) {
 }
 
 // TestGoldenTraceEquivalence is the bit-exactness regression gate of the
-// layered refactor: every committed fixture must decode byte-for-byte
-// identically through (a) the historical reference entrypoint, (b) a
+// receive path: every committed fixture must decode byte-for-byte to
+// its recorded frame through (a) core.Decoder.DecodeFrame, (b) a
 // chunk-fed batch stack at every golden chunk size (including the whole
-// capture in one push), and (c) — for IQ fixtures — the streaming
-// preset at every golden chunk size.
+// capture in one push), and (c) — for IQ fixtures — a streaming stack
+// fed IQ at every golden chunk size. All three run the one frame
+// machine, so the recorded frames, not each other, are what pins them.
 func TestGoldenTraceEquivalence(t *testing.T) {
 	var cases []goldenCase
 	if *update {
@@ -217,9 +218,9 @@ func TestGoldenTraceEquivalence(t *testing.T) {
 
 			ref, err := dec.DecodeFrame(phases)
 			if err != nil {
-				t.Fatalf("reference decode: %v", err)
+				t.Fatalf("DecodeFrame: %v", err)
 			}
-			checkFrame(t, "reference", ref, want)
+			checkFrame(t, "DecodeFrame", ref, want)
 
 			for _, chunk := range goldenChunks {
 				n := chunk

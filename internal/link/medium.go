@@ -10,7 +10,7 @@ import (
 
 // RunMedium drives one event-driven shared-medium scenario end-to-end:
 // a medium.Engine synthesizes the capture chunk-by-chunk into a
-// streaming-preset Stack, and decoded frames are credited back to
+// streaming Stack, and decoded frames are credited back to
 // their transmissions through the payload identity bytes. The run is
 // deterministic in cfg.Seed; m, when non-nil, instruments the receive
 // stack.

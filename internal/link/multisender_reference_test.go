@@ -165,7 +165,7 @@ func refSuperpose(cfg medium.Config, p core.Params, txs []*refTransmission) []co
 	return capture
 }
 
-// refReceiveAll runs the capture through one streaming-preset Stack in
+// refReceiveAll runs the capture through one streaming Stack in
 // chunks and matches decoded frames back to their transmissions.
 func refReceiveAll(cfg medium.Config, p core.Params, capture []complex128, txs []*refTransmission) error {
 	dec, err := core.NewDecoder(p, wifi.CanonicalCompensation)

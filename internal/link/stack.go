@@ -9,14 +9,8 @@ import (
 	"symbee/internal/dsp"
 )
 
-// Stack errors.
-var (
-	// ErrNoFrontEnd reports IQ pushed into a stack built without the
-	// front-end stage (the phase-fed batch preset).
-	ErrNoFrontEnd = errors.New("link: stack has no IQ front-end (push phases, or build it with NewStreaming)")
-	// ErrClosed reports input pushed into a closed stack.
-	ErrClosed = errors.New("link: stack closed")
-)
+// ErrClosed reports input pushed into a closed stack.
+var ErrClosed = errors.New("link: stack closed")
 
 // Event is one occurrence on one stream: a preamble lock, a decoded
 // frame, or a decode failure. It wraps core.StreamEvent with the stream
@@ -27,19 +21,18 @@ type Event struct {
 	core.StreamEvent
 }
 
-// Stack is one assembled receive pipeline: the optional IQ front-end
+// Stack is one assembled receive pipeline: the IQ front-end
 // (dsp.PhaseDiffStreamer), the preamble-scan/frame machine
 // (core.FrameMachine), and a reused queue of pending events the owner
-// Drains. It accepts IQ or phase chunks of any size and emits the same
-// events at any chunking. The batch preset decodes exactly as
-// core.Decoder.DecodeFrame; the streaming preset's bounded history
-// starts at each re-arm point, so on a multi-frame stream a decode
-// error after a re-arm can report another anchor than the batch preset
-// (DESIGN.md §11.2). A Stack is owned by one goroutine (its pool worker
-// or harness); it is not safe for concurrent use.
+// Drains. It accepts IQ or phase chunks of any size, and a capture
+// decodes to the same events whether it is pushed whole or in any
+// chunking; for a phase capture the first terminal event is
+// core.Decoder.DecodeFrame's result (DESIGN.md §11.2). A Stack is owned
+// by one goroutine (its pool worker or harness); it is not safe for
+// concurrent use.
 type Stack struct {
 	dec     *core.Decoder
-	phaser  *dsp.PhaseDiffStreamer // nil when phase-fed
+	phaser  *dsp.PhaseDiffStreamer
 	machine *core.FrameMachine
 	pending []Event
 	metrics *Metrics
@@ -48,47 +41,31 @@ type Stack struct {
 	closed  bool
 }
 
-// newStack builds the stack both presets start from: phase-fed, with
-// unbounded machine history when batch is set and bounded retention
-// otherwise. A decoder is required (share one across stacks — pool
-// shards do — or build one with core.NewDecoder).
-func newStack(d *core.Decoder, batch bool, m *Metrics) (*Stack, error) {
+var errNilDecoder = errors.New("stack needs a Decoder")
+
+// NewBatch returns a stack for whole-capture decoding: push one
+// capture, Flush, Drain. It is NewStreaming with stream identity 0.
+func NewBatch(d *core.Decoder, m *Metrics) (*Stack, error) {
+	return NewStreaming(d, 0, m)
+}
+
+// NewStreaming returns a stack whose events carry the given stream
+// identity; the pool runs one per shard session. A decoder is required
+// (share one across stacks — pool shards do — or build one with
+// core.NewDecoder).
+func NewStreaming(d *core.Decoder, stream uint64, m *Metrics) (*Stack, error) {
 	if d == nil {
 		return nil, fmt.Errorf("link: %w", errNilDecoder)
 	}
-	newMachine := d.NewFrameMachine
-	if batch {
-		newMachine = d.NewBatchMachine
-	}
-	machine, err := newMachine()
+	machine, err := d.NewFrameMachine()
 	if err != nil {
 		return nil, fmt.Errorf("link: %w", err)
 	}
-	return &Stack{dec: d, machine: machine, metrics: m}, nil
-}
-
-var errNilDecoder = errors.New("stack needs a Decoder")
-
-// NewBatch returns the whole-capture preset: phase-fed, unbounded
-// machine history. Push one capture, Flush, Drain — bit-identical to
-// core's Decoder.DecodeFrame at any chunking.
-func NewBatch(d *core.Decoder, m *Metrics) (*Stack, error) {
-	return newStack(d, true, m)
-}
-
-// NewStreaming returns the per-stream real-time preset the pool runs
-// one of per shard session: IQ front-end plus bounded machine history,
-// with every event tagged by the stream identity.
-func NewStreaming(d *core.Decoder, stream uint64, m *Metrics) (*Stack, error) {
-	s, err := newStack(d, false, m)
+	phaser, err := dsp.NewPhaseDiffStreamer(d.Params().Lag)
 	if err != nil {
-		return nil, err
-	}
-	s.stream = stream
-	if s.phaser, err = dsp.NewPhaseDiffStreamer(d.Params().Lag); err != nil {
 		return nil, fmt.Errorf("link: %w", err)
 	}
-	return s, nil
+	return &Stack{dec: d, phaser: phaser, machine: machine, metrics: m, stream: stream}, nil
 }
 
 // Stream returns the stack's stream identity tag.
@@ -105,9 +82,6 @@ func (s *Stack) Decoder() *core.Decoder { return s.dec }
 func (s *Stack) PushIQ(iq []complex128) error {
 	if s.closed {
 		return ErrClosed
-	}
-	if s.phaser == nil {
-		return ErrNoFrontEnd
 	}
 	var start time.Time
 	if s.metrics != nil {
@@ -187,9 +161,7 @@ func (s *Stack) Flush() error {
 // reusing every retained buffer: the reliable harness resets one batch
 // stack per capture instead of building a machine per frame.
 func (s *Stack) Reset() {
-	if s.phaser != nil {
-		s.phaser.Reset()
-	}
+	s.phaser.Reset()
 	s.machine.Reset()
 	s.pending = s.pending[:0]
 	s.closed = false

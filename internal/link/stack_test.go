@@ -90,10 +90,11 @@ func batchDecode(t *testing.T, dec *core.Decoder, phases []float64) *Event {
 	return nil
 }
 
-// TestDecodeBatchMatchesDecodeFrame pins the batch preset's defining
-// equivalence: a NewBatch push/flush/drain and core.Decoder.DecodeFrame
-// are the same decoder — identical frames on success, and no terminal
-// event where DecodeFrame finds no preamble.
+// TestDecodeBatchMatchesDecodeFrame checks the two one-shot entries of
+// the one frame machine against each other: a NewBatch
+// push/flush/drain and core.Decoder.DecodeFrame (which stops at the
+// first terminal event) give identical frames on success, and no
+// terminal event where DecodeFrame finds no preamble.
 func TestDecodeBatchMatchesDecodeFrame(t *testing.T) {
 	p := core.Params20()
 	dec, err := core.NewDecoder(p, 0)
@@ -103,7 +104,7 @@ func TestDecodeBatchMatchesDecodeFrame(t *testing.T) {
 	phases, want := testCapture(t, p, 3, "hello link")
 	ref, refErr := dec.DecodeFrame(phases)
 	if refErr != nil {
-		t.Fatalf("reference decode: %v", refErr)
+		t.Fatalf("DecodeFrame: %v", refErr)
 	}
 	ev := batchDecode(t, dec, phases)
 	if ev == nil || ev.Kind != core.EventFrame {
@@ -121,14 +122,14 @@ func TestDecodeBatchMatchesDecodeFrame(t *testing.T) {
 		noise[i] = rng.NormFloat64() * 0.3
 	}
 	if _, refErr = dec.DecodeFrame(noise); !errors.Is(refErr, core.ErrNoPreamble) {
-		t.Fatalf("noise reference decode: %v, want ErrNoPreamble", refErr)
+		t.Fatalf("noise DecodeFrame: %v, want ErrNoPreamble", refErr)
 	}
 	if ev := batchDecode(t, dec, noise); ev != nil {
 		t.Fatalf("noise batch stack emitted %+v, want no terminal event", ev)
 	}
 }
 
-// TestStreamingChunkInvariance pins the streaming preset's defining
+// TestStreamingChunkInvariance pins the streaming stack's defining
 // property: the same capture decodes to the same frame regardless of how
 // it is chunked on the way in.
 func TestStreamingChunkInvariance(t *testing.T) {
@@ -207,8 +208,8 @@ func TestStackResetReuse(t *testing.T) {
 	}
 }
 
-// TestStackErrors pins the error surface: IQ into a phase-fed stack,
-// pushes after Close, and the nil-decoder spec.
+// TestStackErrors pins the error surface: pushes after Close, and the
+// nil-decoder spec.
 func TestStackErrors(t *testing.T) {
 	p := core.Params20()
 	dec, err := core.NewDecoder(p, 0)
@@ -218,9 +219,6 @@ func TestStackErrors(t *testing.T) {
 	st, err := NewBatch(dec, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := st.PushIQ(make([]complex128, 64)); !errors.Is(err, ErrNoFrontEnd) {
-		t.Errorf("PushIQ on phase-fed stack: %v, want ErrNoFrontEnd", err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -108,7 +108,7 @@ type activeTx struct {
 	chips []byte
 	// sfo reports a nonzero clock offset; ratio is then the resampler's
 	// source samples per output sample, 1 + sfoPPM·1e-6 (the expression
-	// of channel.ApplySFOInto).
+	// of channel.ApplySFO).
 	sfo   bool
 	ratio float64
 	// live is the number of leading waveform samples the resampler

@@ -38,7 +38,7 @@ func renderChunk(dst, src []complex128, active []*activeTx, cur int, mod *zigbee
 // source samples the stretch reads into src, then per output sample
 // interpolates the SFO resample, rotates by the CFO and scales by the
 // gain. Each step is the dense reference's own expression
-// (channel.ApplySFOInto, dsp.RotateFrequency, the complex gain), so
+// (channel.ApplySFO, dsp.RotateFrequency, the complex gain), so
 // every product and sum is the same float operation, except that the
 // interpolation weights and the gain are applied as real scalars: 4
 // and 2 multiplies where the reference's complex(w, 0) products take 8
@@ -103,7 +103,7 @@ func mixTx(dst, src []complex128, a *activeTx, cur int, mod *zigbee.Modulator) {
 }
 
 // resampledLive returns how many leading output samples of an
-// airtime-long frame channel.ApplySFOInto interpolates at clock ratio
+// airtime-long frame channel.ApplySFO interpolates at clock ratio
 // ratio: the first n with int(float64(n)·ratio)+1 ≥ airtime starts its
 // zero tail. The source position is monotone in n, so the estimate
 // airtime/ratio is walked to the exact boundary.

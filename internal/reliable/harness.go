@@ -60,7 +60,7 @@ func (c SimConfig) Validate() error {
 // SimLink is a reliable.Transport that runs entirely over a
 // link.Duplex: every forward frame goes through the real SymBee PHY —
 // modulator, fault-injected channel, WiFi phase-extraction front end
-// and the duplex's uplink decode Stack (the batch preset, reset per
+// and the duplex's uplink decode Stack (a NewBatch stack, reset per
 // capture) — and the ARQ receive side, then the resulting cumulative
 // ack rides the duplex's downlink stack back. Acks cost reverse
 // airtime, arrive one downlink-latency late, can be lost on the reverse

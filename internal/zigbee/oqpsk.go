@@ -89,20 +89,9 @@ func (m *Modulator) SamplesPerSymbol() int { return m.samplesPerSlot * ChipsPerS
 // The output holds (len(chips)+1) chip slots: the final pulse extends one
 // slot past the last chip start.
 func (m *Modulator) ModulateChips(chips []byte) []complex128 {
-	return m.modulateChips(nil, chips)
-}
-
-// modulateChips is ModulateChips writing into dst's storage when its
-// capacity suffices (a new slice otherwise): ModulateChipsRange over
-// the whole waveform.
-func (m *Modulator) modulateChips(dst []complex128, chips []byte) []complex128 {
-	n := (len(chips) + 1) * m.samplesPerSlot
-	if cap(dst) < n {
-		dst = make([]complex128, n)
-	}
-	dst = dst[:n]
-	m.ModulateChipsRange(dst, chips, 0)
-	return dst
+	out := make([]complex128, (len(chips)+1)*m.samplesPerSlot)
+	m.ModulateChipsRange(out, chips, 0)
+	return out
 }
 
 // ModulateChipsRange writes samples [from, from+len(dst)) of
@@ -147,13 +136,5 @@ func (m *Modulator) ModulateSymbols(symbols []byte) []complex128 {
 // ModulateBytes expands bytes into symbols using order and modulates
 // them.
 func (m *Modulator) ModulateBytes(data []byte, order SymbolOrder) []complex128 {
-	return m.ModulateBytesInto(nil, data, order)
-}
-
-// ModulateBytesInto is ModulateBytes synthesizing into dst's storage
-// when its capacity suffices (a new slice otherwise), so a caller that
-// modulates frame after frame can recycle one buffer. Every returned
-// sample is overwritten.
-func (m *Modulator) ModulateBytesInto(dst []complex128, data []byte, order SymbolOrder) []complex128 {
-	return m.modulateChips(dst, SpreadSymbols(BytesToSymbols(data, order)))
+	return m.ModulateChips(SpreadSymbols(BytesToSymbols(data, order)))
 }

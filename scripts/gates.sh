@@ -5,9 +5,9 @@
 # POSIX sh; no shebang — this file is sourced, not executed.
 
 # Link-stack bit-exactness gate (DESIGN.md §11): committed golden
-# fixtures through the reference DecodeFrame and the batch and streaming
-# stack presets at every chunk size, stream tagging under any chunking,
-# plus the warm-ingest zero-alloc pin.
+# fixtures must decode to their recorded frames through DecodeFrame and
+# through batch and streaming stacks at every chunk size, stream tagging
+# must hold under any chunking, plus the warm-ingest zero-alloc pin.
 LINK_EQUIVALENCE_RUN='TestGoldenTraceEquivalence|TestStreamingChunkInvariance|TestStackSteadyStateZeroAlloc'
 
 # Batched preamble-scan gate (DESIGN.md §13): the chunked batch path,
@@ -18,8 +18,13 @@ LINK_EQUIVALENCE_RUN='TestGoldenTraceEquivalence|TestStreamingChunkInvariance|Te
 # internal/core/scanref_test.go. Two guards no replayed input reaches
 # are pinned directly: the pre-gate calls a one-anchor segment holding
 # a NaN not idle, and a re-arm behind the scan position, after trim
-# has cut history, resumes at the scan position.
-HUNT_EQUIVALENCE_RUN='TestHuntScalarBatchEquivalence|TestHuntGateNaNPhases|TestHuntGateNaNOneAnchor|TestHuntRearmBehindScanPosition|TestCapturePreambleMatchesScalarScan|TestHuntBatchZeroAlloc'
+# has cut history, resumes at the scan position. Batch and streaming
+# run one bounded machine (DESIGN.md §11.2): a multi-frame capture
+# pushed whole must emit the events of every chunked push, re-arms and
+# decode errors included, DecodeFrame must report the whole push's
+# first terminal event, and selection after a maximal frame must not
+# read back across the re-arm point in any chunking.
+HUNT_EQUIVALENCE_RUN='TestHuntScalarBatchEquivalence|TestHuntGateNaNPhases|TestHuntGateNaNOneAnchor|TestHuntRearmBehindScanPosition|TestCapturePreambleMatchesScalarScan|TestHuntBatchZeroAlloc|TestBatchMatchesStreamingMultiFrame|TestChunkInvarianceAfterMaximalFrames'
 
 # Phase kernel gate (DESIGN.md §7): PhaseDiffStream and
 # PhaseDiffStreamer.Process share one block kernel, so their agreement

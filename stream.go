@@ -118,12 +118,9 @@ func resolveStreamOptions(opts []StreamOption) streamOptions {
 
 // NewReceiver builds a single-stream incremental receiver for the given
 // parameter set: push IQ (or phase) chunks of any size, drain events.
-// It emits the same events at any chunking. It keeps bounded history,
-// so after a re-arm it cannot read back across the previous frame's
-// tail as a batch decode of the concatenated stream does: on a
-// multi-frame stream a decode error there can report another anchor
-// than the batch decode. It skips all metrics accounting unless
-// WithMetrics is given.
+// A capture decodes to the same events whether it is pushed whole or in
+// any chunking, and a batch decode runs the same receiver. It skips all
+// metrics accounting unless WithMetrics is given.
 //
 //	rx, err := symbee.NewReceiver(symbee.Params20(), symbee.WithCompensation(0))
 //	rx.PushIQ(capture)

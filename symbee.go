@@ -29,6 +29,7 @@ package symbee
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"symbee/internal/channel"
 	"symbee/internal/coding"
@@ -155,13 +156,29 @@ func DefaultChannelConfig() ChannelConfig {
 
 // Channel config validation errors.
 var (
-	errChanNegative = errors.New("symbee: channel parameter must not be negative")
+	errChanNegative  = errors.New("symbee: channel parameter must not be negative")
+	errChanNonFinite = errors.New("symbee: channel parameter must be finite")
 )
 
 // Validate reports the first structural problem with the config. The
 // scenario name itself is resolved (and rejected) by NewChannel via
 // the preset registry.
 func (c ChannelConfig) Validate() error {
+	// NaN fails every ordered comparison below and +Inf passes them,
+	// so either would otherwise reach the channel model.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Distance", c.Distance},
+		{"TxPowerDBm", c.TxPowerDBm},
+		{"SampleRate", c.SampleRate},
+		{"SpeedMps", c.SpeedMps},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%w: %s %v", errChanNonFinite, f.name, f.v)
+		}
+	}
 	switch {
 	case c.Distance < 0:
 		return fmt.Errorf("%w: Distance %v", errChanNegative, c.Distance)

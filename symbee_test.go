@@ -3,6 +3,7 @@ package symbee
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -44,6 +45,29 @@ func TestNewChannelValidation(t *testing.T) {
 	}
 	if ch.cfg.SampleRate != 20e6 || ch.cfg.Distance != 5 {
 		t.Errorf("defaults not applied: %+v", ch.cfg)
+	}
+}
+
+// TestNewChannelRejectsNonFinite pins NewChannel's rejection of NaN and
+// infinite fields, which would otherwise panic in the multipath model
+// (SampleRate) or turn the capture NaN (Distance, TxPowerDBm).
+func TestNewChannelRejectsNonFinite(t *testing.T) {
+	for _, field := range []struct {
+		name string
+		set  func(*ChannelConfig, float64)
+	}{
+		{"Distance", func(c *ChannelConfig, v float64) { c.Distance = v }},
+		{"TxPowerDBm", func(c *ChannelConfig, v float64) { c.TxPowerDBm = v }},
+		{"SampleRate", func(c *ChannelConfig, v float64) { c.SampleRate = v }},
+		{"SpeedMps", func(c *ChannelConfig, v float64) { c.SpeedMps = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := ChannelConfig{Scenario: "office", Distance: 10}
+			field.set(&cfg, v)
+			if _, err := NewChannel(cfg); err == nil {
+				t.Errorf("%s = %v: NewChannel succeeded, want an error", field.name, v)
+			}
+		}
 	}
 }
 
