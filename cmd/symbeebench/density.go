@@ -94,7 +94,7 @@ func runDensityBench(seed int64, frames int, gap float64, widths []int, outPath 
 			CollisionRate:        rep.CollisionRate,
 			DeliveryRate:         rep.DeliveryRate,
 			PeakOverlap:          rep.PeakOverlap,
-			PeakWindowSamples:    rep.PeakWindowSamples,
+			PeakWindowSamples:    rep.PeakOverlap * rep.AirtimeSamples,
 		})
 		fmt.Printf("  N=%4d: %5d/%5d delivered, goodput %8.0f bps, collisions %5.1f%%, peak overlap %3d (%.2fs air, %v wall)\n",
 			n, rep.Delivered, sent, rep.GoodputBps, rep.CollisionRate*100,

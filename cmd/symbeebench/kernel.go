@@ -7,8 +7,6 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"os"
-	"runtime"
-	"sync"
 	"time"
 
 	"symbee/internal/cli"
@@ -17,9 +15,8 @@ import (
 )
 
 // kernelRates is one measurement row: million phase extractions per
-// second for each kernel variant under one worker configuration.
+// second for each kernel variant on one core.
 type kernelRates struct {
-	Workers   int     `json:"workers"`
 	ExactMsps float64 `json:"exact_msps"`
 	FastMsps  float64 `json:"fast_msps"`
 	// Speedup is FastMsps/ExactMsps — the machine-independent figure the
@@ -29,14 +26,11 @@ type kernelRates struct {
 
 // kernelBenchArtifact is the schema of BENCH_kernel.json.
 type kernelBenchArtifact struct {
-	Benchmark string  `json:"benchmark"`
-	Samples   int     `json:"samples_per_pass"`
-	MaxErr    float64 `json:"measured_max_err"`
-	ErrBound  float64 `json:"documented_err_bound"`
-	// Single is the per-core rate; Multi runs one independent kernel
-	// loop per logical CPU, modeling the sharded worker pool.
-	Single kernelRates `json:"single"`
-	Multi  kernelRates `json:"multi"`
+	Benchmark string      `json:"benchmark"`
+	Samples   int         `json:"samples_per_pass"`
+	MaxErr    float64     `json:"measured_max_err"`
+	ErrBound  float64     `json:"documented_err_bound"`
+	Single    kernelRates `json:"single"`
 }
 
 // kernelRegressionTolerance is how far the fast/exact speedup may fall
@@ -44,10 +38,10 @@ type kernelBenchArtifact struct {
 const kernelRegressionTolerance = 0.20
 
 // runKernelBench measures the phase-extraction kernels in isolation:
-// exact math.Atan2 and the polynomial FastAtan2, single-core and
-// one-loop-per-CPU. The inputs are the lag products a real receiver
-// feeds the kernel (x[n]·conj(x[n+lag]) over noise), so branch behavior
-// matches the idle-listening workload rather than a friendly sweep.
+// exact math.Atan2 and the polynomial FastAtan2, on one core. The
+// inputs are the lag products a real receiver feeds the kernel
+// (x[n]·conj(x[n+lag]) over noise), so branch behavior matches the
+// idle-listening workload rather than a friendly sweep.
 func runKernelBench(seed int64, samples int, outPath, baselinePath string) error {
 	if samples < 1 {
 		return fmt.Errorf("-kernel-samples must be positive, got %d", samples)
@@ -90,50 +84,30 @@ func runKernelBench(seed int64, samples int, outPath, baselinePath string) error
 	fmt.Printf("  fast-vs-exact max |Δ| on bench inputs: %.3g (documented bound %.3g)\n",
 		maxErr, dsp.FastAtan2MaxErr)
 
-	measure := func(workers int, f func() float64) float64 {
-		// Calibrate: passes per worker targeting ~300ms of wall time.
+	measure := func(f func() float64) float64 {
+		// Calibrate: passes targeting ~300ms of wall time.
 		start := time.Now()
 		sinkF += f()
 		per := time.Since(start)
 		passes := int(300*time.Millisecond/per) + 1
-		var wg sync.WaitGroup
 		start = time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := 0.0
-				for i := 0; i < passes; i++ {
-					s += f()
-				}
-				sinkMu.Lock()
-				sinkF += s
-				sinkMu.Unlock()
-			}()
+		for i := 0; i < passes; i++ {
+			sinkF += f()
 		}
-		wg.Wait()
 		elapsed := time.Since(start).Seconds()
-		return float64(workers) * float64(passes) * float64(samples) / elapsed / 1e6
+		return float64(passes) * float64(samples) / elapsed / 1e6
 	}
 
-	row := func(workers int) kernelRates {
-		r := kernelRates{
-			Workers:   workers,
-			ExactMsps: measure(workers, exact),
-			FastMsps:  measure(workers, fast),
-		}
-		r.Speedup = r.FastMsps / r.ExactMsps
-		fmt.Printf("  %d worker(s): exact %.1f Msps, fast %.1f Msps (%.2fx)\n",
-			r.Workers, r.ExactMsps, r.FastMsps, r.Speedup)
-		return r
-	}
+	single := kernelRates{ExactMsps: measure(exact), FastMsps: measure(fast)}
+	single.Speedup = single.FastMsps / single.ExactMsps
+	fmt.Printf("  one core: exact %.1f Msps, fast %.1f Msps (%.2fx)\n",
+		single.ExactMsps, single.FastMsps, single.Speedup)
 	art := kernelBenchArtifact{
 		Benchmark: "phase-kernel",
 		Samples:   samples,
 		MaxErr:    maxErr,
 		ErrBound:  dsp.FastAtan2MaxErr,
-		Single:    row(1),
-		Multi:     row(runtime.GOMAXPROCS(0)),
+		Single:    single,
 	}
 
 	if wrote, err := cli.WriteJSON(outPath, art); err != nil {
@@ -175,7 +149,4 @@ func checkKernelBaseline(art kernelBenchArtifact, path string) error {
 }
 
 // sinkF defeats dead-code elimination of the measured kernels.
-var (
-	sinkF  float64
-	sinkMu sync.Mutex
-)
+var sinkF float64

@@ -1,7 +1,9 @@
 // Command symbeebench reruns the paper's evaluation on the simulated
-// testbed and prints each table/figure series. It also measures the
-// streaming pipeline's single-core throughput (-stream), writing the
-// result as a JSON artifact for regression tracking.
+// testbed and prints each table/figure series. Its bench modes write
+// JSON artifacts for regression tracking: the phase kernels (-kernel),
+// the ARQ layer (-reliable) and the shared medium (-density). Receive
+// speed is measured by the benchmark under bench/ and gated by
+// scripts/receive_gate.sh.
 //
 // Usage:
 //
@@ -9,7 +11,6 @@
 //	symbeebench -run fig13
 //	symbeebench -all
 //	symbeebench -run fig12 -packets 200 -seed 7 -csv
-//	symbeebench -stream -stream-out BENCH_stream.json -stream-baseline BENCH_stream.json
 //	symbeebench -kernel -kernel-out BENCH_kernel.json -kernel-baseline BENCH_kernel.json
 //	symbeebench -reliable -reliable-out BENCH_reliable.json
 //	symbeebench -density -density-out BENCH_density.json
@@ -38,12 +39,6 @@ func main() {
 		packets = flag.Int("packets", 0, "packets per measurement point (0 = default)")
 		short   = flag.Bool("short", false, "quarter-size runs")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-
-		streamBench    = flag.Bool("stream", false, "measure streaming receiver throughput instead of a paper experiment")
-		streamOut      = flag.String("stream-out", "BENCH_stream.json", "file for the stream throughput JSON artifact (\"\" = don't write)")
-		streamChunk    = flag.Int("stream-chunk", 4096, "stream bench chunk size in samples")
-		streamSamples  = flag.Uint64("stream-samples", 50_000_000, "minimum samples the stream bench replays")
-		streamBaseline = flag.String("stream-baseline", "", "baseline BENCH_stream.json to gate against (fail if noise hunting <1x real time or either path regresses >20%)")
 
 		kernelBench    = flag.Bool("kernel", false, "measure the phase-extraction kernels (exact vs fast atan2)")
 		kernelOut      = flag.String("kernel-out", "BENCH_kernel.json", "file for the kernel JSON artifact (\"\" = don't write)")
@@ -77,8 +72,6 @@ func main() {
 			return runReliableBench(*seed, *reliableRuns, *reliableMsg, *reliableOut)
 		case *kernelBench:
 			return runKernelBench(*seed, *kernelSamples, *kernelOut, *kernelBaseline)
-		case *streamBench:
-			return runStreamBench(*seed, *streamChunk, *streamSamples, *streamOut, *streamBaseline)
 		}
 		return realMain(*list, *run, *all, sim.Options{Seed: *seed, Packets: *packets, Short: *short}, *csv)
 	})

@@ -23,9 +23,7 @@ func TestRealMainRejectsNegativePackets(t *testing.T) {
 // count flag that is not positive before doing any work. Left to run,
 // -reliable-runs 0 passed the soak gate with no soak at all,
 // -kernel-samples -1 panicked, -kernel-samples 0 measured NaN
-// speedups, -reliable-msg 0 ran the whole soak on empty messages,
-// -stream-chunk -5 measured with another chunk size than it printed and
-// -stream-samples 0 measured nothing.
+// speedups and -reliable-msg 0 ran the whole soak on empty messages.
 func TestBenchModesRejectNonPositiveCounts(t *testing.T) {
 	for _, tc := range []struct {
 		flag string
@@ -35,8 +33,6 @@ func TestBenchModesRejectNonPositiveCounts(t *testing.T) {
 		{"-reliable-msg", func() error { return runReliableBench(1, 1, 0, "") }},
 		{"-kernel-samples", func() error { return runKernelBench(1, -1, "", "") }},
 		{"-kernel-samples", func() error { return runKernelBench(1, 0, "", "") }},
-		{"-stream-chunk", func() error { return runStreamBench(1, -5, 1, "", "") }},
-		{"-stream-samples", func() error { return runStreamBench(1, 4096, 0, "", "") }},
 	} {
 		if err := tc.run(); err == nil || !strings.Contains(err.Error(), tc.flag) {
 			t.Errorf("%s: err = %v, want the %s error", tc.flag, err, tc.flag)

@@ -58,14 +58,37 @@ var (
 	errMobility   = errors.New("channel: negative mobility parameter")
 )
 
+// namedFloat is one float field of a config, named for its error.
+type namedFloat struct {
+	name string
+	v    float64
+}
+
+// checkFinite reports the first NaN or ±Inf among the fields. It runs
+// before every range check: each ordered comparison is false for NaN,
+// so a range check alone passes a NaN parameter, and the capture it
+// shapes turns NaN.
+func checkFinite(fields ...namedFloat) error {
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%w: %s %v", errNonFinite, f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Validate reports the first structural problem with the config,
 // chaining into the embedded interference and mobility configs.
 func (c Config) Validate() error {
+	if err := checkFinite(
+		namedFloat{"SampleRate", c.SampleRate},
+		namedFloat{"SNRdB", c.SNRdB},
+		namedFloat{"FreqOffset", c.FreqOffset},
+		namedFloat{"RicianK", c.RicianK},
+	); err != nil {
+		return err
+	}
 	switch {
-	case math.IsNaN(c.SampleRate) || math.IsInf(c.SampleRate, 0):
-		return fmt.Errorf("%w: SampleRate %v", errNonFinite, c.SampleRate)
-	case math.IsNaN(c.SNRdB) || math.IsInf(c.SNRdB, 0):
-		return fmt.Errorf("%w: SNRdB %v", errNonFinite, c.SNRdB)
 	case c.SampleRate <= 0:
 		return fmt.Errorf("%w: %v", errSampleRate, c.SampleRate)
 	case c.Pad < 0:
@@ -84,6 +107,14 @@ func (c Config) Validate() error {
 
 // Validate reports the first structural problem with the fault profile.
 func (c FaultConfig) Validate() error {
+	if err := checkFinite(
+		namedFloat{"FrameLoss", c.FrameLoss},
+		namedFloat{"AckLoss", c.AckLoss},
+		namedFloat{"BurstSNRdB", c.BurstSNRdB},
+		namedFloat{"DriftRate", c.DriftRate},
+	); err != nil {
+		return err
+	}
 	switch {
 	case c.FrameLoss < 0 || c.FrameLoss > 1:
 		return fmt.Errorf("%w: FrameLoss %v", errProb, c.FrameLoss)
@@ -100,6 +131,13 @@ func (c FaultConfig) Validate() error {
 // Validate reports the first structural problem with the interference
 // model.
 func (c InterferenceConfig) Validate() error {
+	if err := checkFinite(
+		namedFloat{"DutyCycle", c.DutyCycle},
+		namedFloat{"BurstDuration", c.BurstDuration},
+		namedFloat{"INRdB", c.INRdB},
+	); err != nil {
+		return err
+	}
 	switch {
 	case c.DutyCycle < 0 || c.DutyCycle > 1:
 		return fmt.Errorf("%w: %v", errDuty, c.DutyCycle)
@@ -112,6 +150,15 @@ func (c InterferenceConfig) Validate() error {
 // Validate reports the first structural problem with the mobility
 // track.
 func (c MobilityConfig) Validate() error {
+	if err := checkFinite(
+		namedFloat{"SpeedMps", c.SpeedMps},
+		namedFloat{"RicianK", c.RicianK},
+		namedFloat{"BlockageRate", c.BlockageRate},
+		namedFloat{"BlockageLossDB", c.BlockageLossDB},
+		namedFloat{"BlockageDuration", c.BlockageDuration},
+	); err != nil {
+		return err
+	}
 	switch {
 	case c.SpeedMps < 0:
 		return fmt.Errorf("%w: SpeedMps %v", errMobility, c.SpeedMps)

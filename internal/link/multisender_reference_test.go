@@ -36,8 +36,8 @@ type refTransmission struct {
 // schedules, materialize and superpose every waveform, AWGN the whole
 // capture, then stream it into one receive stack. It reports every
 // medium.Report field except the engine's own memory accounting
-// (PeakOverlap, PeakWindowSamples), which a dense capture has no
-// counterpart for. Sender identities must fit one byte (N ≤ 256).
+// (PeakOverlap), which a dense capture has no counterpart for. Sender
+// identities must fit one byte (N ≤ 256).
 func referenceMultiSender(cfg medium.Config) (*medium.Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -69,15 +69,11 @@ type Report struct {
 	// DeliveryRate is Delivered over total transmissions.
 	DeliveryRate float64 `json:"delivery_rate"`
 	// PeakOverlap is the maximum number of simultaneously-active
-	// transmissions the renderer held.
+	// transmissions the renderer held: a function of overlap width,
+	// independent of FramesPerSender and capture length. The renderer
+	// holds no waveform; it renders each chunk's stretch of every
+	// active transmission on demand.
 	PeakOverlap int `json:"peak_overlap"`
-	// PeakWindowSamples is PeakOverlap × AirtimeSamples: the summed
-	// airtime of the transmissions active at once at the peak, a
-	// function of overlap width and airtime, independent of
-	// FramesPerSender and capture length. The renderer holds no
-	// waveform: it renders each chunk's stretch of every active
-	// transmission on demand.
-	PeakWindowSamples int `json:"peak_window_samples"`
 	// PerSender is each sender's accounting, ordered by sender id.
 	PerSender []SenderStats `json:"per_sender"`
 }
@@ -398,7 +394,6 @@ func (e *Engine) buildReport(totalSamples int) *Report {
 		CollisionRate:        float64(collisions) / float64(total),
 		DeliveryRate:         float64(delivered) / float64(total),
 		PeakOverlap:          e.peakOverlap,
-		PeakWindowSamples:    e.peakOverlap * e.airtime,
 		PerSender:            per,
 	}
 }

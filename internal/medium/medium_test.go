@@ -150,11 +150,11 @@ func TestZeroGapZeroSNR(t *testing.T) {
 	}
 }
 
-// TestPeakWindowIndependentOfFrames pins the memory model: the peak
-// summed airtime of the active transmissions is a function of overlap
-// width and airtime (at most twice the sender count when a frame seam
-// straddles a chunk window), not of how many frames each sender sends
-// (total airtime).
+// TestPeakWindowIndependentOfFrames pins the memory model: the number
+// of transmissions the renderer holds at once is a function of overlap
+// width (at most twice the sender count when a frame seam straddles a
+// chunk window), not of how many frames each sender sends (total
+// airtime).
 func TestPeakWindowIndependentOfFrames(t *testing.T) {
 	for _, senders := range []int{1, 4} {
 		peaks := map[int]bool{}
@@ -163,18 +163,14 @@ func TestPeakWindowIndependentOfFrames(t *testing.T) {
 			cfg.Senders, cfg.FramesPerSender, cfg.Seed = senders, frames, 7
 			cfg.MeanGapAirtimes = 0 // continuous occupancy: overlap = senders
 			rep, _ := run(t, cfg)
-			if rep.PeakWindowSamples != rep.PeakOverlap*rep.AirtimeSamples {
-				t.Errorf("N=%d F=%d: peak window %d samples, want overlap %d × airtime %d",
-					senders, frames, rep.PeakWindowSamples, rep.PeakOverlap, rep.AirtimeSamples)
-			}
 			if rep.PeakOverlap > 2*senders {
 				t.Errorf("N=%d F=%d: peak overlap %d exceeds seam bound %d",
 					senders, frames, rep.PeakOverlap, 2*senders)
 			}
-			peaks[rep.PeakWindowSamples] = true
+			peaks[rep.PeakOverlap] = true
 		}
 		if len(peaks) != 1 {
-			t.Errorf("N=%d: peak window varies with FramesPerSender: %v", senders, peaks)
+			t.Errorf("N=%d: peak overlap varies with FramesPerSender: %v", senders, peaks)
 		}
 	}
 }

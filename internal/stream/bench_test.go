@@ -190,20 +190,3 @@ func BenchmarkStreamThroughputBackToBack(b *testing.B) {
 	b.ReportMetric(float64(samples)/b.Elapsed().Seconds()/p.SampleRate, "x-realtime")
 	b.ReportMetric(float64(frames)/float64(b.N), "frames/pass")
 }
-
-// BenchmarkMeasureThroughput exercises the shared measurement helper so
-// cmd/symbeebench's stream mode stays covered.
-func BenchmarkMeasureThroughput(b *testing.B) {
-	p := core.Params20()
-	iq := benchCapture(b, p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := MeasureThroughput(p, wifi.CanonicalCompensation, iq, 4096, uint64(len(iq)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Frames == 0 {
-			b.Fatal("replay decoded no frames")
-		}
-	}
-}

@@ -19,8 +19,8 @@
 // preamble locks, frames decoded and failed, drops, and per-stage
 // latency.
 //
-// MeasureThroughput replays a capture through one uninstrumented
-// stack and reports the sustained rate. cmd/symbeestream replays trace
-// files (or stdin IQ) through the pool at a target sample rate and
-// prints throughput plus the metrics snapshot.
+// cmd/symbeestream replays trace files (or stdin IQ) through the pool
+// at a target sample rate and prints throughput plus the metrics
+// snapshot. Receive speed is measured, and gated in CI, by the
+// benchmark under bench/ (its idle_air and busy_air workloads).
 package stream

@@ -3,8 +3,8 @@ package stream
 import "time"
 
 // wallNow is the package's single wall-clock seam. Stage-latency
-// histograms and throughput reports are wall-clock measurements by
-// definition — they describe the host machine, not the decoded stream —
-// so this is deliberately outside the reliable.Clock virtual-time
-// plumbing. Tests may swap it to freeze latency accounting.
+// histograms are wall-clock measurements by definition — they describe
+// the host machine, not the decoded stream — so this is deliberately
+// outside the reliable.Clock virtual-time plumbing. Tests may swap it
+// to freeze latency accounting.
 var wallNow = time.Now //symbee:ignore determinism -- stage-latency metrics are wall-clock by definition

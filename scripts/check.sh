@@ -31,10 +31,11 @@ RELIABLE_SOAK_RUNS=2 go test -race -timeout 15m $RACE_PACKAGES
 # the range modulator it renders with must match the whole-waveform
 # modulator (DESIGN.md §12).
 go test -race ./internal/link/ ./internal/zigbee/ -run "$MEDIUM_EQUIVALENCE_RUN" -count=1
-# Link-stack equivalence: the committed golden fixtures must decode
-# byte-identically through the reference batch entrypoint and every
-# Stack configuration at every ingest chunk size, and the warm ingest
-# path must stay allocation-free (DESIGN.md §11).
+# Link-stack equivalence: the committed golden fixtures must decode to
+# their recorded frames through Decoder.DecodeFrame, which runs the
+# bounded frame machine the stacks run, and through every Stack
+# configuration at every ingest chunk size, and the warm ingest path
+# must stay allocation-free (DESIGN.md §11).
 go test ./internal/link/ -run "$LINK_EQUIVALENCE_RUN" -count=1
 # Batched preamble-scan equivalence: the chunked batch scan, in every
 # scanner state, and the batch CapturePreamble must match the

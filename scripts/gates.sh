@@ -65,8 +65,9 @@ ARQ_SOAK_RUN='TestARQSoak|TestARQBidirectionalSoak'
 # goroutines (grep for 'go func'/'go ident' outside tests) or owns
 # *rand.Rand / splitmix streams whose draw order a race would scramble.
 # Goroutine spawners: dsp, link, reliable, stream (plus testutil,
-# whose helpers only run inside the importing packages' tests, and the
-# cmd/ binaries, which CI exercises via the stream-throughput job).
+# whose helpers only run inside the importing packages' tests, and
+# cmd/symbeestream, the only cmd/ spawner, whose per-stream producer
+# goroutines no test runs, so no race run covers them).
 # RNG owners: the root package, channel, ctc, mac, medium, reliable,
 # sim, splitmix, wifi. core stays listed for the decoder state machine
 # driven concurrently by stream, and vet for its GOMAXPROCS-bounded
