@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sync"
@@ -61,6 +62,7 @@ func main() {
 		streams: *streams, repeat: *repeat, chunk: *chunk,
 		workers: *workers, queue: *queue, drop: *drop,
 		sps: *sps, compensation: compensation, quiet: *quiet,
+		out: os.Stdout,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "symbeestream:", err)
@@ -79,6 +81,8 @@ type replayConfig struct {
 	sps          float64
 	compensation float64
 	quiet        bool
+	// out receives the frame lines, the summary and the metrics.
+	out io.Writer
 }
 
 func run(ctx context.Context, cfg replayConfig) error {
@@ -112,10 +116,10 @@ func run(ctx context.Context, cfg replayConfig) error {
 			defer mu.Unlock()
 			switch ev.Kind {
 			case core.EventFrame:
-				fmt.Printf("stream %d: frame @%d seq=%d flags=%#x data=%q\n",
+				fmt.Fprintf(cfg.out, "stream %d: frame @%d seq=%d flags=%#x data=%q\n",
 					ev.Stream, ev.Anchor, ev.Frame.Seq, ev.Frame.Flags, ev.Frame.Data)
 			case core.EventDecodeError:
-				fmt.Printf("stream %d: decode error @%d: %v\n", ev.Stream, ev.Anchor, ev.Err)
+				fmt.Fprintf(cfg.out, "stream %d: decode error @%d: %v\n", ev.Stream, ev.Anchor, ev.Err)
 			}
 		},
 	})
@@ -170,13 +174,13 @@ func run(ctx context.Context, cfg replayConfig) error {
 	s := pool.Metrics().Snapshot()
 	processed := s.SamplesIn + s.PhasesIn
 	rate := float64(processed) / elapsed
-	fmt.Printf("\nreplayed %d stream(s) × %d samples in %.3fs: %.1f Msps aggregate (%.2fx real time)\n",
+	fmt.Fprintf(cfg.out, "\nreplayed %d stream(s) × %d samples in %.3fs: %.1f Msps aggregate (%.2fx real time)\n",
 		cfg.streams, totalPerStream, elapsed, rate/1e6, rate/(p.SampleRate*float64(cfg.streams)))
-	fmt.Printf("frames=%d errors=%d locks=%d drops=%d\n", s.FramesDecoded, s.FramesFailed, s.Locks, s.Drops)
+	fmt.Fprintf(cfg.out, "frames=%d errors=%d locks=%d drops=%d\n", s.FramesDecoded, s.FramesFailed, s.Locks, s.Drops)
 	out, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("metrics: %s\n", out)
+	fmt.Fprintf(cfg.out, "metrics: %s\n", out)
 	return nil
 }

@@ -163,10 +163,8 @@ func (d *Decoder) DecodeUnsync(phases []float64) []DetectedBit {
 //
 // The scan itself is incremental (preambleScanner in scan.go) so that
 // the streaming FrameMachine shares it; this batch entry point runs the
-// whole capture through one scanner's batched kernel as a flushed
-// stream and finishes with the full stream as the template window. As
-// for FrameMachine.PushChunk, at compensation 0 the phases must lie in
-// [−π, π] or be NaN.
+// whole capture through one scanner's batched kernel and finishes with
+// the full stream as the template window.
 func (d *Decoder) CapturePreamble(phases []float64) (int, error) {
 	return d.capturePreamble(d.prepare(phases))
 }
@@ -174,7 +172,7 @@ func (d *Decoder) CapturePreamble(phases []float64) (int, error) {
 func (d *Decoder) capturePreamble(phases []float64) (int, error) {
 	sc := d.newPreambleScanner()
 	win := phaseWindow{data: phases}
-	sc.huntChunk(win, len(phases), true)
+	sc.huntChunk(win, len(phases))
 	return sc.finish(win)
 }
 

@@ -12,7 +12,9 @@ import (
 )
 
 // fuzzPhases maps fuzz bytes onto a bounded phase stream: one phase per
-// byte, spanning [-π, π] — the decoder's whole input domain.
+// byte, spanning [-π, π], the range the phase front end and WrapPhase
+// emit. The decoder takes any float64; FuzzHuntBatch reaches NaN, ±Inf
+// and magnitudes far outside the range.
 func fuzzPhases(data []byte) []float64 {
 	phases := make([]float64, len(data))
 	for i, b := range data {
@@ -152,44 +154,43 @@ func FuzzReassemblerAdd(f *testing.F) {
 }
 
 // FuzzHuntBatch input words: each phase is two little-endian bytes.
-// Two words are reserved for NaN and −0; the rest map linearly onto
-// [−π, π], ends included.
-const (
-	huntWordNaN     = 0xFFFF
-	huntWordNegZero = 0xFFFE
-	huntWordMax     = 0xFFFD // maps to +π
-)
+// The top words are reserved, 0xFFFF−k for huntWordSpecial[k]: NaN,
+// −0, ±Inf and magnitudes far outside [−π, π]. The rest map linearly
+// onto [−π, π], ends included.
+var huntWordSpecial = [...]float64{
+	math.NaN(), math.Copysign(0, -1),
+	math.Inf(1), math.Inf(-1),
+	1e3, -1e3, 1e300, -1e300,
+}
+
+const huntWordMax = 0xFFFF - len(huntWordSpecial) // maps to +π
 
 // huntFuzzPhases maps fuzz bytes two at a time onto phases.
 func huntFuzzPhases(data []byte) []float64 {
 	phases := make([]float64, len(data)/2)
 	for i := range phases {
-		switch w := binary.LittleEndian.Uint16(data[2*i:]); w {
-		case huntWordNaN:
-			phases[i] = math.NaN()
-		case huntWordNegZero:
-			phases[i] = math.Copysign(0, -1)
-		default:
-			phases[i] = (float64(w)/huntWordMax*2 - 1) * math.Pi
+		if w := int(binary.LittleEndian.Uint16(data[2*i:])); w > huntWordMax {
+			phases[i] = huntWordSpecial[0xFFFF-w]
+		} else {
+			phases[i] = (float64(w)/float64(huntWordMax)*2 - 1) * math.Pi
 		}
 	}
 	return phases
 }
 
 // huntFuzzInput is the inverse direction for seeding the corpus: the
-// header byte, then each phase as its nearest word.
+// header byte, then each phase as its reserved word or, in [−π, π], its
+// nearest word.
 func huntFuzzInput(header byte, phases []float64) []byte {
 	out := make([]byte, 1, 1+2*len(phases))
 	out[0] = header
 	for _, v := range phases {
-		var w uint16
-		switch {
-		case math.IsNaN(v):
-			w = huntWordNaN
-		case v == 0 && math.Signbit(v):
-			w = huntWordNegZero
-		default:
-			w = uint16(math.Round((v/math.Pi + 1) / 2 * huntWordMax))
+		w := uint16(math.Round((v/math.Pi + 1) / 2 * float64(huntWordMax)))
+		for k, sv := range huntWordSpecial {
+			if math.Float64bits(v) == math.Float64bits(sv) || math.IsNaN(v) && math.IsNaN(sv) {
+				w = uint16(0xFFFF - k)
+				break
+			}
 		}
 		out = binary.LittleEndian.AppendUint16(out, w)
 	}
@@ -198,10 +199,11 @@ func huntFuzzInput(header byte, phases []float64) []byte {
 
 // FuzzHuntBatch drives arbitrary phase streams through the batched hunt
 // kernel and the per-sample reference scanner. The header byte's low
-// bit picks the decoder (compensation 0 or canonical) and the rest
-// seeds the chunk cuts. Both paths must emit the same events, complete
-// their scans at the same positions and leave the same scanner state,
-// and CapturePreamble must match the reference capture loop.
+// bit picks the decoder (compensation 0, where out-of-range words reach
+// the scan unwrapped, or canonical) and the rest seeds the chunk cuts.
+// Both paths must emit the same events, complete their scans at the
+// same positions and leave the same scanner state, and CapturePreamble
+// must match the reference capture loop.
 func FuzzHuntBatch(f *testing.F) {
 	p := Params20()
 	rng := rand.New(rand.NewSource(9))
@@ -234,6 +236,11 @@ func FuzzHuntBatch(f *testing.F) {
 	}
 	ramp[1003+49+3*p.BitPeriod] = math.NaN()
 	f.Add(huntFuzzInput(0, ramp))
+	// The out-of-range spike pair huntCaptures replays, at
+	// compensation 0.
+	spike := make([]float64, 20000)
+	spike[4097], spike[4099] = 1e3, -1e3
+	f.Add(huntFuzzInput(0, spike))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 1<<17 {

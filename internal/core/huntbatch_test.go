@@ -172,10 +172,11 @@ func transmitPhases(t testing.TB, l *Link, rng *rand.Rand, snrLo, snrHi float64,
 }
 
 // huntCaptures builds the randomized scenario set: pure noise (the
-// idle-listening state the pre-gate exists for), a clean frame, a noisy
-// frame, frames with idle gaps and tightly back to back, a clean frame
-// cut inside its fold warm-up and inside its refinement span, and a
-// compensation-0 stream of signed-zero runs around a biased region.
+// idle-listening state), a clean frame, a noisy frame, frames with idle
+// gaps and tightly back to back, a clean frame cut inside its fold
+// warm-up and inside its refinement span, a compensation-0 stream of
+// signed-zero runs around a biased region, and a compensation-0 stream
+// with an out-of-range spike.
 func huntCaptures(t *testing.T) map[string]huntCase {
 	t.Helper()
 	p := Params20()
@@ -186,7 +187,7 @@ func huntCaptures(t *testing.T) map[string]huntCase {
 	captures := make(map[string]huntCase)
 
 	// Truly idle noise: full-circle uniform phase diffs, mean zero even
-	// after compensation — the pre-gate skips almost every segment.
+	// after compensation, so the hunt never locks.
 	idle := make([]float64, 300000)
 	for i := range idle {
 		idle[i] = (2*rng.Float64() - 1) * math.Pi
@@ -195,8 +196,7 @@ func huntCaptures(t *testing.T) map[string]huntCase {
 
 	// Hot noise: half-amplitude uniform phases that the compensation
 	// shift biases off zero, driving constant false locks, decode
-	// errors and rearms — the gate almost never fires and every lock
-	// runs its whole refinement span.
+	// errors and rearms, each lock running its whole refinement span.
 	hot := make([]float64, 300000)
 	for i := range hot {
 		hot[i] = (2*rng.Float64() - 1) * math.Pi / 2
@@ -273,13 +273,21 @@ func huntCaptures(t *testing.T) map[string]huntCase {
 	}
 	zeroRuns(len(zeros) + 40000)
 	captures["signed-zeros-comp0"] = huntCase{d0, zeros}
+
+	// Compensation 0 passes phases through unwrapped, so the scan sees
+	// any float64. Two spikes far outside [−π, π], two phases apart,
+	// lift the fold mean over the threshold at only two consecutive
+	// anchors per fold tap, which a scan that skips or decimates
+	// anchors misses; the reference locks at anchor 2,094.
+	spike := make([]float64, 20000)
+	spike[4097], spike[4099] = 1000, -1000
+	captures["spike-comp0"] = huntCase{d0, spike}
 	return captures
 }
 
 // TestHuntBatchZeroAlloc pins the allocation budget of the batched
 // hunt path: once warm, pushing noise chunks through a hunting machine
-// — gate evaluations, segment skips, deferred frontier tails and all —
-// allocates nothing.
+// — re-anchors and history trims included — allocates nothing.
 func TestHuntBatchZeroAlloc(t *testing.T) {
 	d := mustLink(t, Params20(), wifi.CanonicalCompensation).Decoder()
 	m := mustMachine(t, d)
@@ -360,12 +368,14 @@ func TestHuntScalarBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestHuntGateNaNPhases pins the pre-gate's NaN handling. A NaN phase
-// turns the gate's running checkpoint total NaN for the rest of the
-// segment; the gate must then evaluate the segment exactly rather than
-// skip it. Here the fold mean crosses the threshold between a finite
-// checkpoint under the gate's limit and the first NaN checkpoint, and
-// the per-sample reference locks.
+// TestHuntGateNaNPhases pins that a NaN phase in a lock's arms loses
+// no lock. Over ten preamble offsets R, four bit-period-spaced runs of
+// +π in a stream of −π lift the fold mean over the threshold at the
+// anchor just before the first fold sum holding the NaN enters the
+// window; from there the window sum is NaN until a re-anchor drops it.
+// The per-sample reference locks at R−35, and the batched scan must
+// emit the same events and leave the same scanner state at every
+// chunking.
 func TestHuntGateNaNPhases(t *testing.T) {
 	d, err := NewDecoder(Params20(), 0)
 	if err != nil {
@@ -393,33 +403,6 @@ func TestHuntGateNaNPhases(t *testing.T) {
 				t.Errorf("R=%d chunk %d: batched %+v %+v, reference %+v %+v",
 					r, chunk, got.events, got.state, want.events, want.state)
 			}
-		}
-	}
-}
-
-// TestHuntGateNaNOneAnchor pins gateIdle's test of the four arms'
-// total before its checkpoint loop. On a one-anchor segment (e == a+1)
-// the loop never runs, so that test alone decides, and a NaN anywhere
-// in an arm must mean "not idle": a NaN total is not below the limit.
-// The same segment over finite idle phases must still be idle, so a
-// gate that never skips does not meet the pin.
-func TestHuntGateNaNOneAnchor(t *testing.T) {
-	d := mustLink(t, Params20(), wifi.CanonicalCompensation).Decoder()
-	p := d.Params()
-	s := d.newPreambleScanner()
-	// Anchor a's arms cover [a−StableLen+1, a+1+3·BitPeriod).
-	a := p.StableLen + 100
-	lo := a - p.StableLen + 1
-	phases := make([]float64, a+1+3*p.BitPeriod+10)
-	win := phaseWindow{data: phases}
-	if !s.gateIdle(win, a, a+1) {
-		t.Fatal("zero phases: gateIdle reports a one-anchor segment not idle")
-	}
-	for _, at := range []int{lo, lo + p.StableLen - 1, lo + 3*p.BitPeriod, lo + 3*p.BitPeriod + p.StableLen - 1} {
-		clear(phases)
-		phases[at] = math.NaN()
-		if s.gateIdle(win, a, a+1) {
-			t.Errorf("NaN at phase %d of anchor %d's arms: gateIdle reports the one-anchor segment idle", at, a)
 		}
 	}
 }

@@ -190,12 +190,6 @@ func (m *FrameMachine) Events() []StreamEvent {
 // reuse the slice. Pushing into a flushed machine reports ErrFlushed
 // (wrapped); Reset first.
 //
-// At compensation 0 the phases must lie in [−π, π] or be NaN, as every
-// phase producer in this module guarantees: the preamble scan's pre-gate
-// bounds how far the fold statistic can move between its checkpoints
-// from that range (DESIGN.md §13.2). A nonzero compensation wraps every
-// phase into range.
-//
 //symbee:hotpath
 func (m *FrameMachine) PushChunk(phases []float64) error {
 	if m.flushed {
@@ -299,12 +293,10 @@ func (m *FrameMachine) advance() {
 // batched hunt kernel, reporting whether the scan completed. It also
 // emits the lock event on the first threshold crossing: every rearm and
 // Reset unlocks the scanner, so the crossing is the call that finds it
-// unlocked and leaves it locked. The scan position may lag the newest
-// phase by up to a hunt segment while the kernel defers a provably idle
-// frontier tail; trim never cuts past it.
+// unlocked and leaves it locked.
 func (m *FrameMachine) feedScanner() bool {
 	wasLocked := m.scan.locked()
-	done := m.scan.huntChunk(m.window(), m.n, m.flushed)
+	done := m.scan.huntChunk(m.window(), m.n)
 	if !wasLocked && m.scan.locked() {
 		m.events = append(m.events, StreamEvent{Kind: EventLock, Anchor: m.scan.lockAnchor})
 	}
@@ -331,16 +323,18 @@ func (m *FrameMachine) window() phaseWindow {
 // selectionWindow returns the history candidate selection reads: the
 // retained window from a floor that every chunking of the stream holds,
 // the later of the scanner's restart point and the lock anchor plus a
-// fold span, a stable window and a hunt segment, less the retention.
-// Before the lock, trim keeps the retention behind the newest phase,
-// which is less than a deferred hunt segment past the scan position,
-// itself less than a fold span and a stable window past the lock
-// anchor, so the floor never precedes the window. Selection therefore
-// reads the same phases whether the stream came whole or in chunks, and
-// the frame decode reads only ahead of the anchor selection picks.
+// fold span and a stable window, less the retention. Every trim since
+// the restart ran either at the re-arm, which never cuts past the
+// restart point, or after a push the scanner consumed without locking.
+// Such a push ended short of the phase completing the locking anchor,
+// a fold span and a stable window less two past the lock anchor, and
+// trim kept at least the retention behind its end, so the floor never
+// precedes the window. Selection therefore reads the same phases
+// whether the stream came whole or in chunks, and the frame decode
+// reads only ahead of the anchor selection picks.
 func (m *FrameMachine) selectionWindow() phaseWindow {
 	p := m.d.p
-	from := max(m.scan.start, m.scan.lockAnchor+m.scan.foldSpan+p.StableLen+huntSegment-defaultRetention(p))
+	from := max(m.scan.start, m.scan.lockAnchor+m.scan.foldSpan+p.StableLen-defaultRetention(p))
 	w := m.window()
 	return phaseWindow{data: w.data[from-w.base:], base: from}
 }

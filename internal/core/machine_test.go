@@ -162,6 +162,53 @@ func TestChunkInvarianceAfterMaximalFrames(t *testing.T) {
 	}
 }
 
+// TestSelectionFloor pins the floor of the window candidate selection
+// reads (FrameMachine.selectionWindow). A frame follows 60,000 idle
+// noise phases, so trim has cut the history many times before the
+// lock. When the machine first waits in StateSelecting, the floor must
+// be one stream index in every chunking. At 1-phase chunks it must also
+// lie exactly 2 phases past the retained history's start: the last
+// trim ran on the push before the lock, which ended one phase short of
+// the phase completing the locking anchor, lockAnchor + foldSpan +
+// StableLen − 2, and kept exactly the retention behind it; the floor is
+// lockAnchor + foldSpan + StableLen less the retention.
+func TestSelectionFloor(t *testing.T) {
+	p := Params20()
+	rng := rand.New(rand.NewSource(5))
+	l := mustLink(t, p, wifi.CanonicalCompensation)
+	const idle = 60000
+	phases := make([]float64, idle)
+	for i := range phases {
+		phases[i] = (2*rng.Float64() - 1) * math.Pi
+	}
+	// An all-zero header folds as strongly as the preamble, so
+	// candidates run to the end of the refinement span and selection
+	// waits for coverage well past the scan's completion.
+	phases = append(phases, transmitPhases(t, l, rng, 20, 20, 2000, 2000, &Frame{})...)
+	want := -1
+	for _, chunk := range []int{1, 7, 64, 1024, 4096} {
+		m := mustMachine(t, l.Decoder())
+		for off := 0; off < len(phases) && m.State() != StateSelecting; off += chunk {
+			if err := m.PushChunk(phases[off:min(off+chunk, len(phases))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.State() != StateSelecting || m.scan.lockAnchor < idle {
+			t.Fatalf("chunk %d: state %v, lock anchor %d; want a wait in selection on the frame's lock",
+				chunk, m.State(), m.scan.lockAnchor)
+		}
+		floor := m.selectionWindow().base
+		if chunk == 1 && floor != m.base+2 {
+			t.Errorf("1-phase chunks: floor %d lies %d past the history start %d, want 2", floor, floor-m.base, m.base)
+		}
+		if want < 0 {
+			want = floor
+		} else if floor != want {
+			t.Errorf("chunk %d: floor %d, want %d as at 1-phase chunks", chunk, floor, want)
+		}
+	}
+}
+
 func TestFrameMachineDecodesBackToBackFrames(t *testing.T) {
 	// An always-on stream: several packets separated by idle noise must
 	// each produce a frame event, in order.

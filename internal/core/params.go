@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -88,11 +89,15 @@ func (p Params) RawBitRate() float64 {
 	return 1 / p.BitDuration()
 }
 
+// errSampleRate is Validate's sentinel for a sample rate that is not a
+// positive finite number.
+var errSampleRate = errors.New("core: sample rate must be positive and finite")
+
 // Validate reports whether the parameter set is internally consistent.
 func (p Params) Validate() error {
 	switch {
-	case p.SampleRate <= 0:
-		return fmt.Errorf("core: non-positive sample rate %v", p.SampleRate)
+	case !(p.SampleRate > 0) || math.IsInf(p.SampleRate, 1): // !(> 0) is true for NaN
+		return fmt.Errorf("%w: %v", errSampleRate, p.SampleRate)
 	case p.Lag <= 0 || p.StableLen <= 0 || p.BitPeriod <= 0:
 		return fmt.Errorf("core: non-positive sample counts %+v", p)
 	case p.Tau < 0 || p.Tau >= p.StableLen:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -51,25 +52,35 @@ func TestWithTau(t *testing.T) {
 }
 
 func TestValidateCatchesBadParams(t *testing.T) {
+	for _, p := range []Params{Params20(), Params40()} {
+		if err := p.Validate(); err != nil {
+			t.Fatalf("default %v Hz: Validate = %v", p.SampleRate, err)
+		}
+	}
 	good := Params20()
 	tests := []struct {
 		name   string
 		mutate func(*Params)
+		want   error // nil: any error
 	}{
-		{"zero rate", func(p *Params) { p.SampleRate = 0 }},
-		{"zero lag", func(p *Params) { p.Lag = 0 }},
-		{"negative tau", func(p *Params) { p.Tau = -1 }},
-		{"tau too large", func(p *Params) { p.Tau = p.StableLen }},
-		{"tauSync zero", func(p *Params) { p.TauSync = 0 }},
-		{"tauSync too large", func(p *Params) { p.TauSync = p.StableLen + 1 }},
-		{"stable >= period", func(p *Params) { p.StableLen = p.BitPeriod }},
+		// A NaN rate passes a `<= 0` test, and +Inf every range check.
+		{"zero rate", func(p *Params) { p.SampleRate = 0 }, errSampleRate},
+		{"NaN rate", func(p *Params) { p.SampleRate = math.NaN() }, errSampleRate},
+		{"+Inf rate", func(p *Params) { p.SampleRate = math.Inf(1) }, errSampleRate},
+		{"-Inf rate", func(p *Params) { p.SampleRate = math.Inf(-1) }, errSampleRate},
+		{"zero lag", func(p *Params) { p.Lag = 0 }, nil},
+		{"negative tau", func(p *Params) { p.Tau = -1 }, nil},
+		{"tau too large", func(p *Params) { p.Tau = p.StableLen }, nil},
+		{"tauSync zero", func(p *Params) { p.TauSync = 0 }, nil},
+		{"tauSync too large", func(p *Params) { p.TauSync = p.StableLen + 1 }, nil},
+		{"stable >= period", func(p *Params) { p.StableLen = p.BitPeriod }, nil},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			p := good
 			tt.mutate(&p)
-			if err := p.Validate(); err == nil {
-				t.Error("expected validation error")
+			if err := p.Validate(); err == nil || tt.want != nil && !errors.Is(err, tt.want) {
+				t.Errorf("Validate = %v, want %v", err, tt.want)
 			}
 		})
 	}

@@ -76,11 +76,10 @@ type preambleScanner struct {
 	// are their incremental window sum and negative count. reset zeroes
 	// all four, so the warm-up fills the window from +0 exactly as a
 	// per-sample scan fills its rings from empty.
-	foldRing  []float64
-	foldPos   int
-	msum      float64
-	neg       int
-	gateSlack float64
+	foldRing []float64
+	foldPos  int
+	msum     float64
+	neg      int
 }
 
 // newPreambleScanner returns a scanner whose next consumed phase has
@@ -91,8 +90,7 @@ func (d *Decoder) newPreambleScanner() *preambleScanner {
 		foldSpan: d.p.BitPeriod * PreambleBits,
 		// The kernel's window of the last StableLen fold sums, allocated
 		// here, at setup, so the sustained scan never has to.
-		foldRing:  make([]float64, d.p.StableLen),
-		gateSlack: huntGateSlack(d.p),
+		foldRing: make([]float64, d.p.StableLen),
 	}
 	s.reset(0)
 	return s

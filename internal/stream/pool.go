@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -63,12 +64,21 @@ func DefaultConfig() Config {
 	return Config{Params: core.Params20(), QueueDepth: 64}
 }
 
+// errCompensation is Validate's sentinel for a NaN or infinite
+// Compensation. It wraps core.ErrBadCompensation, the error NewDecoder
+// reports for the same value.
+var errCompensation = fmt.Errorf("stream: %w", core.ErrBadCompensation)
+
 // Validate reports the first structural problem with the config. The
 // Workers and QueueDepth fields keep their documented ≤0-means-default
-// semantics, so only the receiver parameters can be structurally wrong.
+// semantics, so only the receiver parameters and the compensation can
+// be wrong.
 func (c Config) Validate() error {
 	if err := c.Params.Validate(); err != nil {
 		return fmt.Errorf("stream: %w", err)
+	}
+	if math.IsNaN(c.Compensation) || math.IsInf(c.Compensation, 0) {
+		return fmt.Errorf("%w: %v", errCompensation, c.Compensation)
 	}
 	return nil
 }

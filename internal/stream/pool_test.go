@@ -40,17 +40,26 @@ func makeStreamCapture(t *testing.T, p core.Params, seq byte, seed int64) []comp
 	return m.Transmit(sig)
 }
 
-// TestNewPoolRejectsNonFiniteCompensation: a pool whose decoder adds an
-// infinite compensation would hunt forever on NaN phases; NewPool
-// refuses it before starting any worker.
+// TestNewPoolRejectsNonFiniteCompensation: a pool whose decoder adds a
+// NaN or infinite compensation would hunt forever on NaN phases.
+// Validate reports it, and NewPool refuses it before starting any
+// worker.
 func TestNewPoolRejectsNonFiniteCompensation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Compensation = math.Inf(1)
-	if p, err := NewPool(cfg); !errors.Is(err, core.ErrBadCompensation) {
-		if err == nil {
-			p.Close()
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("DefaultConfig: Validate = %v", err)
+	}
+	for _, comp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := DefaultConfig()
+		cfg.Compensation = comp
+		if err := cfg.Validate(); !errors.Is(err, errCompensation) {
+			t.Errorf("compensation %v: Validate = %v, want errCompensation", comp, err)
 		}
-		t.Fatalf("NewPool(compensation +Inf) error %v, want core.ErrBadCompensation", err)
+		if p, err := NewPool(cfg); !errors.Is(err, core.ErrBadCompensation) {
+			if err == nil {
+				p.Close()
+			}
+			t.Errorf("NewPool(compensation %v) error %v, want core.ErrBadCompensation", comp, err)
+		}
 	}
 }
 

@@ -12,19 +12,22 @@ LINK_EQUIVALENCE_RUN='TestGoldenTraceEquivalence|TestStreamingChunkInvariance|Te
 
 # Batched preamble-scan gate (DESIGN.md §13): the chunked batch path,
 # in every scanner state, and the batch CapturePreamble must match the
-# per-sample reference scanner bit for bit, NaN phases included, and
-# the warm batch hunt must stay allocation-free. The reference, and the
-# copy of the machine's decision loop that drives it, are test code in
-# internal/core/scanref_test.go. Two guards no replayed input reaches
-# are pinned directly: the pre-gate calls a one-anchor segment holding
-# a NaN not idle, and a re-arm behind the scan position, after trim
-# has cut history, resumes at the scan position. Batch and streaming
-# run one bounded machine (DESIGN.md §11.2): a multi-frame capture
-# pushed whole must emit the events of every chunked push, re-arms and
-# decode errors included, DecodeFrame must report the whole push's
-# first terminal event, and selection after a maximal frame must not
-# read back across the re-arm point in any chunking.
-HUNT_EQUIVALENCE_RUN='TestHuntScalarBatchEquivalence|TestHuntGateNaNPhases|TestHuntGateNaNOneAnchor|TestHuntRearmBehindScanPosition|TestCapturePreambleMatchesScalarScan|TestHuntBatchZeroAlloc|TestBatchMatchesStreamingMultiFrame|TestChunkInvarianceAfterMaximalFrames'
+# per-sample reference scanner bit for bit, NaN phases and
+# out-of-range phases at compensation 0 included, and the warm batch
+# hunt must stay allocation-free. The reference, and the copy of the
+# machine's decision loop that drives it, are test code in
+# internal/core/scanref_test.go. Two guards the reference shares with
+# production, and so cannot check, are pinned directly: a re-arm
+# behind the scan position, after trim has cut history, resumes at the
+# scan position, and the floor of the window selection reads is one
+# stream index in every chunking, 2 phases past the history's start at
+# 1-phase chunks. Batch and streaming run one bounded machine
+# (DESIGN.md §11.2): a multi-frame capture pushed whole must emit the
+# events of every chunked push, re-arms and decode errors included,
+# DecodeFrame must report the whole push's first terminal event, and
+# selection after a maximal frame must not read back across the re-arm
+# point in any chunking.
+HUNT_EQUIVALENCE_RUN='TestHuntScalarBatchEquivalence|TestHuntGateNaNPhases|TestHuntRearmBehindScanPosition|TestSelectionFloor|TestCapturePreambleMatchesScalarScan|TestHuntBatchZeroAlloc|TestBatchMatchesStreamingMultiFrame|TestChunkInvarianceAfterMaximalFrames'
 
 # Phase kernel gate (DESIGN.md §7): PhaseDiffStream and
 # PhaseDiffStreamer.Process share one block kernel, so their agreement
@@ -64,10 +67,10 @@ ARQ_SOAK_RUN='TestARQSoak|TestARQBidirectionalSoak'
 # properties that make -race worth its ~10x slowdown: the package spawns
 # goroutines (grep for 'go func'/'go ident' outside tests) or owns
 # *rand.Rand / splitmix streams whose draw order a race would scramble.
-# Goroutine spawners: dsp, link, reliable, stream (plus testutil,
-# whose helpers only run inside the importing packages' tests, and
-# cmd/symbeestream, the only cmd/ spawner, whose per-stream producer
-# goroutines no test runs, so no race run covers them).
+# Goroutine spawners: dsp, link, reliable, stream, cmd/symbeestream
+# (the only cmd/ spawner: one producer goroutine per replayed stream,
+# driven by its two-trace replay test) and testutil, whose helpers
+# only run inside the importing packages' tests.
 # RNG owners: the root package, channel, ctc, mac, medium, reliable,
 # sim, splitmix, wifi. core stays listed for the decoder state machine
 # driven concurrently by stream, and vet for its GOMAXPROCS-bounded
@@ -76,4 +79,4 @@ ARQ_SOAK_RUN='TestARQSoak|TestARQBidirectionalSoak'
 # in scope as a goroutine spawner, so the list is unchanged. sim left
 # the spawner list when sim.Run became one in-order loop; it stays in
 # scope as an RNG owner.
-RACE_PACKAGES='. ./internal/stream/... ./internal/core/... ./internal/reliable/... ./internal/channel/... ./internal/link/... ./internal/medium/... ./internal/ctc/... ./internal/sim/... ./internal/dsp/... ./internal/splitmix/... ./internal/mac/... ./internal/wifi/... ./internal/vet/...'
+RACE_PACKAGES='. ./cmd/symbeestream/... ./internal/stream/... ./internal/core/... ./internal/reliable/... ./internal/channel/... ./internal/link/... ./internal/medium/... ./internal/ctc/... ./internal/sim/... ./internal/dsp/... ./internal/splitmix/... ./internal/mac/... ./internal/wifi/... ./internal/vet/...'
