@@ -44,8 +44,9 @@ var errCMorsePoint = errors.New("ctc: invalid C-Morse operating point")
 // Validate implements Scheme.
 func (c *CMorse) Validate() error {
 	switch {
-	case c.Dot <= 0 || c.Gap <= 0:
-		return fmt.Errorf("%w: non-positive dot %v or gap %v", errCMorsePoint, c.Dot, c.Gap)
+	case !finite(c.Dot, c.Dash, c.Gap) || c.Dot <= 0 || c.Gap <= 0:
+		return fmt.Errorf("%w: dot %v, dash %v or gap %v not positive and finite",
+			errCMorsePoint, c.Dot, c.Dash, c.Gap)
 	case c.Dash <= c.Dot:
 		return fmt.Errorf("%w: dash %v not longer than dot %v (duration classes inseparable)",
 			errCMorsePoint, c.Dash, c.Dot)

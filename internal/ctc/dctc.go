@@ -47,8 +47,9 @@ var errDCTCPoint = errors.New("ctc: invalid DCTC operating point")
 // Validate implements Scheme.
 func (d *DCTC) Validate() error {
 	switch {
-	case d.PacketDuration <= 0 || d.MinGap <= 0 || d.GapStep <= 0:
-		return fmt.Errorf("%w: non-positive packet %v, gap %v or step %v",
+	case !finite(d.PacketDuration, d.MinGap, d.GapStep) ||
+		d.PacketDuration <= 0 || d.MinGap <= 0 || d.GapStep <= 0:
+		return fmt.Errorf("%w: packet %v, gap %v or step %v not positive and finite",
 			errDCTCPoint, d.PacketDuration, d.MinGap, d.GapStep)
 	case d.BitsPerGap < 1 || d.BitsPerGap > 8:
 		return fmt.Errorf("%w: BitsPerGap %d", errDCTCPoint, d.BitsPerGap)

@@ -43,8 +43,8 @@ var errEMFPoint = errors.New("ctc: invalid EMF operating point")
 // Validate implements Scheme.
 func (e *EMF) Validate() error {
 	switch {
-	case e.SlotDuration <= 0 || e.PacketDuration <= 0:
-		return fmt.Errorf("%w: non-positive slot %v or packet %v",
+	case !finite(e.SlotDuration, e.PacketDuration) || e.SlotDuration <= 0 || e.PacketDuration <= 0:
+		return fmt.Errorf("%w: slot %v or packet %v not positive and finite",
 			errEMFPoint, e.SlotDuration, e.PacketDuration)
 	case e.SlotsPerFrame < 2:
 		return fmt.Errorf("%w: SlotsPerFrame %d leaves no data slots", errEMFPoint, e.SlotsPerFrame)

@@ -72,8 +72,9 @@ var (
 // Validate implements Scheme.
 func (f *FreeBee) Validate() error {
 	switch {
-	case f.Interval <= 0 || f.Granularity <= 0 || f.BeaconDuration <= 0:
-		return fmt.Errorf("%w: non-positive interval %v, granularity %v or beacon %v",
+	case !finite(f.Interval, f.Granularity, f.BeaconDuration) ||
+		f.Interval <= 0 || f.Granularity <= 0 || f.BeaconDuration <= 0:
+		return fmt.Errorf("%w: interval %v, granularity %v or beacon %v not positive and finite",
 			errFreeBeePoint, f.Interval, f.Granularity, f.BeaconDuration)
 	case f.BitsPerBeacon < 1 || f.BitsPerBeacon > 16:
 		return fmt.Errorf("%w: BitsPerBeacon %d", errFreeBeePoint, f.BitsPerBeacon)

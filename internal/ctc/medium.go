@@ -45,16 +45,16 @@ func DefaultMedium() MediumConfig {
 
 // MediumConfig validation errors.
 var (
-	errMediumDuration = errors.New("ctc: medium Duration must be positive")
-	errMediumRate     = errors.New("ctc: medium Rate must be positive")
+	errMediumDuration = errors.New("ctc: medium Duration must be positive and finite")
+	errMediumRate     = errors.New("ctc: medium Rate must be positive and finite")
 )
 
 // Validate reports the first structural problem with the config.
 func (c MediumConfig) Validate() error {
 	switch {
-	case c.Duration <= 0:
+	case !finite(c.Duration) || c.Duration <= 0:
 		return fmt.Errorf("%w: %v", errMediumDuration, c.Duration)
-	case c.Rate <= 0:
+	case !finite(c.Rate) || c.Rate <= 0:
 		return fmt.Errorf("%w: %v", errMediumRate, c.Rate)
 	}
 	return nil

@@ -3,6 +3,7 @@ package ctc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -37,6 +38,17 @@ type Scheme interface {
 
 // errNBits rejects Occupancy calls for empty messages.
 var errNBits = errors.New("ctc: Occupancy needs a positive bit count")
+
+// finite reports whether no value is NaN or ±Inf. Every Validate checks
+// it first: a range check alone passes NaN, and +Inf is positive.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
 
 // Result summarizes one measured run of a scheme.
 type Result struct {

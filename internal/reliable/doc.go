@@ -16,13 +16,14 @@
 //
 // A Session fragments a message through core.Messenger and runs
 // go-back-N over the fragments: up to Window frames are in flight,
-// acknowledgment is cumulative (Ack.NextSeq), duplicates and
-// out-of-order arrivals are dropped by the Receiver, which re-acks its
-// current expectation so lost acks self-heal. Loss is detected two
-// ways: a duplicate ack (some frames arrived, the base frame did not)
-// triggers an immediate go-back-N retransmit; silence (every frame or
-// every ack lost) waits out a retransmission timer that backs off
-// exponentially with jitter up to MaxRTO.
+// acknowledgment is cumulative (each ack carries the next expected
+// sequence number), duplicates and out-of-order arrivals are dropped by
+// the Receiver, which re-acks its current expectation so lost acks
+// self-heal. Loss is detected two ways: a duplicate ack (some frames
+// arrived, the base frame did not) triggers an immediate go-back-N
+// retransmit; silence (every frame or every ack lost) waits out a
+// retransmission timer that backs off exponentially with jitter up to
+// MaxRTO.
 //
 // # Graceful degradation
 //
@@ -48,8 +49,8 @@
 // SimLink runs the protocol over the real PHY — modulator, channel
 // fault injector (internal/channel.FaultInjector: seeded i.i.d. frame
 // loss, periodic burst jamming, CFO drift ramps, ack loss) and one
-// batch link stack, reset per capture — under a virtual clock, so a
-// 100-run soak over a 4 KiB message takes seconds and is
+// batch link stack, reset per capture — in the session's virtual time,
+// so a 100-run soak over a 4 KiB message takes seconds and is
 // bit-reproducible. The soak tests also replay the same traffic as IQ
 // through the streaming link stack, which must decode the frames the
 // batch stack decodes.

@@ -128,37 +128,3 @@ func (d DownlinkScheme) newDownStack(repeat int, dropCopy func() bool, collide *
 		Collide:  collide,
 	})
 }
-
-// AckEvent is one acknowledgment arriving at the sender over the
-// reverse channel.
-type AckEvent struct {
-	// Ack is the cumulative acknowledgment content.
-	Ack Ack
-	// GeneratedAt is when the receiver generated the ack on the
-	// transport clock — the end of the forward frame that triggered it.
-	// It stands in for the ack token a real downlink would carry, and
-	// is what lets the sender tell a fresh ack from a stale one that
-	// spent its latency in flight.
-	GeneratedAt time.Duration
-	// At is when the ack finished arriving at the sender (its last
-	// reverse-channel symbol landed).
-	At time.Duration
-}
-
-// ackEvents converts the downlink stack's timed arrivals to the
-// transport's AckEvent form. The input slice is the stack's reused
-// arrival queue, so the conversion copies everything out.
-func ackEvents(evs []link.TimedEvent) []AckEvent {
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]AckEvent, len(evs))
-	for i, ev := range evs {
-		out[i] = AckEvent{
-			Ack:         Ack{NextSeq: ev.Seq},
-			GeneratedAt: ev.Gen,
-			At:          ev.At,
-		}
-	}
-	return out
-}

@@ -149,9 +149,10 @@ func (l *SimLink) ReverseStats() link.DownlinkLedger {
 // AckLatency implements Transport.
 func (l *SimLink) AckLatency() time.Duration { return l.duplex.Down().Latency() }
 
-// Acks implements Transport.
-func (l *SimLink) Acks(now time.Duration) []AckEvent {
-	return ackEvents(l.duplex.Down().Arrivals(now))
+// Acks implements Transport: the downlink's reused arrival queue,
+// valid until the next call.
+func (l *SimLink) Acks(now time.Duration) []link.TimedEvent {
+	return l.duplex.Down().Arrivals(now)
 }
 
 // NextArrival implements Transport.
@@ -195,8 +196,8 @@ func (l *SimLink) Send(now time.Duration, f *core.Frame, coded bool) (time.Durat
 		l.metrics.FramesLost.Add(1)
 		return airtime, nil
 	}
-	ack, _ := l.arq.Deliver(frame)
-	l.duplex.Down().Generate(end, ack.NextSeq, false)
+	next, _ := l.arq.Deliver(frame)
+	l.duplex.Down().Generate(end, next, false)
 	return airtime, nil
 }
 

@@ -61,17 +61,17 @@ func (tx *scriptTx) Send(now time.Duration, f *core.Frame, coded bool) (time.Dur
 	case 'l':
 		// Frame lost on the forward path: no delivery, no ack.
 	case 'a':
-		ack, _ := tx.arq.Deliver(f)
-		tx.down.Generate(end, ack.NextSeq, true)
+		next, _ := tx.arq.Deliver(f)
+		tx.down.Generate(end, next, true)
 	default:
-		ack, _ := tx.arq.Deliver(f)
-		tx.down.Generate(end, ack.NextSeq, false)
+		next, _ := tx.arq.Deliver(f)
+		tx.down.Generate(end, next, false)
 	}
 	return at, nil
 }
 
-func (tx *scriptTx) Acks(now time.Duration) []AckEvent {
-	return ackEvents(tx.down.Arrivals(now))
+func (tx *scriptTx) Acks(now time.Duration) []link.TimedEvent {
+	return tx.down.Arrivals(now)
 }
 
 func (tx *scriptTx) NextArrival(now time.Duration) (time.Duration, bool) {
@@ -243,23 +243,23 @@ func TestWindowAckArithmetic(t *testing.T) {
 func TestReceiverDedup(t *testing.T) {
 	m := link.NewMetrics()
 	r := NewReceiver(m)
-	ack, err := r.Deliver(&core.Frame{Seq: 0, Flags: core.FlagMore, Data: []byte{1}})
-	if err != nil || ack.NextSeq != 1 {
-		t.Fatalf("in-order deliver: ack %+v err %v", ack, err)
+	next, err := r.Deliver(&core.Frame{Seq: 0, Flags: core.FlagMore, Data: []byte{1}})
+	if err != nil || next != 1 {
+		t.Fatalf("in-order deliver: ack %d err %v", next, err)
 	}
 	// Duplicate and future frames are both dropped with a repeated ack.
 	for _, seq := range []byte{0, 2} {
-		ack, _ = r.Deliver(&core.Frame{Seq: seq, Data: []byte{9}})
-		if ack.NextSeq != 1 {
-			t.Fatalf("seq %d: ack %d, want repeated 1", seq, ack.NextSeq)
+		next, _ = r.Deliver(&core.Frame{Seq: seq, Data: []byte{9}})
+		if next != 1 {
+			t.Fatalf("seq %d: ack %d, want repeated 1", seq, next)
 		}
 	}
 	if r.DupDrops() != 2 || m.DupDrops.Load() != 2 {
 		t.Fatalf("dup drops = %d / metric %d, want 2", r.DupDrops(), m.DupDrops.Load())
 	}
-	ack, _ = r.Deliver(&core.Frame{Seq: 1, Data: []byte{2}})
-	if ack.NextSeq != 2 {
-		t.Fatalf("ack %d, want 2", ack.NextSeq)
+	next, _ = r.Deliver(&core.Frame{Seq: 1, Data: []byte{2}})
+	if next != 2 {
+		t.Fatalf("ack %d, want 2", next)
 	}
 	msgs := r.Messages()
 	if len(msgs) != 1 || !bytes.Equal(msgs[0], []byte{1, 2}) {
@@ -349,12 +349,10 @@ func TestSessionAckLossRecovery(t *testing.T) {
 
 func TestSessionTimeoutExhaustion(t *testing.T) {
 	tx := newScriptTx("llllllllllllllllllllllllllllllllllllllllllllllllllllllll")
-	clock := NewVirtualClock()
 	cfg := cfgSeed(1)
 	cfg.Window = 2
 	cfg.MaxRetries = 3
 	cfg.EscalateAfter = 0 // escalation disabled
-	cfg.Clock = clock
 	s, err := NewSession(tx, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -366,8 +364,8 @@ func TestSessionTimeoutExhaustion(t *testing.T) {
 	if rep.Timeouts == 0 {
 		t.Fatal("no timeouts reported")
 	}
-	if clock.Now() == 0 {
-		t.Fatal("virtual clock never advanced through the backoff")
+	if rep.Elapsed <= 0 {
+		t.Fatal("virtual time never advanced through the backoff")
 	}
 }
 
@@ -487,6 +485,58 @@ func TestSessionContextCancel(t *testing.T) {
 	}
 }
 
+// cancelTx is a scriptTx that cancels the session's context inside its
+// k-th Send and records the now it saw there.
+type cancelTx struct {
+	*scriptTx
+	k      int
+	cancel context.CancelFunc
+	at     time.Duration
+}
+
+func (tx *cancelTx) Send(now time.Duration, f *core.Frame, coded bool) (time.Duration, error) {
+	// scriptTx logs every send's mode, so coded counts the sends so far.
+	if len(tx.coded)+1 == tx.k {
+		tx.cancel()
+		tx.at = now
+	}
+	return tx.scriptTx.Send(now, f, coded)
+}
+
+// TestSessionCancelInSendStopsTime: a context canceled while a frame is
+// on the air ends Send with context.Canceled, and the canceled airtime
+// sleep advances no time, so Elapsed is exactly the instant that frame
+// started. Loss and a latent downlink put timer waits and ack waits
+// before the later cut points.
+func TestSessionCancelInSendStopsTime(t *testing.T) {
+	for _, k := range []int{1, 2, 4, 7} {
+		ctx, cancel := context.WithCancel(context.Background())
+		tx := &cancelTx{
+			scriptTx: newScriptTxDownlink("llad", 10*time.Millisecond, 2*time.Millisecond, time.Millisecond, 1),
+			k:        k,
+			cancel:   cancel,
+		}
+		s, err := NewSession(tx, cfgSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Send(ctx, testMessage(40))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: err = %v, want context.Canceled", k, err)
+		}
+		if sends := len(tx.coded); sends != k {
+			t.Fatalf("k=%d: %d sends, want none after the cancel", k, sends)
+		}
+		if rep.Elapsed != tx.at {
+			t.Errorf("k=%d: Elapsed = %v, want %v, the start of the canceled send", k, rep.Elapsed, tx.at)
+		}
+		if k > 1 && tx.at == 0 {
+			t.Errorf("k=%d: send started at 0", k)
+		}
+	}
+}
+
 func TestSessionEmptyMessage(t *testing.T) {
 	s, err := NewSession(newScriptTx(""), DefaultConfig())
 	if err != nil {
@@ -541,24 +591,24 @@ type lateTx struct {
 	arq    *Receiver
 	delays []time.Duration // ack arrival delay per send; past the end = 0
 	i      int
-	events []AckEvent
+	events []link.TimedEvent
 }
 
 func (tx *lateTx) Send(now time.Duration, f *core.Frame, coded bool) (time.Duration, error) {
 	at := FrameAirtime(len(f.Data), coded)
 	end := now + at
-	ack, _ := tx.arq.Deliver(f)
+	next, _ := tx.arq.Deliver(f)
 	var d time.Duration
 	if tx.i < len(tx.delays) {
 		d = tx.delays[tx.i]
 	}
 	tx.i++
-	tx.events = append(tx.events, AckEvent{Ack: ack, GeneratedAt: end, At: end + d})
+	tx.events = append(tx.events, link.TimedEvent{Seq: next, Gen: end, At: end + d})
 	return at, nil
 }
 
-func (tx *lateTx) Acks(now time.Duration) []AckEvent {
-	var out []AckEvent
+func (tx *lateTx) Acks(now time.Duration) []link.TimedEvent {
+	var out []link.TimedEvent
 	keep := tx.events[:0]
 	for _, ev := range tx.events {
 		if ev.At <= now {
@@ -658,33 +708,5 @@ func TestSessionDuplicateDownlinkAcks(t *testing.T) {
 	}
 	if ledger.AcksDropped != 0 {
 		t.Errorf("clean reverse path dropped %d copies", ledger.AcksDropped)
-	}
-}
-
-func TestVirtualClock(t *testing.T) {
-	c := NewVirtualClock()
-	if err := c.Sleep(context.Background(), 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if c.Now() != 5*time.Second {
-		t.Fatalf("Now = %v", c.Now())
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := c.Sleep(ctx, time.Second); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled sleep: %v", err)
-	}
-	if c.Now() != 5*time.Second {
-		t.Fatal("canceled sleep advanced the clock")
-	}
-}
-
-func TestWallClockSleepCancel(t *testing.T) {
-	defer testutil.CheckGoroutineLeaks(t)()
-	c := NewWallClock()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := c.Sleep(ctx, time.Minute); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled sleep: %v", err)
 	}
 }

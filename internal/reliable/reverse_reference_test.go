@@ -18,6 +18,29 @@ import (
 // seeds. The test keeps its historical name because the
 // DUPLEX_EQUIVALENCE_RUN gate in scripts/gates.sh selects it by name.
 
+// Ack and AckEvent are the reference's own ack types, kept beside it so
+// its logic stays verbatim.
+type Ack struct {
+	NextSeq byte
+}
+
+// AckEvent is one reference ack arrival.
+type AckEvent struct {
+	Ack         Ack
+	GeneratedAt time.Duration
+	At          time.Duration
+}
+
+// ackEvents projects the stack's timed arrivals onto the reference's
+// form, so both sides compare field for field.
+func ackEvents(evs []link.TimedEvent) []AckEvent {
+	out := make([]AckEvent, len(evs))
+	for i, ev := range evs {
+		out[i] = AckEvent{Ack: Ack{NextSeq: ev.Seq}, GeneratedAt: ev.Gen, At: ev.At}
+	}
+	return out
+}
+
 // ackCopy is one committed reverse-channel transmission of an ack.
 type ackCopy struct {
 	ack        Ack

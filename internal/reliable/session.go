@@ -26,15 +26,16 @@ var (
 // Transport carries data frames to the far end over the forward (ZigBee)
 // channel and surfaces acknowledgments from the reverse (WiFi→ZigBee)
 // channel asynchronously. The contract is discrete-event: every method
-// takes the caller's current clock reading, so transports need no clock
-// of their own.
+// takes the session's virtual time, so transports need no clock of
+// their own.
 //
 // Send starts transmitting f at now and returns the forward airtime the
 // transmission occupies; it completes when that airtime is spent, and
 // says nothing about delivery. Acknowledgments travel back on their own
-// schedule: Acks drains every ack that has fully arrived by now, and
-// NextArrival reports when the next committed ack will land, so a
-// discrete-event caller can sleep precisely to it. AckLatency is the
+// schedule: Acks drains every ack that has fully arrived by now, in a
+// slice valid until the next Acks call (the session never holds it
+// longer), and NextArrival reports when the next committed ack will
+// land, so the session can sleep precisely to it. AckLatency is the
 // nominal one-way ack delay on an idle reverse channel — the floor any
 // useful retransmission timeout must respect.
 //
@@ -42,7 +43,7 @@ var (
 // Session. SimLink is the simulated implementation.
 type Transport interface {
 	Send(now time.Duration, f *core.Frame, coded bool) (airtime time.Duration, err error)
-	Acks(now time.Duration) []AckEvent
+	Acks(now time.Duration) []link.TimedEvent
 	NextArrival(now time.Duration) (time.Duration, bool)
 	AckLatency() time.Duration
 }
@@ -72,9 +73,6 @@ type Config struct {
 	// flights in coded mode that returns the session to plain frames
 	// (0 keeps coded mode sticky).
 	DeescalateAfter int
-	// Clock drives timers; nil means a fresh VirtualClock (tests and
-	// simulation). Use NewWallClock for live pacing.
-	Clock Clock
 	// Seed feeds the jitter source, making timer schedules reproducible.
 	Seed int64
 	// Metrics optionally shares a stream registry; the session
@@ -149,8 +147,8 @@ type Report struct {
 	// Airtime is the total forward (ZigBee) airtime spent. Reverse
 	// (ack) airtime is the transport's ledger — see SimLink.ReverseStats.
 	Airtime time.Duration
-	// Elapsed is the transfer duration on the session clock: airtime,
-	// ack latency and timer waits included.
+	// Elapsed is the transfer duration in virtual time: airtime, ack
+	// latency and timer waits included.
 	Elapsed time.Duration
 	// Coded reports whether the session ended in Hamming-coded mode.
 	Coded bool
@@ -192,7 +190,7 @@ func (w *window) offer(s *segment) error {
 
 // ack releases every segment before next (cumulative), returning how
 // many segments and data bytes were released. Acks that do not move the
-// base — duplicates, or stale NextSeq — release nothing.
+// base — duplicates, or stale expectations — release nothing.
 func (w *window) ack(next byte) (released, bytes int) {
 	if len(w.segs) == 0 {
 		return 0, 0
@@ -211,11 +209,12 @@ func (w *window) ack(next byte) (released, bytes int) {
 func (w *window) clear() { w.segs = nil }
 
 // Session is the ARQ send side. It is single-goroutine: one Send at a
-// time, driven synchronously against its Transport and Clock.
+// time, driven synchronously against its Transport, and it owns the
+// virtual time every Transport call is stamped with.
 type Session struct {
 	cfg     Config
 	tx      Transport
-	clock   Clock
+	now     time.Duration // virtual time, advanced only by sleep
 	rng     *rand.Rand
 	m       *core.Messenger
 	metrics *link.Metrics
@@ -241,13 +240,9 @@ func NewSession(tx Transport, cfg Config) (*Session, error) {
 			cfg.MaxRTO = 2 * floor
 		}
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = NewVirtualClock()
-	}
 	return &Session{
-		cfg:   cfg,
-		tx:    tx,
-		clock: cfg.Clock,
+		cfg: cfg,
+		tx:  tx,
 		// Retransmission jitter draws from its own splitmix stream, so
 		// timing randomization and the channel fault schedules derived
 		// from the same scenario seed stay independent.
@@ -270,9 +265,9 @@ func (s *Session) Send(ctx context.Context, msg []byte) (rep *Report, err error)
 		ctx = context.Background()
 	}
 	rep = &Report{Bytes: len(msg)}
-	start := s.clock.Now()
+	start := s.now
 	defer func() {
-		rep.Elapsed = s.clock.Now() - start
+		rep.Elapsed = s.now - start
 		rep.Coded = s.coded
 	}()
 	if len(msg) == 0 {
@@ -415,17 +410,17 @@ func (s *Session) flight(ctx context.Context, win *window, rep *Report, rto time
 	nextBase = s.baseSeqOf(win)
 	shift := 0 // window releases observed by drain, consumed by the tx loop
 	drain := func() bool {
-		for _, ev := range s.tx.Acks(s.clock.Now()) {
-			rel, b := win.ack(ev.Ack.NextSeq)
+		for _, ev := range s.tx.Acks(s.now) {
+			rel, b := win.ack(ev.Seq)
 			if rel > 0 {
 				progressed = true
 				relBytes += b
-				nextBase = ev.Ack.NextSeq
+				nextBase = ev.Seq
 				shift += rel
 				continue
 			}
 			if len(win.segs) > 0 && win.segs[0].lastTxEnd > 0 &&
-				ev.GeneratedAt >= win.segs[0].lastTxEnd {
+				ev.Gen >= win.segs[0].lastTxEnd {
 				heard = true
 			}
 		}
@@ -466,7 +461,7 @@ func (s *Session) flight(ctx context.Context, win *window, rep *Report, rto time
 
 	// The window is fully transmitted and nothing moved yet. Acks may
 	// still be in flight on the reverse channel.
-	_, err = s.await(ctx, s.clock.Now()+s.jittered(rto), drain)
+	_, err = s.await(ctx, s.now+s.jittered(rto), drain)
 	return progressed, heard, relBytes, nextBase, err
 }
 
@@ -506,13 +501,13 @@ func (s *Session) resync(ctx context.Context, win *window, rep *Report, baseSeq 
 			return relBytes, nextBase, err
 		}
 		exact, err := s.await(ctx, probeEnd+s.jittered(rto), func() bool {
-			for _, ev := range s.tx.Acks(s.clock.Now()) {
-				_, b := win.ack(ev.Ack.NextSeq)
+			for _, ev := range s.tx.Acks(s.now) {
+				_, b := win.ack(ev.Seq)
 				relBytes += b
-				if ev.GeneratedAt >= probeEnd {
+				if ev.Gen >= probeEnd {
 					// Generated after the probe landed: the receiver's
 					// current expectation, exact by construction.
-					nextBase = ev.Ack.NextSeq
+					nextBase = ev.Seq
 					return true
 				}
 			}
@@ -530,15 +525,15 @@ func (s *Session) resync(ctx context.Context, win *window, rep *Report, baseSeq 
 // instant the transmission ended.
 func (s *Session) transmit(ctx context.Context, f *core.Frame, rep *Report) (time.Duration, error) {
 	rep.FramesSent++
-	airtime, err := s.tx.Send(s.clock.Now(), f, s.coded)
+	airtime, err := s.tx.Send(s.now, f, s.coded)
 	rep.Airtime += airtime
-	if slErr := s.clock.Sleep(ctx, airtime); slErr != nil {
+	if slErr := s.sleep(ctx, airtime); slErr != nil {
 		return 0, fmt.Errorf("reliable: send canceled: %w", slErr)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("reliable: transport: %w", err)
 	}
-	return s.clock.Now(), nil
+	return s.now, nil
 }
 
 // await polls for feedback until poll reports it has what it waits
@@ -547,19 +542,30 @@ func (s *Session) transmit(ctx context.Context, f *core.Frame, rep *Report) (tim
 // poll was satisfied before the deadline passed.
 func (s *Session) await(ctx context.Context, deadline time.Duration, poll func() bool) (bool, error) {
 	for !poll() {
-		now := s.clock.Now()
-		if now >= deadline {
+		if s.now >= deadline {
 			return false, nil
 		}
 		target := deadline
-		if next, ok := s.tx.NextArrival(now); ok && next < target {
+		if next, ok := s.tx.NextArrival(s.now); ok && next < target {
 			target = next
 		}
-		if err := s.clock.Sleep(ctx, target-now); err != nil {
+		if err := s.sleep(ctx, target-s.now); err != nil {
 			return false, fmt.Errorf("reliable: send canceled: %w", err)
 		}
 	}
 	return true, nil
+}
+
+// sleep advances the session's virtual time by d, or, once ctx is done,
+// returns ctx's error and leaves time where it stands.
+func (s *Session) sleep(ctx context.Context, d time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d > 0 {
+		s.now += d
+	}
+	return nil
 }
 
 // backoff counts a flight or probe that waited out its timer in

@@ -3,7 +3,6 @@ package vet
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 	"strings"
 )
 
@@ -14,10 +13,12 @@ import (
 //   - calls to the global (process-seeded) math/rand and math/rand/v2
 //     top-level functions — randomness must flow from an injected,
 //     seeded *rand.Rand;
-//   - calls to or references of time.Now / time.Since / time.Until
-//     anywhere except internal/reliable/clock.go, the one blessed
-//     wall-clock seam (retransmission timers go through the Clock
-//     interface so tests drive virtual time);
+//   - calls to or references of time.Now / time.Since / time.Until,
+//     with no file exempt: simulated time is a value the caller passes in
+//     (the ARQ session owns its virtual time and stamps every transport
+//     call with it), and a package whose metrics are wall-clock by
+//     definition reads the clock through its one
+//     //symbee:ignore-annotated wallNow seam;
 //   - ranging over a map while feeding an ordered output (printing, or
 //     appending to a slice that is never sorted afterwards in the same
 //     function), or while drawing from a *rand.Rand — map iteration
@@ -36,20 +37,15 @@ func AnalyzerDeterminism() *Analyzer {
 	}
 }
 
-// clockAllowFile is the one file allowed to touch the wall clock.
-const clockAllowFile = "internal/reliable/clock.go"
-
 const randFix = "thread a seeded *rand.Rand (or rand.Source) through the call path"
-const clockFix = "inject a reliable.Clock, or route through the package's single " +
-	"//symbee:ignore-annotated wallNow seam"
+const clockFix = "take the time as a parameter, or route wall-clock metrics through " +
+	"the package's single //symbee:ignore-annotated wallNow seam"
 const mapOrderFix = "collect keys, sort, then iterate; or sort the accumulated slice before use"
 
 func runDeterminism(prog *Program, u *Unit) []Diagnostic {
 	var out []Diagnostic
 	isMain := u.Pkg != nil && u.Pkg.Name() == "main"
 	for _, f := range u.Files {
-		fname := prog.Fset.Position(f.Pos()).Filename
-		clockAllowed := isMain || strings.HasSuffix(filepath.ToSlash(fname), clockAllowFile)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -65,16 +61,12 @@ func runDeterminism(prog *Program, u *Unit) []Diagnostic {
 			case *ast.SelectorExpr:
 				// References, not just calls: `var now = time.Now`
 				// smuggles the wall clock past a call-only check.
-				if clockAllowed {
-					return true
-				}
-				if fn, ok := u.Info.Uses[n.Sel].(*types.Func); ok {
-					if fn.Pkg() != nil && fn.Pkg().Path() == "time" {
-						switch fn.Name() {
-						case "Now", "Since", "Until":
-							out = append(out, prog.diag("determinism", n.Pos(), clockFix,
-								"time.%s outside %s: wall-clock reads make runs irreproducible", fn.Name(), clockAllowFile))
-						}
+				if fn, ok := u.Info.Uses[n.Sel].(*types.Func); ok && !isMain &&
+					fn.Pkg() != nil && fn.Pkg().Path() == "time" {
+					switch fn.Name() {
+					case "Now", "Since", "Until":
+						out = append(out, prog.diag("determinism", n.Pos(), clockFix,
+							"time.%s in library code: wall-clock reads make runs irreproducible", fn.Name()))
 					}
 				}
 			case *ast.FuncDecl:

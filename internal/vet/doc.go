@@ -9,9 +9,11 @@
 //     AllocsPerRun==0 spot checks of the streaming ingest tests into a
 //     whole-call-graph guarantee (DESIGN.md §9.1).
 //   - determinism: no global math/rand top-level functions (seeded
-//     *rand.Rand only), no time.Now/time.Since/time.Until outside
-//     internal/reliable/clock.go, and no range over a map feeding an
-//     ordered output without an intervening sort (§9.2).
+//     *rand.Rand only), no time.Now/time.Since/time.Until in library
+//     code (no file is exempt; a package's //symbee:ignore-annotated
+//     wallNow seam is the one way to read the wall clock), and no range
+//     over a map feeding an ordered output without an intervening sort
+//     (§9.2).
 //   - errwrap: fmt.Errorf with an error argument must use %w, no
 //     err.Error() string comparisons, sentinel errors consumed only via
 //     errors.Is/errors.As (§9.3).

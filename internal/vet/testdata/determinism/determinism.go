@@ -19,13 +19,13 @@ func SeededDraw(seed int64) float64 {
 	return r.Float64()                  // ok: method on the seeded generator
 }
 
-// Stamp reads the wall clock outside the blessed file.
+// Stamp reads the wall clock in library code.
 func Stamp() time.Time {
-	return time.Now() // want `time\.Now outside internal/reliable/clock\.go`
+	return time.Now() // want `time\.Now in library code`
 }
 
 // Elapsed smuggles the clock through a function value.
-var Elapsed = time.Since // want `time\.Since outside internal/reliable/clock\.go`
+var Elapsed = time.Since // want `time\.Since in library code`
 
 // PrintAll leaks map order straight into output.
 func PrintAll(m map[string]int) {

@@ -63,20 +63,24 @@ DUPLEX_EQUIVALENCE_RUN='TestDownlinkLayeredEquivalence|TestDownlinkGoldenTraces'
 # nightly run these with RELIABLE_SOAK_RUNS=100.
 ARQ_SOAK_RUN='TestARQSoak|TestARQBidirectionalSoak'
 
-# Packages for race-detector coverage. Audited 2026-08 against the two
-# properties that make -race worth its ~10x slowdown: the package spawns
-# goroutines (grep for 'go func'/'go ident' outside tests) or owns
-# *rand.Rand / splitmix streams whose draw order a race would scramble.
-# Goroutine spawners: dsp, link, reliable, stream, cmd/symbeestream
-# (the only cmd/ spawner: one producer goroutine per replayed stream,
-# driven by its two-trace replay test) and testutil, whose helpers
-# only run inside the importing packages' tests.
-# RNG owners: the root package, channel, ctc, mac, medium, reliable,
-# sim, splitmix, wifi. core stays listed for the decoder state machine
-# driven concurrently by stream, and vet for its GOMAXPROCS-bounded
-# analyzer fan-out. Re-audited for the duplex refactor: link now also
-# owns the downlink's collision RNG (DownSpec.Collide) — it was already
-# in scope as a goroutine spawner, so the list is unchanged. sim left
-# the spawner list when sim.Run became one in-order loop; it stays in
-# scope as an RNG owner.
-RACE_PACKAGES='. ./cmd/symbeestream/... ./internal/stream/... ./internal/core/... ./internal/reliable/... ./internal/channel/... ./internal/link/... ./internal/medium/... ./internal/ctc/... ./internal/sim/... ./internal/dsp/... ./internal/splitmix/... ./internal/mac/... ./internal/wifi/... ./internal/vet/...'
+# Packages for race-detector coverage. Audited against the two
+# properties that make -race worth its ~10x slowdown: the package starts
+# goroutines (grep for 'go func'/'go ident') or owns *rand.Rand /
+# splitmix streams whose draw order a race would scramble.
+# Goroutine spawners: stream (one worker goroutine per shard), vet (its
+# GOMAXPROCS-bounded analyzer fan-out), link (only in metrics_test.go,
+# which updates one registry from several goroutines) and
+# cmd/symbeestream (the only cmd/ spawner: one producer goroutine per
+# replayed stream, driven by its two-trace replay test).
+# RNG owners: the root package, channel, ctc, link (the downlink's
+# collision RNG, DownSpec.Collide), mac, medium, reliable, sim,
+# splitmix and wifi. reliable starts no goroutine and, since the ARQ
+# session keeps its own virtual time, holds no timer either; it stays
+# in scope for its jitter, fault and collision streams. sim stays in
+# scope as an RNG owner since sim.Run became one in-order loop. core
+# stays listed for the decoder state machine that stream drives
+# concurrently. dsp is not listed: it starts no goroutine, owns no RNG
+# and holds no mutable package state (its tables are read-only), and
+# stream's race run drives its kernels from concurrent workers. CI's
+# race job runs `go test -race ./...`, which still covers dsp.
+RACE_PACKAGES='. ./cmd/symbeestream/... ./internal/stream/... ./internal/core/... ./internal/reliable/... ./internal/channel/... ./internal/link/... ./internal/medium/... ./internal/ctc/... ./internal/sim/... ./internal/splitmix/... ./internal/mac/... ./internal/wifi/... ./internal/vet/...'

@@ -21,11 +21,11 @@ type (
 	// Transport carries frames forward and surfaces acks asynchronously;
 	// SimLink is the simulated implementation.
 	Transport = reliable.Transport
-	// Ack is the cumulative acknowledgment on the reverse channel.
-	Ack = reliable.Ack
-	// AckEvent is one ack arriving at the sender, stamped with its
-	// generation and arrival times on the transport clock.
-	AckEvent = reliable.AckEvent
+	// AckEvent is one cumulative ack arriving at the sender over the
+	// reverse channel: Seq is the next sequence number the receiver
+	// expects, Gen when the receiver generated the ack and At when it
+	// landed, both in the session's virtual time.
+	AckEvent = link.TimedEvent
 	// DownlinkScheme selects the WiFi→ZigBee reverse-channel model.
 	DownlinkScheme = reliable.DownlinkScheme
 	// ReverseStats is a transport's reverse-channel ledger.
@@ -37,9 +37,6 @@ type (
 	SimConfig = reliable.SimConfig
 	// FaultConfig is the simulated channel fault profile.
 	FaultConfig = channel.FaultConfig
-	// Clock abstracts session time: virtual for simulation, wall for
-	// live pacing.
-	Clock = reliable.Clock
 )
 
 // Downlink scheme selectors.
@@ -71,10 +68,6 @@ var (
 	DefaultFaultConfig = channel.DefaultFaultConfig
 	// NewSimLink builds a simulated link from a SimConfig.
 	NewSimLink = reliable.NewSimLink
-	// NewVirtualClock returns a discrete-event clock starting at zero.
-	NewVirtualClock = reliable.NewVirtualClock
-	// NewWallClock returns a real-time clock.
-	NewWallClock = reliable.NewWallClock
 )
 
 // sessionOptions is the resolved option state of NewSession.
@@ -141,11 +134,6 @@ func WithEscalation(after, deescalateAfter int) SessionOption {
 		o.cfg.EscalateAfter = after
 		o.cfg.DeescalateAfter = deescalateAfter
 	}
-}
-
-// WithClock drives the session from c (default: a fresh virtual clock).
-func WithClock(c Clock) SessionOption {
-	return func(o *sessionOptions) { o.cfg.Clock = c }
 }
 
 // WithSeed pins the jitter and fault schedules for reproducibility.
