@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"symbee/internal/core"
 	"symbee/internal/reliable"
 )
 
@@ -58,6 +57,25 @@ func TestPublicSentinelsEndToEnd(t *testing.T) {
 	}
 	if !errors.Is(reliable.ErrWindowFull, ErrWindowFull) {
 		t.Fatal("public ErrWindowFull is not the reliability layer's sentinel")
+	}
+
+	// ErrFlushed: a push after Flush ended the stream, until Reset.
+	rx, err := NewReceiver(Params20(), WithCompensation(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rx.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rx.PushIQ(sig); !errors.Is(err, ErrFlushed) {
+		t.Fatalf("IQ push after Flush: %v, want ErrFlushed", err)
+	}
+	if err := rx.PushPhases(make([]float64, 64)); !errors.Is(err, ErrFlushed) {
+		t.Fatalf("phase push after Flush: %v, want ErrFlushed", err)
+	}
+	rx.Reset()
+	if err := rx.PushIQ(sig); err != nil {
+		t.Fatalf("push after Reset: %v, want nil", err)
 	}
 }
 
@@ -156,17 +174,25 @@ func TestNewReceiverOptions(t *testing.T) {
 	}
 }
 
-// A NaN compensation would build a receiver that never decodes;
-// NewReceiver refuses it.
+// A NaN or infinite compensation would build a receiver that never
+// decodes; NewReceiver and NewPool refuse it with ErrBadCompensation.
 func TestNewReceiverRejectsNonFiniteCompensation(t *testing.T) {
-	if _, err := NewReceiver(Params20(), WithCompensation(math.NaN())); !errors.Is(err, core.ErrBadCompensation) {
-		t.Fatalf("NewReceiver(WithCompensation(NaN)) error %v, want core.ErrBadCompensation", err)
+	for _, comp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewReceiver(Params20(), WithCompensation(comp)); !errors.Is(err, ErrBadCompensation) {
+			t.Errorf("NewReceiver(WithCompensation(%v)) error %v, want ErrBadCompensation", comp, err)
+		}
+		if pool, err := NewPool(WithCompensation(comp)); !errors.Is(err, ErrBadCompensation) {
+			if err == nil {
+				pool.Close()
+			}
+			t.Errorf("NewPool(WithCompensation(%v)) error %v, want ErrBadCompensation", comp, err)
+		}
 	}
 }
 
 // A context-bound pool decodes, then shuts down cleanly on cancel:
 // subsequent Ingest reports rejection and Close stays safe.
-func TestNewPoolContextCancellation(t *testing.T) {
+func TestNewPoolWithContextCancellation(t *testing.T) {
 	link, err := NewLink(Params20(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -217,8 +243,7 @@ func TestNewPoolContextCancellation(t *testing.T) {
 	}
 }
 
-// A rejected pool configuration reports its layer prefix once: the
-// context wrapper must not re-wrap NewPool's already-prefixed error.
+// A rejected pool configuration reports its layer prefix exactly once.
 func TestNewPoolErrorPrefix(t *testing.T) {
 	pool, err := NewPool(WithParams(Params{}))
 	if err == nil {

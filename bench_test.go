@@ -83,7 +83,7 @@ func BenchmarkModulatorPacket(b *testing.B) {
 	b.ReportMetric(float64(len(ppdu)*2*mod.SamplesPerSymbol()), "samples/op")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sig := mod.ModulateBytes(ppdu, zigbee.OrderMSBFirst)
+		sig := mod.ModulateBytes(ppdu)
 		_ = sig
 	}
 }
@@ -101,7 +101,7 @@ func BenchmarkPhaseStreamPacket(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sig := mod.ModulateBytes(ppdu, zigbee.OrderMSBFirst)
+	sig := mod.ModulateBytes(ppdu)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = fe.PhaseStream(sig)
@@ -189,10 +189,10 @@ func BenchmarkZigBeeDemodulatePacket(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sig := mod.ModulateBytes(ppdu, zigbee.OrderLSBFirst)
+	sig := mod.ModulateBytes(ppdu)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := demod.ReceiveAt(sig, 0, zigbee.OrderLSBFirst); err != nil {
+		if _, err := demod.ReceiveAt(sig, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -91,7 +91,7 @@ func scanZigBee(tr *trace.Trace, verbose bool) error {
 		fmt.Printf("ZigBee: demodulator unavailable at this rate: %v\n\n", err)
 		return nil
 	}
-	payload, err := demod.Receive(tr.IQ, zigbee.OrderMSBFirst)
+	payload, err := demod.Receive(tr.IQ)
 	if err != nil {
 		fmt.Printf("ZigBee: no packet (%v)\n\n", err)
 		return nil

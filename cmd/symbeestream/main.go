@@ -102,7 +102,7 @@ func run(ctx context.Context, cfg replayConfig) error {
 	}
 
 	var mu sync.Mutex
-	pool, err := stream.NewPoolContext(ctx, stream.Config{
+	pool, err := stream.NewPool(ctx, stream.Config{
 		Params:       p,
 		Compensation: cfg.compensation,
 		Workers:      cfg.workers,

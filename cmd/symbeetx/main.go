@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"symbee"
+	"symbee/internal/cli"
 	"symbee/internal/trace"
 )
 
@@ -75,7 +76,7 @@ func run(msg, bitStr string, seq, flags byte, rate float64, out string) error {
 		return nil
 	}
 
-	p, err := paramsFor(rate)
+	p, err := cli.ParamsForRate(rate)
 	if err != nil {
 		return err
 	}
@@ -94,14 +95,4 @@ func run(msg, bitStr string, seq, flags byte, rate float64, out string) error {
 	fmt.Printf("wrote %s: %d IQ samples (%.1f µs at %.0f Msps)\n",
 		out, tr.Len(), tr.Duration()*1e6, rate/1e6)
 	return nil
-}
-
-func paramsFor(rate float64) (symbee.Params, error) {
-	switch rate {
-	case 20e6: //symbee:ignore floatcmp -- rate is a flag-parsed literal matched exactly: near-20e6 rates must hit the error branch, not round into it
-		return symbee.Params20(), nil
-	case 40e6: //symbee:ignore floatcmp -- same exact-match contract as the 20e6 arm
-		return symbee.Params40(), nil
-	}
-	return symbee.Params{}, fmt.Errorf("unsupported rate %v (use 20e6 or 40e6)", rate)
 }

@@ -18,7 +18,9 @@ import (
 //
 // The reliability layer adds ErrWindowFull (its send window cannot
 // accept another frame) and ErrTimeout (the retransmission budget is
-// exhausted).
+// exhausted). The streaming receivers add ErrFlushed (a push after
+// Flush) and ErrBadCompensation (a NaN or infinite WithCompensation,
+// refused by NewReceiver and NewPool).
 var (
 	// ErrNoPreamble: no SymBee preamble was found in the capture.
 	ErrNoPreamble = core.ErrNoPreamble
@@ -34,4 +36,8 @@ var (
 	// ErrTimeout: the ARQ retransmission budget was exhausted without an
 	// acknowledgment.
 	ErrTimeout = reliable.ErrTimeout
+	// ErrFlushed: a Receiver push after Flush ended its stream.
+	ErrFlushed = core.ErrFlushed
+	// ErrBadCompensation: a NaN or infinite CFO compensation.
+	ErrBadCompensation = core.ErrBadCompensation
 )

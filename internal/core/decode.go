@@ -19,11 +19,12 @@ const StablePhase = 4 * math.Pi / 5
 // and frames.
 type Decoder struct {
 	p Params
-	// Compensation is added to every phase before decoding to undo the
+	// compensation is added to every phase before decoding to undo the
 	// ZigBee/WiFi channel frequency offset; wifi.CanonicalCompensation
 	// (+4π/5) for any real channel pair, 0 for a baseband-aligned
-	// capture (Appendix B).
-	Compensation float64
+	// capture (Appendix B). Only NewDecoder, which rejects NaN and ±Inf,
+	// sets it.
+	compensation float64
 	// CaptureThreshold is the minimum windowed mean of fold sums that
 	// declares a preamble. The default is five standard deviations of
 	// the signal-free fold noise floor (≈2.0 at 20 Msps, ≈1.4 at
@@ -71,7 +72,7 @@ func NewDecoder(p Params, compensation float64) (*Decoder, error) {
 	}
 	return &Decoder{
 		p:                 p,
-		Compensation:      compensation,
+		compensation:      compensation,
 		CaptureThreshold:  DefaultCaptureThreshold(p),
 		template:          tmpl,
 		templateRunOffset: runOffset,
@@ -85,7 +86,7 @@ func codewordTemplate(p Params) ([]float64, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: template modulator: %w", err)
 	}
-	sig := mod.ModulateBytes([]byte{Bit0Byte, Bit0Byte, Bit0Byte}, zigbee.OrderMSBFirst)
+	sig := mod.ModulateBytes([]byte{Bit0Byte, Bit0Byte, Bit0Byte})
 	phases := dsp.PhaseDiffStream(sig, p.Lag)
 	tmpl := make([]float64, p.BitPeriod)
 	copy(tmpl, phases[p.BitPeriod:2*p.BitPeriod])
@@ -99,12 +100,12 @@ func (d *Decoder) Params() Params { return d.p }
 // prepare applies CFO compensation to a private copy (the input is
 // never modified).
 func (d *Decoder) prepare(phases []float64) []float64 {
-	if d.Compensation == 0 {
+	if d.compensation == 0 {
 		return phases
 	}
 	out := make([]float64, len(phases))
 	copy(out, phases)
-	return dsp.CompensatePhases(out, d.Compensation)
+	return dsp.CompensatePhases(out, d.compensation)
 }
 
 // DetectedBit is one bit found by unsynchronized decoding, anchored at

@@ -13,7 +13,6 @@ import (
 // between Transmit* and Receive*.
 type Link struct {
 	params  Params
-	order   zigbee.SymbolOrder
 	mod     *zigbee.Modulator
 	fe      *wifi.FrontEnd
 	decoder *Decoder
@@ -41,7 +40,7 @@ func NewLink(p Params, compensation float64) (*Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Link{params: p, order: zigbee.OrderMSBFirst, mod: mod, fe: fe, decoder: dec}, nil
+	return &Link{params: p, mod: mod, fe: fe, decoder: dec}, nil
 }
 
 // Params returns the link's parameter set.
@@ -82,7 +81,7 @@ func (l *Link) PayloadToChips(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return zigbee.SpreadSymbols(zigbee.BytesToSymbols(ppdu, l.order)), nil
+	return zigbee.SpreadSymbols(zigbee.BytesToSymbols(ppdu)), nil
 }
 
 // TransmitBits modulates a raw SymBee bit string (preamble prepended)
@@ -119,7 +118,7 @@ func (l *Link) TransmitFrameMAC(f *Frame, src uint16, macSeq byte) ([]complex128
 	if err != nil {
 		return nil, err
 	}
-	return l.mod.ModulateBytes(ppdu, l.order), nil
+	return l.mod.ModulateBytes(ppdu), nil
 }
 
 // Phases runs a received capture through the WiFi idle-listening block.

@@ -79,7 +79,7 @@ func TestMACFramedBroadcastReachesZigBeeToo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msdu, err := demod.ReceiveAt(sig, 0, zigbee.OrderMSBFirst)
+	msdu, err := demod.ReceiveAt(sig, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

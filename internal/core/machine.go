@@ -136,7 +136,7 @@ func defaultRetention(p Params) int {
 }
 
 // NewFrameMachine returns a hunting machine with bounded history
-// retention. The machine applies the decoder's Compensation to every
+// retention. The machine applies the decoder's compensation to every
 // pushed phase, mirroring the batch prepare step. The error is always
 // nil.
 func (d *Decoder) NewFrameMachine() (*FrameMachine, error) {
@@ -206,7 +206,7 @@ func (m *FrameMachine) PushChunk(phases []float64) error {
 // push buffers one piece of at most pushPiece phases and advances the
 // machine.
 func (m *FrameMachine) push(phases []float64) {
-	if comp := m.d.Compensation; comp != 0 {
+	if comp := m.d.compensation; comp != 0 {
 		for _, v := range phases {
 			m.buf = append(m.buf, dsp.WrapPhase(v+comp))
 		}

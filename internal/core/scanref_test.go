@@ -133,7 +133,7 @@ func (m *refMachine) PushChunk(phases []float64) error {
 	if m.flushed {
 		return ErrFlushed
 	}
-	if comp := m.d.Compensation; comp != 0 {
+	if comp := m.d.compensation; comp != 0 {
 		for _, v := range phases {
 			m.buf = append(m.buf, dsp.WrapPhase(v+comp))
 		}

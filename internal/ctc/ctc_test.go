@@ -1,6 +1,7 @@
 package ctc
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -45,6 +46,28 @@ func TestMediumValidation(t *testing.T) {
 	}
 	if DefaultMedium().Validate() == nil {
 		t.Error("DefaultMedium must not validate until Duration is set")
+	}
+}
+
+// TestMediumRejectsHugeRunLength: a finite run length whose sample
+// count exceeds maxMediumSamples fails Validate, so NewMedium reports it
+// instead of panicking in (or attempting) the timeline allocation.
+func TestMediumRejectsHugeRunLength(t *testing.T) {
+	overCap := DefaultMedium()
+	overCap.Duration = (maxMediumSamples + 1) / overCap.Rate
+	atCap := DefaultMedium()
+	atCap.Duration = maxMediumSamples / atCap.Rate
+	if err := atCap.Validate(); err != nil {
+		t.Fatalf("%v s at %v Hz (exactly the cap): Validate = %v, want nil", atCap.Duration, atCap.Rate, err)
+	}
+	for _, cfg := range []MediumConfig{{Duration: 1e300, Rate: 1e5}, overCap} {
+		if err := cfg.Validate(); !errors.Is(err, errMediumLength) {
+			t.Errorf("%v s at %v Hz: Validate = %v, want errMediumLength", cfg.Duration, cfg.Rate, err)
+			continue
+		}
+		if _, err := NewMedium(cfg); !errors.Is(err, errMediumLength) {
+			t.Errorf("%v s at %v Hz: NewMedium error %v, want errMediumLength", cfg.Duration, cfg.Rate, err)
+		}
 	}
 }
 

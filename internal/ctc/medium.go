@@ -43,10 +43,16 @@ func DefaultMedium() MediumConfig {
 	return MediumConfig{Rate: defaultRSSIRate}
 }
 
+// maxMediumSamples caps Duration × Rate, the samples NewMedium
+// allocates (1 GiB of float64s), far above the ≈1.0e6 of the longest
+// Measure run the experiments make (FreeBee, 120 bits).
+const maxMediumSamples = 1 << 27
+
 // MediumConfig validation errors.
 var (
 	errMediumDuration = errors.New("ctc: medium Duration must be positive and finite")
 	errMediumRate     = errors.New("ctc: medium Rate must be positive and finite")
+	errMediumLength   = fmt.Errorf("ctc: medium Duration × Rate must not exceed %d samples", maxMediumSamples)
 )
 
 // Validate reports the first structural problem with the config.
@@ -56,6 +62,8 @@ func (c MediumConfig) Validate() error {
 		return fmt.Errorf("%w: %v", errMediumDuration, c.Duration)
 	case !finite(c.Rate) || c.Rate <= 0:
 		return fmt.Errorf("%w: %v", errMediumRate, c.Rate)
+	case math.Ceil(c.Duration*c.Rate) > maxMediumSamples:
+		return fmt.Errorf("%w: %v s at %v Hz", errMediumLength, c.Duration, c.Rate)
 	}
 	return nil
 }

@@ -25,9 +25,6 @@ func NewPhaseDiffStreamer(lag int) (*PhaseDiffStreamer, error) {
 	return &PhaseDiffStreamer{lag: lag, ring: make([]complex128, lag)}, nil
 }
 
-// Lag returns the autocorrelation lag in samples.
-func (s *PhaseDiffStreamer) Lag() int { return s.lag }
-
 // Push consumes one IQ sample. Once at least lag+1 samples have been
 // pushed it returns ∠(x[n]·x*[n+lag]) for n = pushed−lag−1 — the same
 // value PhaseDiffStream produces at that index — with ok=true; during

@@ -9,9 +9,6 @@ import (
 	"symbee/internal/dsp"
 )
 
-// ErrClosed reports input pushed into a closed stack.
-var ErrClosed = errors.New("link: stack closed")
-
 // Event is one occurrence on one stream: a preamble lock, a decoded
 // frame, or a decode failure. It wraps core.StreamEvent with the stream
 // identity so multi-stream consumers (the pool, scenario harnesses) can
@@ -31,14 +28,12 @@ type Event struct {
 // by one goroutine (its pool worker or harness); it is not safe for
 // concurrent use.
 type Stack struct {
-	dec     *core.Decoder
 	phaser  *dsp.PhaseDiffStreamer
 	machine *core.FrameMachine
 	pending []Event
 	metrics *Metrics
 	stream  uint64
 	scratch []float64
-	closed  bool
 }
 
 var errNilDecoder = errors.New("stack needs a Decoder")
@@ -65,14 +60,8 @@ func NewStreaming(d *core.Decoder, stream uint64, m *Metrics) (*Stack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("link: %w", err)
 	}
-	return &Stack{dec: d, phaser: phaser, machine: machine, metrics: m, stream: stream}, nil
+	return &Stack{phaser: phaser, machine: machine, metrics: m, stream: stream}, nil
 }
-
-// Stream returns the stack's stream identity tag.
-func (s *Stack) Stream() uint64 { return s.stream }
-
-// Decoder returns the shared decoder configuration.
-func (s *Stack) Decoder() *core.Decoder { return s.dec }
 
 // PushIQ consumes a chunk of IQ samples: the front-end turns them into
 // phases for the frame machine, and resulting events join the pending
@@ -80,9 +69,6 @@ func (s *Stack) Decoder() *core.Decoder { return s.dec }
 //
 //symbee:hotpath
 func (s *Stack) PushIQ(iq []complex128) error {
-	if s.closed {
-		return ErrClosed
-	}
 	var start time.Time
 	if s.metrics != nil {
 		start = wallNow()
@@ -109,9 +95,6 @@ func (s *Stack) PushIQ(iq []complex128) error {
 //
 //symbee:hotpath
 func (s *Stack) PushPhases(phases []float64) error {
-	if s.closed {
-		return ErrClosed
-	}
 	var start time.Time
 	if s.metrics != nil {
 		start = wallNow()
@@ -150,7 +133,7 @@ func (s *Stack) dispatch() {
 // with the data at hand (decoding a truncated tail exactly as the batch
 // path does at the end of a capture), and the resulting events join the
 // pending queue. The front-end's lag tail never completes, as in batch
-// PhaseDiffStream.
+// PhaseDiffStream. Later pushes report core.ErrFlushed until Reset.
 func (s *Stack) Flush() error {
 	s.machine.Flush()
 	s.dispatch()
@@ -164,18 +147,6 @@ func (s *Stack) Reset() {
 	s.phaser.Reset()
 	s.machine.Reset()
 	s.pending = s.pending[:0]
-	s.closed = false
-}
-
-// Close flushes the stack; further pushes report ErrClosed (Reset
-// reopens it).
-func (s *Stack) Close() error {
-	if s.closed {
-		return nil
-	}
-	err := s.Flush()
-	s.closed = true
-	return err
 }
 
 // Drain returns the events produced since the last call, tagged with
@@ -189,9 +160,6 @@ func (s *Stack) Drain() []Event {
 	s.pending = s.pending[:0]
 	return out
 }
-
-// State returns the frame machine's stage (for diagnostics).
-func (s *Stack) State() core.MachineState { return s.machine.State() }
 
 // Buffered returns the machine's retained history length in phases.
 func (s *Stack) Buffered() int { return s.machine.Buffered() }

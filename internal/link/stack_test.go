@@ -208,7 +208,7 @@ func TestStackResetReuse(t *testing.T) {
 	}
 }
 
-// TestStackErrors pins the error surface: pushes after Close, and the
+// TestStackErrors pins the error surface: pushes after Flush, and the
 // nil-decoder spec.
 func TestStackErrors(t *testing.T) {
 	p := core.Params20()
@@ -220,11 +220,14 @@ func TestStackErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
+	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PushPhases(make([]float64, 16)); !errors.Is(err, ErrClosed) {
-		t.Errorf("push after Close: %v, want ErrClosed", err)
+	if err := st.PushPhases(make([]float64, 16)); !errors.Is(err, core.ErrFlushed) {
+		t.Errorf("phase push after Flush: %v, want core.ErrFlushed", err)
+	}
+	if err := st.PushIQ(make([]complex128, 16)); !errors.Is(err, core.ErrFlushed) {
+		t.Errorf("IQ push after Flush: %v, want core.ErrFlushed", err)
 	}
 	st.Reset()
 	if err := st.PushPhases(make([]float64, 16)); err != nil {

@@ -15,7 +15,6 @@ type Receiver struct {
 	expected byte
 	asm      core.Reassembler
 	msgs     [][]byte
-	dups     int
 	metrics  *link.Metrics
 }
 
@@ -32,7 +31,6 @@ func NewReceiver(m *link.Metrics) *Receiver {
 // ack tells the sender where the window really stands.
 func (r *Receiver) Deliver(f *core.Frame) (byte, error) {
 	if f.Seq != r.expected {
-		r.dups++
 		if r.metrics != nil {
 			r.metrics.DupDrops.Add(1)
 		}
@@ -50,10 +48,6 @@ func (r *Receiver) Deliver(f *core.Frame) (byte, error) {
 	}
 	return r.expected, nil
 }
-
-// DupDrops returns how many frames were dropped as duplicates or
-// out-of-order arrivals.
-func (r *Receiver) DupDrops() int { return r.dups }
 
 // Messages drains the completely reassembled messages, in order.
 func (r *Receiver) Messages() [][]byte {

@@ -42,10 +42,14 @@ func newScriptTxDownlink(script string, wall, air, base time.Duration, repeat in
 	}
 	return &scriptTx{
 		script: []byte(script),
-		arq:    NewReceiver(nil),
+		arq:    NewReceiver(link.NewMetrics()),
 		down:   down,
 	}
 }
+
+// dupDrops reads the duplicate and out-of-order drops r counted into
+// its registry.
+func dupDrops(r *Receiver) uint64 { return r.metrics.DupDrops.Load() }
 
 func (tx *scriptTx) Send(now time.Duration, f *core.Frame, coded bool) (time.Duration, error) {
 	op := byte('d')
@@ -254,8 +258,8 @@ func TestReceiverDedup(t *testing.T) {
 			t.Fatalf("seq %d: ack %d, want repeated 1", seq, next)
 		}
 	}
-	if r.DupDrops() != 2 || m.DupDrops.Load() != 2 {
-		t.Fatalf("dup drops = %d / metric %d, want 2", r.DupDrops(), m.DupDrops.Load())
+	if got := m.DupDrops.Load(); got != 2 {
+		t.Fatalf("dup drops = %d, want 2", got)
 	}
 	next, _ = r.Deliver(&core.Frame{Seq: 1, Data: []byte{2}})
 	if next != 2 {
@@ -342,7 +346,7 @@ func TestSessionAckLossRecovery(t *testing.T) {
 	if rep.Timeouts == 0 {
 		t.Fatal("total ack loss must surface as a timeout")
 	}
-	if tx.arq.DupDrops() == 0 {
+	if dupDrops(tx.arq) == 0 {
 		t.Fatal("retransmitted flight should have been dup-dropped")
 	}
 }
@@ -448,8 +452,8 @@ func TestSessionEscalationResync(t *testing.T) {
 	}
 	// The probe is the first coded send and must never be accepted as
 	// data: the receiver drops it as out-of-order.
-	if tx.arq.DupDrops() < 2 {
-		t.Fatalf("dup drops = %d, want ≥2 (retransmit + resync probe)", tx.arq.DupDrops())
+	if got := dupDrops(tx.arq); got < 2 {
+		t.Fatalf("dup drops = %d, want ≥2 (retransmit + resync probe)", got)
 	}
 }
 
@@ -463,10 +467,11 @@ func TestSessionStickyCodedMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Send(context.Background(), testMessage(30)); err != nil {
+	rep, err := s.Send(context.Background(), testMessage(30))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Coded() {
+	if !rep.Coded {
 		t.Fatal("DeescalateAfter 0 must keep coded mode sticky")
 	}
 }
@@ -643,7 +648,7 @@ func (tx *lateTx) AckLatency() time.Duration { return time.Millisecond }
 // read as fresh loss evidence — one timeout, the minimal go-back-N
 // retransmissions, and an intact message delivered exactly once.
 func TestSessionLateAckAfterRTO(t *testing.T) {
-	tx := &lateTx{arq: NewReceiver(nil), delays: []time.Duration{
+	tx := &lateTx{arq: NewReceiver(link.NewMetrics()), delays: []time.Duration{
 		30 * time.Millisecond, 30 * time.Millisecond,
 		500 * time.Millisecond, 500 * time.Millisecond, 500 * time.Millisecond,
 	}}
@@ -672,8 +677,8 @@ func TestSessionLateAckAfterRTO(t *testing.T) {
 	if rep.Retransmits != 3 {
 		t.Errorf("retransmits = %d, want 3", rep.Retransmits)
 	}
-	if tx.arq.DupDrops() != 3 {
-		t.Errorf("dup drops = %d, want 3", tx.arq.DupDrops())
+	if got := dupDrops(tx.arq); got != 3 {
+		t.Errorf("dup drops = %d, want 3", got)
 	}
 }
 

@@ -252,10 +252,6 @@ func NewSession(tx Transport, cfg Config) (*Session, error) {
 	}, nil
 }
 
-// Coded reports whether the session is currently in Hamming-coded mode.
-// The mode is sticky across Send calls until the protocol de-escalates.
-func (s *Session) Coded() bool { return s.coded }
-
 // Send delivers msg reliably: fragment, transmit under the sliding
 // window, retransmit on loss, escalate the coding on persistent loss.
 // It returns a Report alongside any error; on error the report covers

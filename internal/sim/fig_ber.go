@@ -33,7 +33,7 @@ func MeasurePrEpsilon(snrDB float64, packets int, seed int64) (float64, error) {
 			payload[i] = core.Bit1Byte
 		}
 	}
-	sig := mod.ModulateBytes(payload, zigbee.OrderMSBFirst)
+	sig := mod.ModulateBytes(payload)
 	wrong, total := 0, 0
 	err = eachPacket(sig, packets, seed, awgn(p, snrDB, 0), func(capture []complex128, _ channel.Config, _ *rand.Rand) {
 		ph := fe.PhaseStream(capture)

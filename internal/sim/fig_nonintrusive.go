@@ -36,7 +36,7 @@ func NonIntrusiveness(opts Options) (*Table, error) {
 			payload[i] = 0xEF
 		}
 	}
-	symbeeSig := mod.ModulateBytes(payload, zigbee.OrderMSBFirst)
+	symbeeSig := mod.ModulateBytes(payload)
 
 	t := &Table{
 		Title:   "Non-intrusiveness — WiFi reception under a concurrent SymBee transmission",

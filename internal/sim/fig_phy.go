@@ -76,7 +76,7 @@ func Fig7StablePhase(opts Options) (*Table, error) {
 		return nil, err
 	}
 	// Bits 0 then 1 = payload bytes 0x67, 0xEF.
-	x := mod.ModulateBytes([]byte{0x67, 0xEF}, zigbee.OrderMSBFirst)
+	x := mod.ModulateBytes([]byte{0x67, 0xEF})
 	ph := fe.PhaseStream(x)
 	t := &Table{
 		Title:   "Fig. 7 — Phase ∠p[n] of SymBee bits 0,1 sent back to back",

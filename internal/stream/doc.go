@@ -11,13 +11,14 @@
 // 20 Msps while hunting). A capture split at any offset decodes exactly
 // as a batch pass over the whole capture would.
 //
-// Pool runs N workers; each stream is sharded to one worker by ID and
-// its stack is touched only by that worker, so the hot path takes no
-// locks. Bounded queues give explicit backpressure (block) or
-// load-shedding (drop, accounted). Every stack reports into the pool's
-// link.Metrics registry — chunks and samples in, phases produced,
-// preamble locks, frames decoded and failed, drops, and per-stage
-// latency.
+// NewPool(ctx, cfg) is the one constructor: it starts N workers and,
+// when ctx can be canceled, closes the pool on cancellation. Each
+// stream is sharded to one worker by ID and its stack is touched only
+// by that worker, so the hot path takes no locks. Bounded queues give
+// explicit backpressure (block) or load-shedding (drop, accounted).
+// Every stack reports into the pool's link.Metrics registry — chunks
+// and samples in, phases produced, preamble locks, frames decoded and
+// failed, drops, and per-stage latency.
 //
 // cmd/symbeestream replays trace files (or stdin IQ) through the pool
 // at a target sample rate and prints throughput plus the metrics

@@ -106,8 +106,11 @@ type worker struct {
 }
 
 // NewPool starts the workers and returns the pool. Callers must Close
-// it to flush outstanding sessions and join the goroutines.
-func NewPool(cfg Config) (*Pool, error) {
+// it, which flushes open sessions and joins the goroutines; canceling
+// ctx (nil binds nothing) does the same, after which Ingest reports
+// false. Close stays safe to call (it is idempotent), so deferred
+// cleanup and signal-driven shutdown compose.
+func NewPool(ctx context.Context, cfg Config) (*Pool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -136,19 +139,6 @@ func NewPool(cfg Config) (*Pool, error) {
 		p.wg.Add(1)
 		go w.run()
 	}
-	return p, nil
-}
-
-// NewPoolContext is NewPool bound to a context: when ctx is canceled
-// the pool closes itself — open sessions are flushed, final events
-// emitted, workers joined — and subsequent Ingest calls report false.
-// Close remains safe to call (it is idempotent), so deferred cleanup
-// and signal-driven shutdown compose.
-func NewPoolContext(ctx context.Context, cfg Config) (*Pool, error) {
-	p, err := NewPool(cfg)
-	if err != nil {
-		return nil, err
-	}
 	if ctx != nil && ctx.Done() != nil {
 		// The watcher joins itself: it exits through the p.done arm once
 		// Close completes, and it is the goroutine that calls Close on
@@ -166,9 +156,6 @@ func NewPoolContext(ctx context.Context, cfg Config) (*Pool, error) {
 
 // Metrics returns the pool's registry.
 func (p *Pool) Metrics() *link.Metrics { return p.metrics }
-
-// Workers returns the shard count.
-func (p *Pool) Workers() int { return len(p.workers) }
 
 // shard routes a stream ID to its owning worker.
 func (p *Pool) shard(stream uint64) *worker {

@@ -54,7 +54,7 @@ func TestNewPoolRejectsNonFiniteCompensation(t *testing.T) {
 		if err := cfg.Validate(); !errors.Is(err, errCompensation) {
 			t.Errorf("compensation %v: Validate = %v, want errCompensation", comp, err)
 		}
-		if p, err := NewPool(cfg); !errors.Is(err, core.ErrBadCompensation) {
+		if p, err := NewPool(context.Background(), cfg); !errors.Is(err, core.ErrBadCompensation) {
 			if err == nil {
 				p.Close()
 			}
@@ -79,7 +79,7 @@ func TestPoolDecodesConcurrentStreams(t *testing.T) {
 
 	var mu sync.Mutex
 	frames := map[uint64][]*core.Frame{}
-	pool, err := NewPool(Config{
+	pool, err := NewPool(context.Background(), Config{
 		Params:       p,
 		Compensation: wifi.CanonicalCompensation,
 		Workers:      3,
@@ -144,7 +144,7 @@ func TestPoolCloseFlushesOpenStreams(t *testing.T) {
 	iq := makeStreamCapture(t, p, 42, 7)
 	var mu sync.Mutex
 	var got []*core.Frame
-	pool, err := NewPool(Config{
+	pool, err := NewPool(context.Background(), Config{
 		Params:       p,
 		Compensation: wifi.CanonicalCompensation,
 		Workers:      2,
@@ -176,7 +176,7 @@ func TestPoolDropAccounting(t *testing.T) {
 	defer testutil.CheckGoroutineLeaks(t)()
 	p := core.Params20()
 	iq := makeStreamCapture(t, p, 1, 8)
-	pool, err := NewPool(Config{
+	pool, err := NewPool(context.Background(), Config{
 		Params:       p,
 		Compensation: wifi.CanonicalCompensation,
 		Workers:      1,
@@ -212,7 +212,7 @@ func TestPoolDropAccounting(t *testing.T) {
 // (ownership is stable), and IDs spread across workers.
 func TestPoolSharding(t *testing.T) {
 	defer testutil.CheckGoroutineLeaks(t)()
-	pool, err := NewPool(Config{Params: core.Params20(), Workers: 4})
+	pool, err := NewPool(context.Background(), Config{Params: core.Params20(), Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestPoolSharding(t *testing.T) {
 func TestPoolContextCancelShutsDown(t *testing.T) {
 	defer testutil.CheckGoroutineLeaks(t)()
 	ctx, cancel := context.WithCancel(context.Background())
-	pool, err := NewPoolContext(ctx, Config{Params: core.Params20(), Workers: 2})
+	pool, err := NewPool(ctx, Config{Params: core.Params20(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestDetectPacketsFindsWiFiNotZigBee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zb := mod.ModulateBytes([]byte{0x67, 0xEF, 0x67, 0xEF, 0x67, 0xEF}, zigbee.OrderMSBFirst)
+	zb := mod.ModulateBytes([]byte{0x67, 0xEF, 0x67, 0xEF, 0x67, 0xEF})
 
 	x := make([]complex128, 12000)
 	for i := range x {

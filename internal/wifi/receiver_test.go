@@ -151,7 +151,7 @@ func TestWiFiSurvivesConcurrentZigBee(t *testing.T) {
 	for i := range payload {
 		payload[i] = 0x67
 	}
-	zb := mod.ModulateBytes(payload, zigbee.OrderMSBFirst)
+	zb := mod.ModulateBytes(payload)
 	dsp.NormalizePower(zb, dsp.FromDB(-15)) // 15 dB below the WiFi frame
 
 	capture := make([]complex128, len(frame)+4000)

@@ -93,50 +93,26 @@ func SpreadSymbols(symbols []byte) []byte {
 	return chips
 }
 
-// SymbolOrder selects how a byte is split into two 4-bit symbols for
-// transmission.
-type SymbolOrder int
-
-const (
-	// OrderMSBFirst transmits the most-significant nibble first, the
-	// notation used throughout the SymBee paper (byte 0x67 → symbols
-	// 6 then 7).
-	OrderMSBFirst SymbolOrder = iota + 1
-	// OrderLSBFirst transmits the least-significant nibble first, as
-	// IEEE 802.15.4 hardware does (byte 0x67 → symbols 7 then 6).
-	OrderLSBFirst
-)
-
-// BytesToSymbols expands data into its 4-bit symbol stream in the given
-// nibble order.
-func BytesToSymbols(data []byte, order SymbolOrder) []byte {
+// BytesToSymbols expands data into its 4-bit symbol stream,
+// most-significant nibble first (byte 0x67 → symbols 6 then 7), the
+// order the SymBee paper writes its codewords in.
+func BytesToSymbols(data []byte) []byte {
 	symbols := make([]byte, 0, len(data)*2)
 	for _, b := range data {
-		hi, lo := b>>4, b&0x0F
-		switch order {
-		case OrderLSBFirst:
-			symbols = append(symbols, lo, hi)
-		default:
-			symbols = append(symbols, hi, lo)
-		}
+		symbols = append(symbols, b>>4, b&0x0F)
 	}
 	return symbols
 }
 
-// SymbolsToBytes packs a symbol stream back into bytes in the given
-// nibble order. The symbol count must be even.
-func SymbolsToBytes(symbols []byte, order SymbolOrder) ([]byte, error) {
+// SymbolsToBytes packs a symbol stream back into bytes,
+// most-significant nibble first. The symbol count must be even.
+func SymbolsToBytes(symbols []byte) ([]byte, error) {
 	if len(symbols)%2 != 0 {
 		return nil, fmt.Errorf("zigbee: odd symbol count %d", len(symbols))
 	}
 	data := make([]byte, len(symbols)/2)
 	for i := range data {
-		a, b := symbols[2*i], symbols[2*i+1]
-		if order == OrderLSBFirst {
-			data[i] = a&0x0F | b<<4
-		} else {
-			data[i] = a<<4 | b&0x0F
-		}
+		data[i] = symbols[2*i]<<4 | symbols[2*i+1]&0x0F
 	}
 	return data, nil
 }

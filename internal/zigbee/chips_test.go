@@ -90,37 +90,31 @@ func TestSpreadSymbols(t *testing.T) {
 }
 
 func TestBytesSymbolsRoundTrip(t *testing.T) {
-	for _, order := range []SymbolOrder{OrderMSBFirst, OrderLSBFirst} {
-		f := func(data []byte) bool {
-			syms := BytesToSymbols(data, order)
-			if len(syms) != len(data)*2 {
+	f := func(data []byte) bool {
+		syms := BytesToSymbols(data)
+		if len(syms) != len(data)*2 {
+			return false
+		}
+		back, err := SymbolsToBytes(syms)
+		if err != nil || len(back) != len(data) {
+			return false
+		}
+		for i := range data {
+			if back[i] != data[i] {
 				return false
 			}
-			back, err := SymbolsToBytes(syms, order)
-			if err != nil || len(back) != len(data) {
-				return false
-			}
-			for i := range data {
-				if back[i] != data[i] {
-					return false
-				}
-			}
-			return true
 		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("order %v: %v", order, err)
-		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestBytesToSymbolsOrder(t *testing.T) {
-	msb := BytesToSymbols([]byte{0x67}, OrderMSBFirst)
+	msb := BytesToSymbols([]byte{0x67})
 	if msb[0] != 6 || msb[1] != 7 {
-		t.Errorf("MSB first = %v, want [6 7]", msb)
-	}
-	lsb := BytesToSymbols([]byte{0x67}, OrderLSBFirst)
-	if lsb[0] != 7 || lsb[1] != 6 {
-		t.Errorf("LSB first = %v, want [7 6]", lsb)
+		t.Errorf("BytesToSymbols(0x67) = %v, want [6 7], most-significant nibble first", msb)
 	}
 }
 

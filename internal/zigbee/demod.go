@@ -17,6 +17,10 @@ var ErrNoSync = errors.New("zigbee: no synchronization header found")
 // legitimate ZigBee packet, so a standard receiver decodes it natively.
 type Demodulator struct {
 	mod *Modulator
+	// shr is the ideal synchronization-header waveform (preamble and
+	// SFD), modulated once, and shrEnergy its energy.
+	shr       []complex128
+	shrEnergy float64
 }
 
 // NewDemodulator returns a demodulator for the given sample rate (same
@@ -26,7 +30,9 @@ func NewDemodulator(sampleRate float64) (*Demodulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Demodulator{mod: mod}, nil
+	shr := mod.ModulateBytes(append(make([]byte, PreambleLen), SFD))
+	_, energy := correlate(shr, shr)
+	return &Demodulator{mod: mod, shr: shr, shrEnergy: energy}, nil
 }
 
 // SoftChips matched-filters nChips chips from x starting at sample
@@ -90,27 +96,23 @@ func (d *Demodulator) DemodulateSymbols(x []complex128, offset, nSymbols int) ([
 }
 
 // Synchronize locates the start of a frame in x by sliding the ideal
-// synchronization-header waveform (preamble + SFD) over the input and
-// returning the offset with the largest correlation magnitude. searchLen
-// bounds the number of candidate offsets (use len(x) to search
-// everywhere). It returns ErrNoSync when the peak correlation is too
-// weak relative to the signal energy to be a real header.
-func (d *Demodulator) Synchronize(x []complex128, searchLen int, order SymbolOrder) (int, error) {
-	ref := d.shr(order)
-	if searchLen <= 0 || searchLen > len(x)-len(ref) {
-		searchLen = len(x) - len(ref)
-	}
+// synchronization-header waveform (preamble + SFD) over every offset
+// off < len(x) − len(header) and returning the one with the largest
+// normalized correlation magnitude. It returns ErrNoSync when the peak
+// correlation is too weak relative to the signal energy to be a real
+// header.
+func (d *Demodulator) Synchronize(x []complex128) (int, error) {
+	searchLen := len(x) - len(d.shr)
 	if searchLen <= 0 {
 		return 0, ErrNoSync
 	}
-	_, refEnergy := correlate(ref, ref)
 	bestOff, bestMag := -1, 0.0
 	for off := 0; off < searchLen; off++ {
-		acc, energy := correlate(x[off:], ref)
+		acc, energy := correlate(x[off:], d.shr)
 		if energy == 0 {
 			continue
 		}
-		mag := (real(acc)*real(acc) + imag(acc)*imag(acc)) / (energy * refEnergy)
+		mag := (real(acc)*real(acc) + imag(acc)*imag(acc)) / (energy * d.shrEnergy)
 		if mag > bestMag {
 			bestOff, bestMag = off, mag
 		}
@@ -126,12 +128,12 @@ func (d *Demodulator) Synchronize(x []complex128, searchLen int, order SymbolOrd
 // Receive runs the full pipeline on x: synchronize, demodulate the
 // header, read the PHR length, demodulate the PSDU and validate the
 // frame. It returns the MAC payload (without FCS).
-func (d *Demodulator) Receive(x []complex128, order SymbolOrder) ([]byte, error) {
-	start, err := d.Synchronize(x, len(x), order)
+func (d *Demodulator) Receive(x []complex128) ([]byte, error) {
+	start, err := d.Synchronize(x)
 	if err != nil {
 		return nil, err
 	}
-	return d.ReceiveAt(x, start, order)
+	return d.ReceiveAt(x, start)
 }
 
 // ReceiveAt is Receive with a known frame start offset (in samples).
@@ -140,16 +142,16 @@ func (d *Demodulator) Receive(x []complex128, order SymbolOrder) ([]byte, error)
 // of the header's coherent correlation with the ideal waveform) and
 // derotates the samples it demodulates by it. Sample offsets in its
 // errors count from start.
-func (d *Demodulator) ReceiveAt(x []complex128, start int, order SymbolOrder) ([]byte, error) {
+func (d *Demodulator) ReceiveAt(x []complex128, start int) ([]byte, error) {
 	if start < 0 || start > len(x) {
 		return nil, fmt.Errorf("zigbee: frame start %d outside the %d-sample input", start, len(x))
 	}
-	x = derotate(x[start:], d.shr(order))
+	x = derotate(x[start:], d.shr)
 	headerSyms, err := d.DemodulateSymbols(x, 0, HeaderSymbols)
 	if err != nil {
 		return nil, err
 	}
-	header, err := SymbolsToBytes(headerSyms, order)
+	header, err := SymbolsToBytes(headerSyms)
 	if err != nil {
 		return nil, err
 	}
@@ -165,18 +167,12 @@ func (d *Demodulator) ReceiveAt(x []complex128, start int, order SymbolOrder) ([
 	if err != nil {
 		return nil, err
 	}
-	psdu, err := SymbolsToBytes(psduSyms, order)
+	psdu, err := SymbolsToBytes(psduSyms)
 	if err != nil {
 		return nil, err
 	}
 	ppdu := append(header, psdu...)
 	return ParsePPDU(ppdu)
-}
-
-// shr returns the ideal synchronization-header waveform (preamble and
-// SFD) in the given symbol order.
-func (d *Demodulator) shr(order SymbolOrder) []complex128 {
-	return d.mod.ModulateBytes(append(make([]byte, PreambleLen), SFD), order)
 }
 
 // correlate returns the coherent correlation Σ x·conj(ref) over the

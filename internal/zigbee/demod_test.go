@@ -75,22 +75,19 @@ func TestSoftChipsInputValidation(t *testing.T) {
 }
 
 func TestReceiveFullFrameRoundTrip(t *testing.T) {
-	for _, order := range []SymbolOrder{OrderMSBFirst, OrderLSBFirst} {
-		m, _ := NewModulator(20e6)
-		d, _ := NewDemodulator(20e6)
-		payload := []byte("cross technology hello")
-		ppdu, err := BuildPPDU(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := m.ModulateBytes(ppdu, order)
-		got, err := d.ReceiveAt(x, 0, order)
-		if err != nil {
-			t.Fatalf("order %v: %v", order, err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Errorf("order %v: payload = %q, want %q", order, got, payload)
-		}
+	m, _ := NewModulator(20e6)
+	d, _ := NewDemodulator(20e6)
+	payload := []byte("cross technology hello")
+	ppdu, err := BuildPPDU(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.ReceiveAt(m.ModulateBytes(ppdu), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Errorf("payload = %q, want %q", got, payload)
 	}
 }
 
@@ -103,7 +100,7 @@ func TestReceiveWithSynchronization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := m.ModulateBytes(ppdu, OrderLSBFirst)
+	sig := m.ModulateBytes(ppdu)
 
 	// Embed the frame at an arbitrary offset in a noisy capture.
 	const offset = 1234
@@ -115,14 +112,14 @@ func TestReceiveWithSynchronization(t *testing.T) {
 		capture[offset+i] += v
 	}
 
-	start, err := d.Synchronize(capture, 3000, OrderLSBFirst)
+	start, err := d.Synchronize(capture)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if start != offset {
 		t.Fatalf("sync offset = %d, want %d", start, offset)
 	}
-	got, err := d.ReceiveAt(capture, start, OrderLSBFirst)
+	got, err := d.ReceiveAt(capture, start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +140,7 @@ func TestReceiveUnderCarrierRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := m.ModulateBytes(ppdu, OrderMSBFirst)
+	sig := m.ModulateBytes(ppdu)
 	const offset = 700
 	for deg := 0; deg < 360; deg += 30 {
 		rot := cmplx.Rect(1, float64(deg)*math.Pi/180)
@@ -152,11 +149,11 @@ func TestReceiveUnderCarrierRotation(t *testing.T) {
 			rotated[offset+i] = v * rot
 		}
 		capture := addNoise(rotated, 0.07, rng)
-		start, err := d.Synchronize(capture, 2*offset, OrderMSBFirst)
+		start, err := d.Synchronize(capture)
 		if err != nil || start != offset {
 			t.Fatalf("%d°: sync offset = %d, %v; want %d", deg, start, err, offset)
 		}
-		if got, err := d.ReceiveAt(capture, start, OrderMSBFirst); err != nil || !bytes.Equal(got, payload) {
+		if got, err := d.ReceiveAt(capture, start); err != nil || !bytes.Equal(got, payload) {
 			t.Errorf("%d°: payload %q, %v; want %q", deg, got, err, payload)
 		}
 	}
@@ -169,7 +166,7 @@ func TestSynchronizeRejectsNoise(t *testing.T) {
 	for i := range noise {
 		noise[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	if _, err := d.Synchronize(noise, 5000, OrderLSBFirst); err == nil {
+	if _, err := d.Synchronize(noise); err == nil {
 		t.Error("expected ErrNoSync on pure noise")
 	}
 }
@@ -181,12 +178,12 @@ func TestReceiveCorruptFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := m.ModulateBytes(ppdu, OrderLSBFirst)
+	x := m.ModulateBytes(ppdu)
 	// Zero out a chunk of the PSDU region to corrupt it decisively.
 	for i := len(x) - 2000; i < len(x)-1000; i++ {
 		x[i] = 0
 	}
-	if _, err := d.ReceiveAt(x, 0, OrderLSBFirst); err == nil {
+	if _, err := d.ReceiveAt(x, 0); err == nil {
 		t.Error("expected FCS failure on corrupted frame")
 	}
 }

@@ -9,10 +9,10 @@
 // wifi can consume it without resampling; the chip rate is the standard
 // 2 Mchip/s (chip slot 0.5 µs, half-sine pulse 1 µs, symbol 16 µs).
 //
-// Nibble transmission order is configurable. The SymBee paper writes the
-// bit-0 codeword as byte 0x67 = symbols (6,7), i.e. most-significant
-// nibble first; IEEE 802.15.4 hardware transmits the least-significant
-// nibble first (on such hardware the same on-air pattern is byte 0x76).
-// OrderMSBFirst reproduces the paper's notation and is what package core
-// uses; OrderLSBFirst matches the standard.
+// Every byte goes on air most-significant nibble first, the paper's
+// notation: its bit-0 codeword, byte 0x67, is symbols (6,7). IEEE
+// 802.15.4 hardware sends the least-significant nibble first, so there
+// the paper's 0x67 goes on air as byte 0x76: a commodity node sends
+// symbols (6,7) when handed 0x76. Only BytesToSymbols and
+// SymbolsToBytes decide the order; no caller chooses it.
 package zigbee

@@ -79,8 +79,8 @@ func TestBuildDataPPDUThroughPHY(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := mod.ModulateBytes(ppdu, OrderMSBFirst)
-	msdu, err := demod.ReceiveAt(sig, 0, OrderMSBFirst)
+	sig := mod.ModulateBytes(ppdu)
+	msdu, err := demod.ReceiveAt(sig, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestMACFramedSymBeeStillDecodesAtWiFi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := mod.ModulateBytes(ppdu, OrderMSBFirst)
+	sig := mod.ModulateBytes(ppdu)
 	// Codeword k sits at byte (6 PHY header + 9 MAC header + k).
 	// Check the stable run of codeword 0 at its expected offset.
 	base := (6 + 9) * 640

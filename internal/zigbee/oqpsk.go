@@ -133,8 +133,8 @@ func (m *Modulator) ModulateSymbols(symbols []byte) []complex128 {
 	return m.ModulateChips(SpreadSymbols(symbols))
 }
 
-// ModulateBytes expands bytes into symbols using order and modulates
-// them.
-func (m *Modulator) ModulateBytes(data []byte, order SymbolOrder) []complex128 {
-	return m.ModulateChips(SpreadSymbols(BytesToSymbols(data, order)))
+// ModulateBytes expands bytes into symbols (BytesToSymbols) and
+// modulates them.
+func (m *Modulator) ModulateBytes(data []byte) []complex128 {
+	return m.ModulateChips(SpreadSymbols(BytesToSymbols(data)))
 }

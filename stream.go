@@ -100,8 +100,8 @@ func WithEvents(fn func(Event)) StreamOption {
 	return func(o *streamOptions) { o.cfg.OnEvent = fn }
 }
 
-// WithContext binds the pool to ctx: cancellation closes the pool,
-// flushing open sessions and joining the workers.
+// WithContext binds the pool to ctx (nil binds nothing): cancellation
+// closes the pool, flushing open sessions and joining the workers.
 func WithContext(ctx context.Context) StreamOption {
 	return func(o *streamOptions) { o.ctx = ctx }
 }
@@ -144,5 +144,5 @@ func NewReceiver(p Params, opts ...StreamOption) (*Receiver, error) {
 //	defer pool.Close()
 func NewPool(opts ...StreamOption) (*Pool, error) {
 	o := resolveStreamOptions(opts)
-	return stream.NewPoolContext(o.ctx, o.cfg)
+	return stream.NewPool(o.ctx, o.cfg)
 }

@@ -114,7 +114,7 @@ func ReceiveZigBee(capture []complex128, sampleRate float64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return demod.Receive(capture, zigbee.OrderMSBFirst)
+	return demod.Receive(capture)
 }
 
 // ChannelConfig selects a simulated radio environment by scenario name
@@ -198,10 +198,8 @@ func (c ChannelConfig) Validate() error {
 type Channel struct {
 	cfg ChannelConfig
 	sc  channel.Scenario
-	rng randSource
+	rng *lockedRand
 }
-
-type randSource = *lockedRand
 
 // NewChannel builds a channel for the given scenario. The zero values
 // of SampleRate and Distance keep their legacy meaning (20 Msps, 5 m);
