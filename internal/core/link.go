@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"symbee/internal/dsp"
 	"symbee/internal/wifi"
 	"symbee/internal/zigbee"
 )
@@ -123,7 +124,14 @@ func (l *Link) TransmitFrameMAC(f *Frame, src uint16, macSeq byte) ([]complex128
 
 // Phases runs a received capture through the WiFi idle-listening block.
 func (l *Link) Phases(capture []complex128) []float64 {
-	return l.fe.PhaseStream(capture)
+	return l.AppendPhases(nil, capture)
+}
+
+// AppendPhases appends Phases(capture) to dst and returns the extended
+// slice, so a caller that passes its previous result back as dst[:0]
+// extracts every capture into one reused buffer.
+func (l *Link) AppendPhases(dst []float64, capture []complex128) []float64 {
+	return dsp.AppendPhaseDiffStream(dst, capture, l.fe.Lag())
 }
 
 // ReceiveBits decodes n raw SymBee bits from a capture.

@@ -117,7 +117,7 @@ func octant(ay, ax, x float64) int {
 // appendPhaseDiff appends the phase stream ∠(x[n]·x*[n+lag]) for n in
 // [0, len(x)-lag) to out and returns the extended slice; the caller
 // guarantees 0 < lag < len(x). It is the one block kernel behind
-// PhaseDiffStream and PhaseDiffStreamer.Process.
+// AppendPhaseDiffStream, PhaseDiffStream and PhaseDiffStreamer.Process.
 //
 // Lag products are taken four at a time, and FastAtan2's finite path is
 // written out once per lane with the lanes interleaved, so the four

@@ -1,6 +1,9 @@
 package dsp
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // WrapPhase wraps an angle in radians to the interval (-π, π].
 //
@@ -65,10 +68,18 @@ func wrapPhaseFar(phi float64) float64 {
 // A non-positive lag, like an input shorter than lag+1 samples, admits
 // no phase pairs and returns nil.
 func PhaseDiffStream(x []complex128, lag int) []float64 {
+	return AppendPhaseDiffStream(nil, x, lag)
+}
+
+// AppendPhaseDiffStream appends PhaseDiffStream(x, lag) to dst and
+// returns the extended slice, growing dst at most once, so a caller
+// that passes its previous result back as dst[:0] reuses one buffer.
+// Input that admits no phase pairs leaves dst unchanged.
+func AppendPhaseDiffStream(dst []float64, x []complex128, lag int) []float64 {
 	if lag <= 0 || len(x) <= lag {
-		return nil
+		return dst
 	}
-	return appendPhaseDiff(make([]float64, 0, len(x)-lag), x, lag)
+	return appendPhaseDiff(slices.Grow(dst, len(x)-lag), x, lag)
 }
 
 // CompensatePhases adds offset to every phase in place, re-wrapping to

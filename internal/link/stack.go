@@ -34,6 +34,7 @@ type Stack struct {
 	metrics *Metrics
 	stream  uint64
 	scratch []float64
+	flushed bool // set by Flush, cleared by Reset: pushes do no work
 }
 
 var errNilDecoder = errors.New("stack needs a Decoder")
@@ -65,10 +66,14 @@ func NewStreaming(d *core.Decoder, stream uint64, m *Metrics) (*Stack, error) {
 
 // PushIQ consumes a chunk of IQ samples: the front-end turns them into
 // phases for the frame machine, and resulting events join the pending
-// queue. Pushing into a flushed stack reports core.ErrFlushed.
+// queue. Pushing into a flushed stack reports core.ErrFlushed before
+// any work, so the registry counts only accepted chunks.
 //
 //symbee:hotpath
 func (s *Stack) PushIQ(iq []complex128) error {
+	if s.flushed {
+		return core.ErrFlushed
+	}
 	var start time.Time
 	if s.metrics != nil {
 		start = wallNow()
@@ -91,10 +96,13 @@ func (s *Stack) PushIQ(iq []complex128) error {
 
 // PushPhases consumes a chunk of already-computed phase values (a
 // phase-kind trace, or an external front-end). Pushing into a flushed
-// stack reports core.ErrFlushed.
+// stack reports core.ErrFlushed before any work, as PushIQ does.
 //
 //symbee:hotpath
 func (s *Stack) PushPhases(phases []float64) error {
+	if s.flushed {
+		return core.ErrFlushed
+	}
 	var start time.Time
 	if s.metrics != nil {
 		start = wallNow()
@@ -134,7 +142,9 @@ func (s *Stack) dispatch() {
 // path does at the end of a capture), and the resulting events join the
 // pending queue. The front-end's lag tail never completes, as in batch
 // PhaseDiffStream. Later pushes report core.ErrFlushed until Reset.
+// The returned error is always nil: neither step can fail.
 func (s *Stack) Flush() error {
+	s.flushed = true
 	s.machine.Flush()
 	s.dispatch()
 	return nil
@@ -147,6 +157,7 @@ func (s *Stack) Reset() {
 	s.phaser.Reset()
 	s.machine.Reset()
 	s.pending = s.pending[:0]
+	s.flushed = false
 }
 
 // Drain returns the events produced since the last call, tagged with

@@ -3,6 +3,7 @@ package link
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"symbee/internal/channel"
@@ -268,5 +269,16 @@ func TestStackMetrics(t *testing.T) {
 	}
 	if snap.FramesDecoded != 1 {
 		t.Errorf("FramesDecoded %d, want 1", snap.FramesDecoded)
+	}
+	// A flushed stack refuses pushes before any work: nothing is
+	// counted or timed.
+	if err := st.PushIQ(make([]complex128, 4096)); !errors.Is(err, core.ErrFlushed) {
+		t.Errorf("PushIQ after Flush: %v, want ErrFlushed", err)
+	}
+	if err := st.PushPhases(make([]float64, 4096)); !errors.Is(err, core.ErrFlushed) {
+		t.Errorf("PushPhases after Flush: %v, want ErrFlushed", err)
+	}
+	if after := m.Snapshot(); !reflect.DeepEqual(after, snap) {
+		t.Errorf("refused pushes changed the registry:\n got %+v\nwant %+v", after, snap)
 	}
 }

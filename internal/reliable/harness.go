@@ -66,6 +66,12 @@ func (c SimConfig) Validate() error {
 // airtime, arrive one downlink-latency late, can be lost on the reverse
 // path and can collide with forward frames; the DownlinkIdeal scheme
 // builds the stack with zero occupancy quanta for baselines.
+//
+// The link holds one waveform buffer and one phase buffer and renders
+// every forward frame into them, so a warm Send allocates only the
+// small frame encodings. Both grow on the first Send that needs more
+// room, never in NewSimLink. A SimLink is owned by one goroutine (its
+// session); it is not safe for concurrent use.
 type SimLink struct {
 	phy     *core.Link
 	dec     *core.Decoder
@@ -73,6 +79,8 @@ type SimLink struct {
 	arq     *Receiver
 	duplex  *link.Duplex
 	metrics *link.Metrics
+	wave    []complex128 // the last forward frame, faulted in place
+	phases  []float64    // its phase stream, which both decode trials read
 }
 
 // NewSimLink builds the simulated link.
@@ -182,11 +190,11 @@ func (l *SimLink) Send(now time.Duration, f *core.Frame, coded bool) (time.Durat
 		l.metrics.FramesLost.Add(1)
 		return airtime, nil
 	}
-	sig, err := l.phy.PayloadToSignal(payload)
+	wave, err := l.modulate(payload)
 	if err != nil {
 		return airtime, err
 	}
-	capture, ok := l.inj.Apply(sig)
+	capture, ok := l.inj.Apply(wave)
 	if !ok {
 		l.metrics.FramesLost.Add(1)
 		return airtime, nil
@@ -201,6 +209,25 @@ func (l *SimLink) Send(now time.Duration, f *core.Frame, coded bool) (time.Durat
 	return airtime, nil
 }
 
+// modulate renders payload's waveform, bit for bit
+// core.Link.PayloadToSignal's, into the held buffer and returns exactly
+// the frame's samples: the fault injector's jam power and drift ramp
+// both read the slice's length.
+func (l *SimLink) modulate(payload []byte) ([]complex128, error) {
+	chips, err := l.phy.PayloadToChips(payload)
+	if err != nil {
+		return nil, err
+	}
+	mod := l.phy.Modulator()
+	n := (len(chips) + 1) * mod.SamplesPerSlot()
+	if cap(l.wave) < n {
+		l.wave = make([]complex128, n)
+	}
+	l.wave = l.wave[:n]
+	mod.ModulateChipsRange(l.wave, chips, 0)
+	return l.wave, nil
+}
+
 // receive runs the capture through the batch stack and trial-decodes:
 // plain first, then synchronized Hamming-coded at the preamble anchor
 // the stack locked. The receiver never learns the sender's mode — a
@@ -210,14 +237,14 @@ func (l *SimLink) Send(now time.Duration, f *core.Frame, coded bool) (time.Durat
 // or a failure, so a capture with neither never locked a preamble and
 // there is no anchor for the coded trial to read at.
 func (l *SimLink) receive(capture []complex128) *core.Frame {
-	phases := l.phy.Phases(capture)
+	l.phases = l.phy.AppendPhases(l.phases[:0], capture)
 	up := l.duplex.Up()
 	up.Reset()
-	up.PushPhases(phases)
+	up.PushPhases(l.phases)
 	up.Flush()
 	frame, anchor, failed := terminalEvent(up.Drain())
 	if frame == nil && failed {
-		frame, _ = decodeCodedNear(l.dec, phases, anchor)
+		frame, _ = decodeCodedNear(l.dec, l.phases, anchor)
 	}
 	return frame
 }
@@ -241,7 +268,8 @@ func terminalEvent(events []link.Event) (frame *core.Frame, anchor int, failed b
 }
 
 // Close releases nothing: the batch stack keeps no state between
-// captures. It remains so callers can pair NewSimLink with Close.
+// captures, and the held waveform and phase buffers go with the link.
+// It remains so callers can pair NewSimLink with Close.
 func (l *SimLink) Close() {}
 
 // FrameAirtime is the forward ZigBee airtime of one SymBee frame

@@ -222,8 +222,9 @@ func (w *worker) run() {
 		w.process(c)
 	}
 	// Channel closed: flush whatever sessions remain so no buffered
-	// frame is lost at shutdown. Session stacks have no sinks besides
-	// the collector, so Flush cannot fail.
+	// frame is lost at shutdown. Flush cannot fail: neither the frame
+	// machine's Flush nor the stack's event dispatch has a failure path,
+	// so link.Stack.Flush always returns nil.
 	for id, r := range w.sessions {
 		_ = r.Flush()
 		w.emit(r)

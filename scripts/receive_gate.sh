@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Receive-speed gate. Runs the benchmark's two receive workloads,
-# idle_air (noise hunting, the idle listening a deployed receiver spends
-# almost all its time in) and busy_air (back-to-back frames), three
-# seeds each, untraced, and gates the median realtime_x of each:
+# Receive-speed gate. Runs three of the benchmark's workloads, three
+# seeds each, untraced: the two receive workloads, idle_air (noise
+# hunting, the idle listening a deployed receiver spends almost all its
+# time in) and busy_air (back-to-back frames), and arq_soak (ARQ
+# transfers, every forward frame modulated, faulted and received
+# through the whole PHY). It gates the median realtime_x of each:
 #
 #   - every bench run must exit 0 (a wrong output fails it too);
 #   - the idle_air median must hold real time (>= 1x);
-#   - neither median may fall more than 20% below the median of the
-#     same workload's records in the committed baseline
-#     BENCH_receive.jsonl.
+#   - no median may fall more than 20% below the median of the same
+#     workload's records in the committed baseline BENCH_receive.jsonl.
 #
 # realtime_x is scaled to the benchmark's reference host (bench/README.md
 # explains the scaling), and every record carries its host envelope:
@@ -24,7 +25,7 @@ out=BENCH_receive_ci.jsonl
 baseline=BENCH_receive.jsonl
 : >"$out"
 status=0
-for workload in idle_air busy_air; do
+for workload in idle_air busy_air arq_soak; do
 	for seed in 1 2 3; do
 		bash bench/run.sh --workload "$workload" --seed "$seed" --seconds 20 --trace 0 >>"$out" || {
 			echo "receive gate: $workload seed $seed exited $?" >&2
@@ -40,7 +41,7 @@ verdict=$(jq -n -r --slurpfile run "$out" --slurpfile base "$baseline" '
 		| sort
 		| if length == 0 then null else (.[(length - 1) / 2 | floor] + .[length / 2 | floor]) / 2 end;
 	def r: . * 1000 | round / 1000;
-	("idle_air", "busy_air") as $w
+	("idle_air", "busy_air", "arq_soak") as $w
 	| ($run | median($w)) as $got
 	| ($base | median($w)) as $ref
 	| if $got == null or $ref == null then
