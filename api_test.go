@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"symbee/internal/core"
 	"symbee/internal/reliable"
 )
 
@@ -43,6 +44,22 @@ func TestPublicSentinelsEndToEnd(t *testing.T) {
 	// ErrBadLength: data that cannot fit one frame.
 	if _, err := EncodeFrame(&Frame{Data: make([]byte, MaxDataBytes+1)}); !errors.Is(err, ErrBadLength) {
 		t.Fatalf("oversize frame: %v, want ErrBadLength", err)
+	}
+
+	// ErrBadVersion: the version nibble's second bit (0101 → 0001)
+	// flipped to the bit-0 codeword.
+	payload, err = EncodeFrame(&Frame{Seq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[core.PreambleBits+1] = Bit0Byte
+	if _, err := DecodeBroadcastPayload(payload); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("version mismatch: %v, want ErrBadVersion", err)
+	}
+
+	// ErrBadBit: a bit value other than 0 or 1.
+	if _, err := EncodeBits([]byte{2}); !errors.Is(err, ErrBadBit) {
+		t.Fatalf("bit value 2: %v, want ErrBadBit", err)
 	}
 
 	// ErrWindowFull / ErrTimeout surface from the reliability layer.

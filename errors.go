@@ -6,7 +6,8 @@ import (
 )
 
 // Unified error taxonomy. Every failure the public surface can return
-// wraps (or is) one of these sentinels, so callers discriminate with
+// wraps (or is) one of these sentinels or the Messenger's
+// (ErrEmptyMessage, ErrFragmentGap), so callers discriminate with
 // errors.Is instead of matching message strings:
 //
 //	frame, err := link.ReceiveFrame(capture)
@@ -16,11 +17,13 @@ import (
 //	case errors.Is(err, symbee.ErrBadLength):  // truncated stream or oversized data
 //	}
 //
-// The reliability layer adds ErrWindowFull (its send window cannot
-// accept another frame) and ErrTimeout (the retransmission budget is
-// exhausted). The streaming receivers add ErrFlushed (a push after
-// Flush) and ErrBadCompensation (a NaN or infinite WithCompensation,
-// refused by NewReceiver and NewPool).
+// A decoded header can also fail with ErrBadVersion, and EncodeBits
+// refuses a bit other than 0 or 1 with ErrBadBit. The reliability
+// layer adds ErrWindowFull (its send window cannot accept another
+// frame) and ErrTimeout (the retransmission budget is exhausted). The
+// streaming receivers add ErrFlushed (a push after Flush) and
+// ErrBadCompensation (a NaN or infinite WithCompensation, refused by
+// NewReceiver and NewPool).
 var (
 	// ErrNoPreamble: no SymBee preamble was found in the capture.
 	ErrNoPreamble = core.ErrNoPreamble
@@ -31,6 +34,11 @@ var (
 	// size. Wrapped by the more specific core sentinels (ErrDataTooLong,
 	// ErrTruncated), so errors.Is works against either granularity.
 	ErrBadLength = core.ErrBadLength
+	// ErrBadVersion: a frame header carries a version nibble other than
+	// the one this codec speaks.
+	ErrBadVersion = core.ErrBadVersion
+	// ErrBadBit: a bit value other than 0 or 1 was supplied.
+	ErrBadBit = core.ErrBadBit
 	// ErrWindowFull: the ARQ send window has no room for another frame.
 	ErrWindowFull = reliable.ErrWindowFull
 	// ErrTimeout: the ARQ retransmission budget was exhausted without an

@@ -11,9 +11,10 @@ import (
 // RunMedium drives one event-driven shared-medium scenario end-to-end:
 // a medium.Engine synthesizes the capture chunk-by-chunk into a
 // streaming Stack, and decoded frames are credited back to
-// their transmissions through the payload identity bytes. The run is
-// deterministic in cfg.Seed; m, when non-nil, instruments the receive
-// stack.
+// their transmissions through the payload identity bytes. The engine
+// renders on every core, but the stack sees every chunk, in order, on
+// the calling goroutine. The run is deterministic in cfg.Seed, whatever
+// GOMAXPROCS; m, when non-nil, instruments the receive stack.
 func RunMedium(cfg medium.Config, m *Metrics) (*medium.Report, error) {
 	eng, err := medium.NewEngine(cfg)
 	if err != nil {

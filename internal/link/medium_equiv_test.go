@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"symbee/internal/core"
@@ -78,8 +79,13 @@ func TestMediumLinkEquivalenceOddChunk(t *testing.T) {
 // transmission starts and rotator reseeds mid-chunk, many chunks into
 // a frame; 2e5 ppm makes a chunk's source stretch longer than the chunk
 // (clock ratios up to 1.2) and gives fast-clock frames a resampler
-// zero tail of thousands of samples.
+// zero tail of thousands of samples. Every capture is rendered at
+// GOMAXPROCS 1, 2, 3 and 7: the engine splits each render window into
+// one part per core, and a part that starts inside a frame pre-steps
+// its rotator, so a part boundary placed anywhere must leave every bit
+// unchanged.
 func testMediumCaptureEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, n := range []int{1, 8} {
 		for _, sfo := range []float64{0, 10, 40, 2e5} {
 			for _, chunk := range []int{4096, 1009, 64} {
@@ -99,24 +105,28 @@ func testMediumCaptureEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := refSuperpose(cfg, cfg.Params, txs)
-				eng, err := medium.NewEngine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var rec recordingSink
-				if _, err := eng.Run(&rec); err != nil {
-					t.Fatal(err)
-				}
-				if len(rec.capture) != len(want) {
-					t.Fatalf("N=%d sfo=%v chunk=%d: capture has %d samples, reference %d",
-						n, sfo, chunk, len(rec.capture), len(want))
-				}
-				for i, v := range rec.capture {
-					w := want[i]
-					if math.Float64bits(real(v)) != math.Float64bits(real(w)) ||
-						math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
-						t.Fatalf("N=%d sfo=%v chunk=%d: sample %d = %v, reference %v",
-							n, sfo, chunk, i, v, w)
+				rec := recordingSink{capture: make([]complex128, 0, len(want))}
+				for _, procs := range []int{1, 2, 3, 7} {
+					runtime.GOMAXPROCS(procs)
+					eng, err := medium.NewEngine(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rec.capture = rec.capture[:0]
+					if _, err := eng.Run(&rec); err != nil {
+						t.Fatal(err)
+					}
+					if len(rec.capture) != len(want) {
+						t.Fatalf("N=%d sfo=%v chunk=%d procs=%d: capture has %d samples, reference %d",
+							n, sfo, chunk, procs, len(rec.capture), len(want))
+					}
+					for i, v := range rec.capture {
+						w := want[i]
+						if math.Float64bits(real(v)) != math.Float64bits(real(w)) ||
+							math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
+							t.Fatalf("N=%d sfo=%v chunk=%d procs=%d: sample %d = %v, reference %v",
+								n, sfo, chunk, procs, i, v, w)
+						}
 					}
 				}
 			}
@@ -125,7 +135,7 @@ func testMediumCaptureEquivalence(t *testing.T) {
 }
 
 // recordingSink keeps every chunk the engine renders (the engine
-// reuses its chunk buffer, so the samples are copied out).
+// reuses its render window, so the samples are copied out).
 type recordingSink struct {
 	capture []complex128
 }
@@ -197,6 +207,8 @@ func TestRunMediumRejectsInvalidConfig(t *testing.T) {
 		{"nan cfo", func(c *medium.Config) { c.CFOJitterHz = math.NaN() }},
 		{"inf gap", func(c *medium.Config) { c.MeanGapAirtimes = math.Inf(1) }},
 		{"nan snr", func(c *medium.Config) { c.SNRdB = math.NaN() }},
+		// Run would allocate its render window from this.
+		{"chunk 2^62", func(c *medium.Config) { c.ChunkSamples = 1 << 62 }},
 	} {
 		cfg := medium.Defaults()
 		cfg.Senders, cfg.FramesPerSender, cfg.Seed = 4, 1, 1

@@ -52,9 +52,10 @@ type Config struct {
 	// Byte 0 carries the low identity byte, byte 1 the sequence number,
 	// byte 2 (when present) the high identity byte.
 	DataBytes int
-	// ChunkSamples is the synthesis window and receive chunk size in
-	// samples (> 0). It bounds the renderer's scratch memory and is the
-	// granularity at which the sink sees the capture.
+	// ChunkSamples is the receive chunk size in samples (1..2^27): the
+	// granularity at which the sink sees the capture. Run renders a
+	// window of whole chunks at a time, about 2^16 samples and at least
+	// one chunk, so it also bounds the renderer's memory.
 	ChunkSamples int
 }
 
@@ -84,8 +85,14 @@ var (
 	errJitter    = errors.New("medium: negative impairment spread")
 	errSFORange  = errors.New("medium: SFOppm must be below 1e6 (a sender's clock would stop or run backwards)")
 	errNonFinite = errors.New("medium: non-finite scenario parameter")
-	errChunk     = errors.New("medium: ChunkSamples must be positive")
+	errChunk     = errors.New("medium: ChunkSamples out of range")
 )
+
+// maxChunkSamples bounds ChunkSamples at 2^27 samples, the bound
+// ctc.MediumConfig puts on a run: Run allocates its render window and
+// source scratch from it, and without a bound a huge value made that
+// allocation panic.
+const maxChunkSamples = 1 << 27
 
 // maxSFOppm bounds SFOppm: a sender draws its offset in ±SFOppm, and
 // channel.ApplySFO needs every offset above −1e6 ppm.
@@ -130,8 +137,8 @@ func (c Config) Validate() error {
 			c.CFOJitterHz, c.SFOppm, c.GainSpreadDB)
 	case c.SFOppm >= maxSFOppm:
 		return fmt.Errorf("%w: %v", errSFORange, c.SFOppm)
-	case c.ChunkSamples <= 0:
-		return fmt.Errorf("%w: %d", errChunk, c.ChunkSamples)
+	case c.ChunkSamples <= 0 || c.ChunkSamples > maxChunkSamples:
+		return fmt.Errorf("%w: %d, want 1..%d", errChunk, c.ChunkSamples, maxChunkSamples)
 	}
 	return nil
 }

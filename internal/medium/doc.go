@@ -17,22 +17,26 @@
 //     into its chip stream, sets up the sender's SFO ratio, gain and
 //     CFO rotator, and streams the collision bookkeeping (interval
 //     overlap against the running max-end).
-//   - The renderer produces the capture chunk-by-chunk in one pass:
-//     each chunk is zeroed, every active transmission's stretch is
-//     modulated from its chips, resampled, rotated, scaled and added in
-//     admission order, and unit receiver noise (splitmix stream −1) is
-//     added last — the same per-sample operations and addition order
-//     as the dense reference, so captures match bit-for-bit and so does
-//     every downstream decode.
-//   - No waveform is held: memory is the chunk, one chunk-sized source
-//     buffer and a chip stream per active transmission, bounded by the
-//     concurrent-overlap width (PeakOverlap in the Report), not by
-//     total airtime, and idle air costs two Gaussian draws per sample
-//     and nothing else.
+//   - The renderer produces the capture one window of whole chunks
+//     (about 2^16 samples) at a time, in one pass, on every core: the
+//     window is cut into contiguous parts, one per goroutine, and each
+//     part zeroes its range chunk by chunk and adds every active
+//     transmission's stretch — modulated from its chips, resampled,
+//     rotated, scaled — in admission order. Run's goroutine then adds
+//     unit receiver noise (splitmix stream −1) last, chunk by chunk in
+//     sample order, and pushes each chunk. These are the dense
+//     reference's per-sample operations in its addition order, whatever
+//     the part count, so captures match bit-for-bit and so does every
+//     downstream decode.
+//   - No waveform is held: memory is the window, one chunk-sized source
+//     buffer per part and a chip stream per active transmission,
+//     bounded by the concurrent-overlap width (PeakOverlap in the
+//     Report), not by total airtime, and idle air costs two Gaussian
+//     draws per sample and nothing else.
 //
 // The engine knows nothing about reception: it pushes chunks into a
-// Sink (internal/link wraps a streaming-preset Stack) and is told about
-// decoded frames through MarkDecoded. This keeps the dependency
+// Sink (internal/link wraps a streaming-preset Stack) from Run's own
+// goroutine and is told about decoded frames through MarkDecoded. This keeps the dependency
 // direction medium ← link and lets any receiver assembly — or none, for
 // pure schedule/occupancy studies — consume the same scenario.
 package medium

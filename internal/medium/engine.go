@@ -8,15 +8,16 @@ import (
 	"math"
 	"math/rand"
 
+	"symbee/internal/channel"
 	"symbee/internal/core"
 	"symbee/internal/splitmix"
 	"symbee/internal/zigbee"
 )
 
 // Sink consumes the synthesized shared-medium capture chunk-by-chunk
-// (internal/link wraps a streaming-preset Stack in one). The chunk
-// slice is the engine's scratch buffer and is reused: it stays valid
-// only until the next PushChunk.
+// (internal/link wraps a streaming-preset Stack in one). Run calls it
+// from its own goroutine. The chunk slice is the engine's render
+// window and is reused: it stays valid until PushChunk returns.
 type Sink interface {
 	PushChunk(iq []complex128) error
 	Flush() error
@@ -68,11 +69,12 @@ type Report struct {
 	CollisionRate float64 `json:"collision_rate"`
 	// DeliveryRate is Delivered over total transmissions.
 	DeliveryRate float64 `json:"delivery_rate"`
-	// PeakOverlap is the maximum number of simultaneously-active
-	// transmissions the renderer held: a function of overlap width,
-	// independent of FramesPerSender and capture length. The renderer
-	// holds no waveform; it renders each chunk's stretch of every
-	// active transmission on demand.
+	// PeakOverlap is the most transmissions whose airtime overlaps one
+	// ChunkSamples chunk of the capture: a function of overlap width,
+	// independent of FramesPerSender and capture length. It bounds the
+	// renderer's per-transmission state; the renderer holds no
+	// waveform, it renders each stretch of an active transmission on
+	// demand.
 	PeakOverlap int `json:"peak_overlap"`
 	// PerSender is each sender's accounting, ordered by sender id.
 	PerSender []SenderStats `json:"per_sender"`
@@ -115,7 +117,8 @@ type activeTx struct {
 	gain float64
 	// step and inc are dsp.RotateFrequency's per-sample phase step and
 	// phasor increment for the sender's CFO; rot is the rotator's
-	// phasor for the next waveform sample to render.
+	// phasor for the first sample of the next render window, written
+	// after each window's join.
 	step float64
 	inc  complex128
 	rot  complex128
@@ -123,7 +126,9 @@ type activeTx struct {
 
 // Engine runs one shared-medium scenario. Build with NewEngine, drive
 // with Run, feed decode outcomes back through MarkDecoded. An engine is
-// single-run and single-goroutine.
+// single-run. Run renders each window on every core, but admits
+// transmissions, draws the noise and calls the sink on its own
+// goroutine, and every other method belongs to that goroutine too.
 type Engine struct {
 	cfg     Config
 	phy     *core.Link
@@ -141,6 +146,9 @@ type Engine struct {
 	lastMax *txState
 
 	peakOverlap int
+	// pushed is the end of the last chunk pushed into the sink: only a
+	// transmission that starts before it is on the air yet.
+	pushed int
 
 	ran bool
 }
@@ -183,7 +191,9 @@ func (e *Engine) Airtime() int { return e.airtime }
 
 // Run synthesizes the scenario into sink chunk-by-chunk and returns
 // the report. The sink may call MarkDecoded re-entrantly from
-// PushChunk/Flush as its receiver emits frames.
+// PushChunk/Flush as its receiver emits frames. The capture is
+// rendered a window of whole chunks at a time (renderer), then noised
+// and pushed chunk by chunk; every worker has exited when Run returns.
 func (e *Engine) Run(sink Sink) (*Report, error) {
 	if sink == nil {
 		return nil, errNilSink
@@ -192,19 +202,16 @@ func (e *Engine) Run(sink Sink) (*Report, error) {
 		return nil, errRan
 	}
 	e.ran = true
-	chunk := make([]complex128, e.cfg.ChunkSamples)
-	// src holds the source samples one transmission's stretch of a
-	// chunk reads (synth.go): at most (ChunkSamples−1)·ratio + 3, and no
-	// sender's clock ratio exceeds 1 + SFOppm·1e-6. The +4 leaves one
-	// sample for the rounding of the float positions.
-	src := make([]complex128, int(float64(e.cfg.ChunkSamples)*(1+e.cfg.SFOppm*1e-6))+4)
+	r := newRenderer(e.mod, e.cfg.ChunkSamples, e.cfg.SFOppm)
+	defer r.stop()
+	win := len(r.window)
 	cur := 0
 	endAt := -1
 	for {
 		// Admit every transmission starting inside the next window;
 		// admission spreads its chips and may re-queue the sender's
 		// next frame.
-		for len(e.queue) > 0 && e.queue[0].nextStart < cur+len(chunk) {
+		for len(e.queue) > 0 && e.queue[0].nextStart < cur+win {
 			if err := e.admit(); err != nil {
 				return nil, err
 			}
@@ -219,13 +226,11 @@ func (e *Engine) Run(sink Sink) (*Report, error) {
 		if endAt >= 0 && cur >= endAt {
 			break
 		}
-		n := len(chunk)
+		n := win
 		if endAt >= 0 && cur+n > endAt {
 			n = endAt - cur
 		}
-		buf := chunk[:n]
-		renderChunk(buf, src, e.active, cur, e.mod, e.noise)
-		if err := sink.PushChunk(buf); err != nil {
+		if err := e.push(sink, r.render(n, e.active, cur), cur); err != nil {
 			return nil, err
 		}
 		cur += n
@@ -235,6 +240,39 @@ func (e *Engine) Run(sink Sink) (*Report, error) {
 		return nil, err
 	}
 	return e.buildReport(cur), nil
+}
+
+// push adds unit receiver noise to the rendered window that starts at
+// cur and hands it to the sink chunk by chunk. The noise is drawn in
+// sample order, two NormFloat64 per sample, so the window does not
+// shift the stream, and it is added after every transmission, as the
+// dense reference AWGNs its finished capture.
+//
+//symbee:hotpath
+func (e *Engine) push(sink Sink, win []complex128, cur int) error {
+	for lo := 0; lo < len(win); lo += e.cfg.ChunkSamples {
+		buf := win[lo:min(lo+e.cfg.ChunkSamples, len(win))]
+		channel.AddAWGN(buf, 1, e.noise)
+		from := cur + lo
+		e.pushed = from + len(buf)
+		e.peakOverlap = max(e.peakOverlap, e.overlapping(from, e.pushed))
+		if err := sink.PushChunk(buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// overlapping counts the active transmissions whose airtime overlaps
+// the samples [lo, hi).
+func (e *Engine) overlapping(lo, hi int) int {
+	n := 0
+	for _, a := range e.active {
+		if a.rec.start < hi && a.rec.end > lo {
+			n++
+		}
+	}
+	return n
 }
 
 // padSlackPeriods is the decode-gate anchor slack in bit periods
@@ -288,7 +326,6 @@ func (e *Engine) admit() error {
 		a.live = resampledLive(a.ratio, e.airtime)
 	}
 	e.active = append(e.active, a)
-	e.peakOverlap = max(e.peakOverlap, len(e.active))
 	if src.advance() {
 		heap.Push(&e.queue, src)
 	}
@@ -338,9 +375,15 @@ func (e *Engine) retire(cur int) {
 
 // MarkDecoded credits a decoded frame to the earliest matching
 // not-yet-credited transmission (the dense reference's matching rule)
-// and reports whether one matched.
+// and reports whether one matched. Only a transmission that starts
+// before the end of the last chunk pushed can match: admission runs a
+// window ahead of the sink, and a frame not yet on the air cannot
+// have decoded.
 func (e *Engine) MarkDecoded(sender, seq int) bool {
 	for _, rec := range e.records {
+		if rec.start >= e.pushed {
+			break // records are in start order
+		}
 		if rec.sender == sender && rec.seq == seq && !rec.decoded {
 			rec.decoded = true
 			return true

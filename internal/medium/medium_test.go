@@ -4,7 +4,10 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"symbee/internal/testutil"
 )
 
 // discardSink consumes the capture without a receiver: schedule,
@@ -63,6 +66,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative gap", func(c *Config) { c.MeanGapAirtimes = -1 }, errGap},
 		{"negative cfo", func(c *Config) { c.CFOJitterHz = -1 }, errJitter},
 		{"no chunk", func(c *Config) { c.ChunkSamples = 0 }, errChunk},
+		{"chunk over 2^27", func(c *Config) { c.ChunkSamples = 1<<27 + 1 }, errChunk},
 		// A sender draws its SFO in ±SFOppm: at 1e6 ppm or more its
 		// resample ratio can reach zero or below.
 		{"sfo 1e6", func(c *Config) { c.SFOppm = 1e6 }, errSFORange},
@@ -94,8 +98,9 @@ func TestConfigValidation(t *testing.T) {
 	good.SNRdB = 0           // a genuine 0 dB scenario
 	good.MeanGapAirtimes = 0 // back-to-back transmission
 	good.SFOppm = 999999     // every drawn clock still runs forwards
+	good.ChunkSamples = 1 << 27
 	if err := good.Validate(); err != nil {
-		t.Errorf("0 dB / zero-gap / large-SFO config rejected: %v", err)
+		t.Errorf("0 dB / zero-gap / large-SFO / 2^27-chunk config rejected: %v", err)
 	}
 }
 
@@ -202,4 +207,128 @@ func TestEngineSingleRun(t *testing.T) {
 	if e.MarkDecoded(0, 0) {
 		t.Error("transmission credited twice")
 	}
+}
+
+// failingSink fails its k-th PushChunk with err.
+type failingSink struct {
+	k, pushes int
+	err       error
+}
+
+func (s *failingSink) PushChunk([]complex128) error {
+	s.pushes++
+	if s.pushes == s.k {
+		return s.err
+	}
+	return nil
+}
+
+func (s *failingSink) Flush() error { return nil }
+
+// TestRunSinkErrorJoinsWorkers checks that a sink error ends Run with
+// that error, pushes nothing after it, and leaves no render worker
+// behind: Run renders each window on two parts here, and fails on a
+// window's first chunk, in its middle, on its last chunk and on the
+// next window's first.
+func TestRunSinkErrorJoinsWorkers(t *testing.T) {
+	defer testutil.CheckGoroutineLeaks(t)()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	want := errors.New("sink failed")
+	for _, k := range []int{1, 5, 16, 17} {
+		cfg := Defaults()
+		cfg.Senders, cfg.FramesPerSender, cfg.Seed = 8, 2, 1
+		cfg.MeanGapAirtimes = 1
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &failingSink{k: k, err: want}
+		if rep, err := e.Run(sink); rep != nil || !errors.Is(err, want) {
+			t.Errorf("sink failing on push %d: Run = %v, %v; want nil, %v", k, rep, err, want)
+		}
+		if sink.pushes != k {
+			t.Errorf("sink failing on push %d saw %d pushes", k, sink.pushes)
+		}
+	}
+}
+
+// aheadSink probes MarkDecoded from inside PushChunk with every
+// transmission the engine has admitted but that starts at or after the
+// end of the chunk being pushed.
+type aheadSink struct {
+	e             *Engine
+	end           int
+	probed, early int
+}
+
+func (s *aheadSink) PushChunk(iq []complex128) error {
+	s.end += len(iq)
+	for _, rec := range s.e.records {
+		if rec.start >= s.end {
+			s.probed++
+			if s.e.MarkDecoded(rec.sender, rec.seq) {
+				s.early++
+			}
+		}
+	}
+	return nil
+}
+
+func (s *aheadSink) Flush() error { return nil }
+
+// TestMarkDecodedOnlyOnAir pins that a decode credits only a frame
+// already on the air. Run admits a whole render window ahead of the
+// chunk it pushes, so a receiver's frame could otherwise be matched to
+// a transmission that has not started yet. Once the capture is over,
+// every transmission can be credited exactly once.
+func TestMarkDecodedOnlyOnAir(t *testing.T) {
+	cfg := Defaults()
+	cfg.Senders, cfg.FramesPerSender, cfg.Seed = 8, 2, 1
+	cfg.MeanGapAirtimes = 1
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &aheadSink{e: e}
+	if _, err := e.Run(sink); err != nil {
+		t.Fatal(err)
+	}
+	if sink.probed == 0 {
+		t.Fatal("no transmission was admitted past the pushed chunk; the case is not exercised")
+	}
+	if sink.early > 0 {
+		t.Errorf("%d of %d probes credited a transmission that had not started", sink.early, sink.probed)
+	}
+	for _, rec := range e.records {
+		if !e.MarkDecoded(rec.sender, rec.seq) {
+			t.Errorf("sender %d seq %d not credited after the run", rec.sender, rec.seq)
+		}
+	}
+}
+
+// BenchmarkEngineRun times synthesis alone: a dense, short scenario
+// (32 senders, one frame each, a mean gap of half an airtime, the
+// density sweep's impairments) rendered into a discard sink, so an op
+// is admission, the render and the receiver noise. It reports capture
+// samples per second; -cpu 1,2 shows how the render scales with the
+// part count.
+func BenchmarkEngineRun(b *testing.B) {
+	cfg := Defaults()
+	cfg.Senders, cfg.FramesPerSender, cfg.Seed = 32, 1, 1
+	cfg.MeanGapAirtimes = 0.5
+	cfg.CFOJitterHz, cfg.SFOppm, cfg.GainSpreadDB = 20e3, 10, 3
+	b.ReportAllocs()
+	samples := 0
+	for i := 0; i < b.N; i++ {
+		e, err := NewEngine(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := e.Run(&discardSink{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples += rep.TotalSamples
+	}
+	b.ReportMetric(float64(samples)/b.Elapsed().Seconds(), "samples/s")
 }

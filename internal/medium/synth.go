@@ -2,9 +2,9 @@ package medium
 
 import (
 	"math"
-	"math/rand"
+	"runtime"
+	"sync"
 
-	"symbee/internal/channel"
 	"symbee/internal/zigbee"
 )
 
@@ -13,42 +13,198 @@ import (
 // absolute phase, which bounds its drift.
 const rotReseed = 4096
 
-// renderChunk synthesizes the shared-medium capture for the window
-// [cur, cur+len(dst)): zero the window, mix every active
-// transmission's overlap in admission (schedule) order, then add unit
-// receiver noise last. That is exactly the per-sample addition order
-// of the dense reference (which superposes whole waveforms in sorted
-// order and AWGNs the finished capture), so the lazily-rendered
-// capture is bit-identical to the materialized one. Idle windows cost
-// the noise draws and nothing else. src is the scratch the source
-// samples of one transmission's stretch are modulated into; Run sizes
-// it for the longest stretch any sender's clock can read.
+// windowSamples is the render window Run aims for: a window is the
+// largest whole number of chunks that fits in it, and at least one.
+// Near 2^16 samples a window splits into parts several reseed periods
+// long, so a part's rotator pre-step (rotatorAt) stays a few percent
+// of its work.
+const windowSamples = 1 << 16
+
+// minPartSamples is the shortest part a window is split into: one
+// reseed period, so a part never pre-steps a rotator through more
+// samples than it renders.
+const minPartSamples = rotReseed
+
+// renderer renders the capture one window at a time on every core. A
+// window's sample range is cut into contiguous parts; each part zeroes
+// its range and mixes every active transmission's stretch into it in
+// admission order, chunk by chunk, so every sample gets the same float
+// additions in the same order whatever the part count. Part 0 renders
+// on Run's goroutine, the others on workers that live for one Run.
+type renderer struct {
+	mod *zigbee.Modulator
+	// step is the most samples a part renders at a time: one chunk,
+	// but at most windowSamples, so a huge ChunkSamples does not
+	// multiply its source scratch by the part count.
+	step   int
+	window []complex128
+	parts  []part
+
+	// active and cur describe the window being rendered: written
+	// before the fork, read-only until the join.
+	active []*activeTx
+	cur    int
+
+	work chan *part
+	done chan struct{}
+	wg   sync.WaitGroup
+}
+
+// part is one contiguous stretch [lo, hi) of the window, with the
+// state rendering it needs of its own.
+type part struct {
+	lo, hi int
+	// src is the part's source scratch (mixTx): a stretch of n ≤ step
+	// output samples reads at most (n−1)·ratio + 3 source samples, and
+	// no sender's clock ratio exceeds 1 + SFOppm·1e-6. The +4 leaves
+	// one sample for the rounding of the float positions.
+	src []complex128
+	// rot holds each active transmission's rotator phasor for the next
+	// sample this part renders, in the order of renderer.active.
+	rot []complex128
+}
+
+// newRenderer allocates the window and one part per core the window
+// has room for, and starts a worker for every part past the first.
+// The caller must stop it.
+func newRenderer(mod *zigbee.Modulator, chunk int, sfoPPM float64) *renderer {
+	w := max(1, windowSamples/chunk) * chunk
+	r := &renderer{
+		mod:    mod,
+		step:   min(chunk, windowSamples),
+		window: make([]complex128, w),
+		parts:  make([]part, max(1, min(runtime.GOMAXPROCS(0), w/minPartSamples))),
+		work:   make(chan *part),
+		done:   make(chan struct{}),
+	}
+	for i := range r.parts {
+		r.parts[i].src = make([]complex128, int(float64(r.step)*(1+sfoPPM*1e-6))+4)
+	}
+	for range len(r.parts) - 1 {
+		r.wg.Add(1)
+		go r.worker()
+	}
+	return r
+}
+
+// worker renders the parts it is handed until stop.
+func (r *renderer) worker() {
+	defer r.wg.Done()
+	for p := range r.work {
+		r.renderPart(p)
+		r.done <- struct{}{}
+	}
+}
+
+// stop ends the workers and returns once every one has exited.
+func (r *renderer) stop() {
+	close(r.work)
+	r.wg.Wait()
+}
+
+// render synthesizes the capture for [cur, cur+n) without receiver
+// noise and returns it; the slice is the renderer's window, reused by
+// the next call. A window no transmission overlaps is zeroed on the
+// calling goroutine. Otherwise it is cut into one part for the caller
+// and at most one per worker, each at least minPartSamples long, and
+// the call returns once every part is rendered. Every transmission that
+// renders past the window then carries the rotator of the last part,
+// which rendered the end of its stretch.
 //
 //symbee:hotpath
-func renderChunk(dst, src []complex128, active []*activeTx, cur int, mod *zigbee.Modulator, noise *rand.Rand) {
-	clear(dst)
-	for _, a := range active {
-		mixTx(dst, src, a, cur, mod)
+func (r *renderer) render(n int, active []*activeTx, cur int) []complex128 {
+	win := r.window[:n]
+	if len(active) == 0 {
+		clear(win)
+		return win
 	}
-	channel.AddAWGN(dst, 1, noise)
+	np := max(1, min(len(r.parts), n/minPartSamples))
+	r.active, r.cur = active, cur
+	for i := range np {
+		r.parts[i].lo, r.parts[i].hi = i*n/np, (i+1)*n/np
+	}
+	for i := 1; i < np; i++ {
+		r.work <- &r.parts[i]
+	}
+	r.renderPart(&r.parts[0])
+	for i := 1; i < np; i++ {
+		<-r.done
+	}
+	last := &r.parts[np-1]
+	for i, a := range active {
+		if a.rec.start+a.live > cur+n {
+			a.rot = last.rot[i]
+		}
+	}
+	return win
+}
+
+// renderPart renders p's stretch of the window chunk by chunk (step
+// samples at a time): zero the chunk, then mix every active
+// transmission's overlap in admission (schedule) order. That is exactly
+// the per-sample addition order of the dense reference (which
+// superposes whole waveforms in sorted order and AWGNs the finished
+// capture; Run adds the noise last), so the lazily-rendered capture is
+// bit-identical to the materialized one. The window's first part
+// starts each rotator from the phasor carried from the previous
+// window; any other part pre-steps it (rotatorAt).
+func (r *renderer) renderPart(p *part) {
+	start := r.cur + p.lo
+	p.rot = p.rot[:0]
+	for _, a := range r.active {
+		rot := a.rot
+		if p.lo > 0 {
+			rot = a.rotatorAt(start - a.rec.start)
+		}
+		p.rot = append(p.rot, rot)
+	}
+	for lo := p.lo; lo < p.hi; lo += r.step {
+		dst := r.window[lo:min(lo+r.step, p.hi)]
+		clear(dst)
+		for i, a := range r.active {
+			p.rot[i] = mixTx(dst, p.src, a, r.cur+lo, r.mod, p.rot[i])
+		}
+	}
+}
+
+// rotatorAt returns the phasor mixTx rotates waveform sample w by when
+// it renders the frame from its first sample: the reseed at the
+// enclosing multiple of rotReseed, stepped to w by one rot *= inc per
+// sample, the same multiplies in the same order, so the result is
+// bit-identical to the carried phasor. It costs at most rotReseed−1
+// multiplies. A w outside (0, live) needs no phasor: mixTx reseeds at
+// w = 0 and renders nothing from live on.
+func (a *activeTx) rotatorAt(w int) complex128 {
+	if w <= 0 || w >= a.live {
+		return 0
+	}
+	b := w - w%rotReseed
+	phi := a.step * float64(b)
+	rot := complex(math.Cos(phi), math.Sin(phi))
+	for ; b < w; b++ {
+		rot *= a.inc
+	}
+	return rot
 }
 
 // mixTx adds the stretch of a's impaired waveform that overlaps the
-// window starting at cur into dst, in one pass: it modulates only the
-// source samples the stretch reads into src, then per output sample
-// interpolates the SFO resample, rotates by the CFO and scales by the
-// gain. Each step is the dense reference's own expression
-// (channel.ApplySFO, dsp.RotateFrequency, the complex gain), so
-// every product and sum is the same float operation, except that the
-// interpolation weights and the gain are applied as real scalars: 4
-// and 2 multiplies where the reference's complex(w, 0) products take 8
-// and 4. The dropped products are ±0 terms, so the result can differ
-// only in the sign of a zero, and the chunk sum, which starts at +0,
-// comes out bit-identical (DESIGN.md §12.2). The float64 conversions
-// round each real product on its own, as the reference's complex
-// products are rounded, so no compiler may fuse it into the following
-// add. The resampler's zero tail adds nothing and is skipped.
-func mixTx(dst, src []complex128, a *activeTx, cur int, mod *zigbee.Modulator) {
+// window starting at cur into dst, in one pass, starting from the
+// rotator phasor rot, and returns the phasor for the sample after the
+// stretch: it modulates only the source samples the stretch reads into
+// src, then per output sample interpolates the SFO resample, rotates
+// by the CFO and scales by the gain. Each step is the dense reference's
+// own expression (channel.ApplySFO, dsp.RotateFrequency, the complex
+// gain), so every product and sum is the same float operation, except
+// that the interpolation weights and the gain are applied as real
+// scalars: 4 and 2 multiplies where the reference's complex(w, 0)
+// products take 8 and 4. The dropped products are ±0 terms, so the
+// result can differ only in the sign of a zero, and the chunk sum,
+// which starts at +0, comes out bit-identical (DESIGN.md §12.2). The
+// float64 conversions round each real product on its own, as the
+// reference's complex products are rounded, so no compiler may fuse it
+// into the following add. The resampler's zero tail adds nothing and
+// is skipped. mixTx only reads a, so parts may mix it concurrently.
+func mixTx(dst, src []complex128, a *activeTx, cur int, mod *zigbee.Modulator, rot complex128) complex128 {
 	lo := a.rec.start - cur
 	off := 0 // first waveform sample in the window
 	if lo < 0 {
@@ -56,7 +212,7 @@ func mixTx(dst, src []complex128, a *activeTx, cur int, mod *zigbee.Modulator) {
 	}
 	n := min(a.live-off, len(dst)-lo)
 	if n <= 0 {
-		return
+		return rot
 	}
 	out := dst[lo : lo+n]
 	// Waveform samples [off, off+n) read source samples [first,
@@ -71,7 +227,6 @@ func mixTx(dst, src []complex128, a *activeTx, cur int, mod *zigbee.Modulator) {
 	src = src[:span]
 	mod.ModulateChipsRange(src, a.chips, first)
 	g, ratio, inc := a.gain, a.ratio, a.inc
-	rot := a.rot
 	for k := 0; k < n; {
 		w := off + k
 		if w%rotReseed == 0 {
@@ -99,7 +254,7 @@ func mixTx(dst, src []complex128, a *activeTx, cur int, mod *zigbee.Modulator) {
 			}
 		}
 	}
-	a.rot = rot
+	return rot
 }
 
 // resampledLive returns how many leading output samples of an

@@ -27,10 +27,11 @@ go test ./...
 # dedicated soak job.
 RELIABLE_SOAK_RUNS=2 go test -race -timeout 15m $RACE_PACKAGES
 # Medium-engine equivalence under the race detector: the event-driven
-# lazy synthesizer must reproduce the dense reference bit-for-bit, and
-# the range modulator it renders with must match the whole-waveform
-# modulator (DESIGN.md §12).
-go test -race ./internal/link/ ./internal/zigbee/ -run "$MEDIUM_EQUIVALENCE_RUN" -count=1
+# lazy synthesizer must reproduce the dense reference bit-for-bit at
+# every part count of its parallel render, with its workers joined on
+# every path, and the range modulator it renders with must match the
+# whole-waveform modulator (DESIGN.md §12).
+go test -race ./internal/link/ ./internal/zigbee/ ./internal/medium/ -run "$MEDIUM_EQUIVALENCE_RUN" -count=1
 # Link-stack equivalence: the committed golden fixtures must decode to
 # their recorded frames through Decoder.DecodeFrame, which runs the
 # bounded frame machine the stacks run, and through every Stack

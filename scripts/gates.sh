@@ -39,12 +39,16 @@ PHASE_EQUIVALENCE_RUN='TestWrapPhaseMatchesReference|TestPhaseKernelMatchesScala
 
 # Medium-engine equivalence (DESIGN.md §12): the event-driven lazy
 # synthesizer must reproduce the dense reference bit-for-bit, its
-# capture compared by IEEE-754 bit pattern, and the range form of the
-# ZigBee modulator it renders each chunk's stretch of a frame with must
-# match the whole-waveform modulator bit for bit. Run over both
-# packages: the engine gate lives in internal/link, the modulator
-# oracle in internal/zigbee.
-MEDIUM_EQUIVALENCE_RUN='TestMediumLinkEquivalence|TestModulateChipsRangeMatchesModulateChips'
+# capture compared by IEEE-754 bit pattern at every part count the
+# parallel render splits a window into (GOMAXPROCS 1, 2, 3 and 7), and
+# the range form of the ZigBee modulator it renders each chunk's
+# stretch of a frame with must match the whole-waveform modulator bit
+# for bit. A sink error must end Run with every render worker joined,
+# and a decode must credit only a frame already on the air. Run over
+# three packages: the engine gate lives in internal/link, the
+# modulator oracle in internal/zigbee, the worker and crediting checks
+# in internal/medium.
+MEDIUM_EQUIVALENCE_RUN='TestMediumLinkEquivalence|TestModulateChipsRangeMatchesModulateChips|TestRunSinkErrorJoinsWorkers|TestMarkDecodedOnlyOnAir'
 
 # Duplex downlink equivalence gate (DESIGN.md §15): link.DownStack
 # must match the retired monolithic reverseChannel bit for bit over 100
@@ -68,10 +72,12 @@ ARQ_SOAK_RUN='TestARQSoak|TestARQBidirectionalSoak'
 # goroutines (grep for 'go func'/'go ident') or owns *rand.Rand /
 # splitmix streams whose draw order a race would scramble.
 # Goroutine spawners: stream (one worker goroutine per shard), vet (its
-# GOMAXPROCS-bounded analyzer fan-out), link (only in metrics_test.go,
-# which updates one registry from several goroutines) and
-# cmd/symbeestream (the only cmd/ spawner: one producer goroutine per
-# replayed stream, driven by its two-trace replay test).
+# GOMAXPROCS-bounded analyzer fan-out), medium (Engine.Run renders each
+# window on one goroutine per core, GOMAXPROCS-bounded, and joins them
+# before it returns), link (only in metrics_test.go, which updates one
+# registry from several goroutines) and cmd/symbeestream (the only
+# cmd/ spawner: one producer goroutine per replayed stream, driven by
+# its two-trace replay test).
 # RNG owners: the root package, channel, ctc, link (the downlink's
 # collision RNG, DownSpec.Collide), mac, medium, reliable, sim,
 # splitmix and wifi. reliable starts no goroutine and, since the ARQ
