@@ -80,7 +80,7 @@ func BenchmarkModulatorPacket(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(len(ppdu)*2*mod.SamplesPerSymbol()), "samples/op")
+	b.ReportMetric(float64(len(ppdu)*2*mod.SamplesPerSlot()*zigbee.ChipsPerSymbol), "samples/op")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sig := mod.ModulateBytes(ppdu)

@@ -6,13 +6,14 @@
 // Usage:
 //
 //	symbeerx -in packet.sbtr
-//	symbeerx -in packet.sbtr -snr 0 -cfo 3e6
+//	symbeerx -in packet.sbtr -snr 6 -cfo 3e6
 //	symbeerx -in packet.sbtr -bits 6     # raw-bit mode: decode 6 bits
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -27,17 +28,19 @@ func main() {
 		input = cli.RegisterInput(flag.CommandLine, false)
 		seed  = cli.RegisterSeed(flag.CommandLine)
 		nBit  = flag.Int("bits", 0, "decode this many raw bits instead of a frame")
-		snr   = flag.Float64("snr", 0, "add noise at this SNR in dB (with -impair)")
+		snr   = flag.Float64("snr", 0, "add noise at this SNR in dB before decoding (0: no noise)")
 		cfo   = flag.Float64("cfo", 0, "apply this carrier offset in Hz before decoding")
 	)
 	flag.Parse()
-	if err := run(input, *nBit, *snr, *cfo, *seed); err != nil {
+	if err := run(os.Stdout, input, *nBit, *snr, *cfo, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "symbeerx:", err)
 		os.Exit(1)
 	}
 }
 
-func run(input *cli.Input, nBits int, snr, cfo float64, seed int64) error {
+// run decodes the input's capture, after the optional impairments, and
+// prints the frame (or nBits raw bits) to w.
+func run(w io.Writer, input *cli.Input, nBits int, snr, cfo float64, seed int64) error {
 	tr, err := input.Load()
 	if err != nil {
 		return err
@@ -66,7 +69,7 @@ func run(input *cli.Input, nBits int, snr, cfo float64, seed int64) error {
 		if snr != 0 {
 			rng := rand.New(rand.NewSource(seed))
 			channel.AddNoiseAtSNR(iq, snr, rng)
-			fmt.Printf("impaired capture: SNR %.1f dB, CFO %+.1f MHz\n", snr, cfo/1e6)
+			fmt.Fprintf(w, "impaired capture: SNR %.1f dB, CFO %+.1f MHz\n", snr, cfo/1e6)
 		}
 		phases = link.Phases(iq)
 	case trace.KindPhase:
@@ -81,11 +84,11 @@ func run(input *cli.Input, nBits int, snr, cfo float64, seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print("bits: ")
+		fmt.Fprint(w, "bits: ")
 		for _, b := range bits {
-			fmt.Print(b)
+			fmt.Fprint(w, b)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		return nil
 	}
 
@@ -93,6 +96,6 @@ func run(input *cli.Input, nBits int, snr, cfo float64, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("frame seq=%d flags=%X data=%q\n", frame.Seq, frame.Flags, frame.Data)
+	fmt.Fprintf(w, "frame seq=%d flags=%X data=%q\n", frame.Seq, frame.Flags, frame.Data)
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -30,13 +31,15 @@ func main() {
 		verbose = flag.Bool("v", false, "print per-detection detail")
 	)
 	flag.Parse()
-	if err := run(input, *verbose); err != nil {
+	if err := run(os.Stdout, input, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "symbeescan:", err)
 		os.Exit(1)
 	}
 }
 
-func run(input *cli.Input, verbose bool) error {
+// run loads the input's IQ trace and prints what each scanner finds in
+// it to w.
+func run(w io.Writer, input *cli.Input, verbose bool) error {
 	tr, err := input.Load()
 	if err != nil {
 		return err
@@ -44,29 +47,29 @@ func run(input *cli.Input, verbose bool) error {
 	if tr.Kind != trace.KindIQ {
 		return fmt.Errorf("scan needs an IQ trace (kind %d)", tr.Kind)
 	}
-	fmt.Printf("trace: %d samples, %.1f µs at %.0f Msps, mean power %.3g\n\n",
+	fmt.Fprintf(w, "trace: %d samples, %.1f µs at %.0f Msps, mean power %.3g\n\n",
 		tr.Len(), tr.Duration()*1e6, tr.SampleRate/1e6, dsp.Power(tr.IQ))
 
-	if err := scanWiFi(tr, verbose); err != nil {
+	if err := scanWiFi(w, tr, verbose); err != nil {
 		return err
 	}
-	if err := scanZigBee(tr, verbose); err != nil {
+	if err := scanZigBee(w, tr, verbose); err != nil {
 		return err
 	}
-	if err := scanSymBee(tr); err != nil {
+	if err := scanSymBee(w, tr); err != nil {
 		return err
 	}
-	return phaseSummary(tr)
+	return phaseSummary(w, tr)
 }
 
-func scanWiFi(tr *trace.Trace, verbose bool) error {
+func scanWiFi(w io.Writer, tr *trace.Trace, verbose bool) error {
 	fe, err := wifi.NewFrontEnd(tr.SampleRate)
 	if err != nil {
-		fmt.Printf("WiFi: front-end unavailable at this rate: %v\n\n", err)
+		fmt.Fprintf(w, "WiFi: front-end unavailable at this rate: %v\n\n", err)
 		return nil
 	}
 	starts := fe.DetectPackets(tr.IQ, 0.7, 4*fe.Lag())
-	fmt.Printf("WiFi: %d OFDM frame(s) detected\n", len(starts))
+	fmt.Fprintf(w, "WiFi: %d OFDM frame(s) detected\n", len(starts))
 	if verbose && tr.SampleRate == 20e6 { //symbee:ignore floatcmp -- configured rate constant, never computed
 		rx, err := wifi.NewReceiver()
 		if err != nil {
@@ -75,46 +78,46 @@ func scanWiFi(tr *trace.Trace, verbose bool) error {
 		for _, s := range starts {
 			got, err := rx.Receive(tr.IQ[s:], 1)
 			if err != nil {
-				fmt.Printf("  @%d: preamble only (%v)\n", s, err)
+				fmt.Fprintf(w, "  @%d: preamble only (%v)\n", s, err)
 				continue
 			}
-			fmt.Printf("  @%d: CFO %+.1f kHz, EVM %.2f\n", s, got.CFO/1e3, got.SymbolEVM)
+			fmt.Fprintf(w, "  @%d: CFO %+.1f kHz, EVM %.2f\n", s, got.CFO/1e3, got.SymbolEVM)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
-func scanZigBee(tr *trace.Trace, verbose bool) error {
+func scanZigBee(w io.Writer, tr *trace.Trace, verbose bool) error {
 	demod, err := zigbee.NewDemodulator(tr.SampleRate)
 	if err != nil {
-		fmt.Printf("ZigBee: demodulator unavailable at this rate: %v\n\n", err)
+		fmt.Fprintf(w, "ZigBee: demodulator unavailable at this rate: %v\n\n", err)
 		return nil
 	}
 	payload, err := demod.Receive(tr.IQ)
 	if err != nil {
-		fmt.Printf("ZigBee: no packet (%v)\n\n", err)
+		fmt.Fprintf(w, "ZigBee: no packet (%v)\n\n", err)
 		return nil
 	}
-	fmt.Printf("ZigBee: packet with %d-byte MAC payload\n", len(payload))
+	fmt.Fprintf(w, "ZigBee: packet with %d-byte MAC payload\n", len(payload))
 	if mpdu, err := zigbee.ParseMPDU(payload); err == nil {
-		fmt.Printf("  MAC: type=%d seq=%d PAN=%04X dst=%04X src=%04X, %d-byte MSDU\n",
+		fmt.Fprintf(w, "  MAC: type=%d seq=%d PAN=%04X dst=%04X src=%04X, %d-byte MSDU\n",
 			mpdu.Type, mpdu.Seq, mpdu.PANID, mpdu.Dest, mpdu.Src, len(mpdu.Payload))
 		payload = mpdu.Payload
 	} else if verbose {
-		fmt.Printf("  (payload is not a short-addressed MPDU: %v)\n", err)
+		fmt.Fprintf(w, "  (payload is not a short-addressed MPDU: %v)\n", err)
 	}
 	if f, err := symbee.DecodeBroadcastPayload(payload); err == nil {
-		fmt.Printf("  SymBee (ZigBee side): seq=%d flags=%X data=%q\n", f.Seq, f.Flags, f.Data)
+		fmt.Fprintf(w, "  SymBee (ZigBee side): seq=%d flags=%X data=%q\n", f.Seq, f.Flags, f.Data)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
-func scanSymBee(tr *trace.Trace) error {
+func scanSymBee(w io.Writer, tr *trace.Trace) error {
 	p, err := cli.ParamsForTrace(tr)
 	if err != nil {
-		fmt.Printf("SymBee: %v\n\n", err)
+		fmt.Fprintf(w, "SymBee: %v\n\n", err)
 		return nil
 	}
 	link, err := symbee.NewLink(p, 0)
@@ -124,22 +127,26 @@ func scanSymBee(tr *trace.Trace) error {
 	phases := link.Phases(tr.IQ)
 	anchor, err := link.Decoder().CapturePreamble(phases)
 	if err != nil {
-		fmt.Printf("SymBee (WiFi side): no preamble (%v)\n\n", err)
+		fmt.Fprintf(w, "SymBee (WiFi side): no preamble (%v)\n\n", err)
 		return nil
 	}
-	fmt.Printf("SymBee (WiFi side): preamble at phase index %d\n", anchor)
+	fmt.Fprintf(w, "SymBee (WiFi side): preamble at phase index %d\n", anchor)
 	if f, err := link.Decoder().DecodeFrame(phases); err == nil {
-		fmt.Printf("  frame: seq=%d flags=%X data=%q\n", f.Seq, f.Flags, f.Data)
+		fmt.Fprintf(w, "  frame: seq=%d flags=%X data=%q\n", f.Seq, f.Flags, f.Data)
 	} else {
-		fmt.Printf("  frame decode: %v (raw-bit message? try symbeerx -bits N)\n", err)
+		fmt.Fprintf(w, "  frame decode: %v (raw-bit message? try symbeerx -bits N)\n", err)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
-func phaseSummary(tr *trace.Trace) error {
-	lag := int(math.Round(tr.SampleRate * wifi.AutocorrLag))
-	phases := dsp.PhaseDiffStream(tr.IQ, lag)
+func phaseSummary(w io.Writer, tr *trace.Trace) error {
+	fe, err := wifi.NewFrontEnd(tr.SampleRate)
+	if err != nil {
+		fmt.Fprintf(w, "phases: front-end unavailable at this rate: %v\n", err)
+		return nil
+	}
+	phases := fe.PhaseStream(tr.IQ)
 	if phases == nil {
 		return errors.New("trace too short for a phase stream")
 	}
@@ -151,7 +158,7 @@ func phaseSummary(tr *trace.Trace) error {
 			nearStable++
 		}
 	}
-	fmt.Printf("phases: %d values, %.1f%% negative / %.1f%% nonnegative, %.1f%% within 0.1 rad of ±4π/5\n",
+	fmt.Fprintf(w, "phases: %d values, %.1f%% negative / %.1f%% nonnegative, %.1f%% within 0.1 rad of ±4π/5\n",
 		len(phases),
 		100*float64(neg)/float64(len(phases)),
 		100*float64(nonneg)/float64(len(phases)),

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"symbee"
@@ -31,13 +32,15 @@ func main() {
 		out   = flag.String("trace", "", "write an IQ trace file instead of printing hex")
 	)
 	flag.Parse()
-	if err := run(*msg, *bits, byte(*seq), byte(*flags), *rate, *out); err != nil {
+	if err := run(os.Stdout, *msg, *bits, byte(*seq), byte(*flags), *rate, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "symbeetx:", err)
 		os.Exit(1)
 	}
 }
 
-func run(msg, bitStr string, seq, flags byte, rate float64, out string) error {
+// run encodes the message or bit string and prints its payload bytes to
+// w, or writes its IQ trace to out and reports that on w.
+func run(w io.Writer, msg, bitStr string, seq, flags byte, rate float64, out string) error {
 	if msg == "" && bitStr == "" {
 		return fmt.Errorf("need -msg or -bits")
 	}
@@ -65,14 +68,14 @@ func run(msg, bitStr string, seq, flags byte, rate float64, out string) error {
 	}
 
 	if out == "" {
-		fmt.Printf("ZigBee payload (%d bytes, 1 SymBee bit per byte):\n", len(payload))
+		fmt.Fprintf(w, "ZigBee payload (%d bytes, 1 SymBee bit per byte):\n", len(payload))
 		for i, b := range payload {
 			if i > 0 && i%16 == 0 {
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
-			fmt.Printf("%02X ", b)
+			fmt.Fprintf(w, "%02X ", b)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		return nil
 	}
 
@@ -92,7 +95,7 @@ func run(msg, bitStr string, seq, flags byte, rate float64, out string) error {
 	if err := tr.Save(out); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %d IQ samples (%.1f µs at %.0f Msps)\n",
+	fmt.Fprintf(w, "wrote %s: %d IQ samples (%.1f µs at %.0f Msps)\n",
 		out, tr.Len(), tr.Duration()*1e6, rate/1e6)
 	return nil
 }

@@ -1,7 +1,7 @@
-// Command symbeevet runs the project's static-analysis suite: eight
+// Command symbeevet runs the project's static-analysis suite: nine
 // analyzers that machine-enforce the repo's hot-path allocation,
 // determinism, error-wrapping, float-comparison, import-layering,
-// RNG-stream, config-contract and concurrency invariants
+// RNG-stream, config-contract, concurrency and reachability invariants
 // (DESIGN.md §9).
 //
 // Usage:
@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -24,19 +25,22 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(argv []string) int {
+// run executes one symbeevet invocation, printing the report to stdout
+// and usage and driver errors to stderr, and returns the exit status.
+func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("symbeevet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report instead of text")
 	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: symbeevet [-json] [-rules list] [packages]")
+		fmt.Fprintln(stderr, "usage: symbeevet [-json] [-rules list] [packages]")
 		fs.PrintDefaults()
-		fmt.Fprintln(os.Stderr, "rules:")
+		fmt.Fprintln(stderr, "rules:")
 		for _, az := range vet.Analyzers() {
-			fmt.Fprintf(os.Stderr, "  %-14s %s\n", az.Name, az.Doc)
+			fmt.Fprintf(stderr, "  %-14s %s\n", az.Name, az.Doc)
 		}
 	}
 	if err := fs.Parse(argv); err != nil {
@@ -49,19 +53,19 @@ func run(argv []string) int {
 
 	analyzers, err := selectRules(*rules)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "symbeevet:", err)
+		fmt.Fprintln(stderr, "symbeevet:", err)
 		return 2
 	}
 
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "symbeevet:", err)
+		fmt.Fprintln(stderr, "symbeevet:", err)
 		return 2
 	}
 	loadStart := time.Now()
 	prog, err := vet.Load(wd, patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "symbeevet:", err)
+		fmt.Fprintln(stderr, "symbeevet:", err)
 		return 2
 	}
 	load := time.Since(loadStart)
@@ -72,18 +76,18 @@ func run(argv []string) int {
 
 	if *jsonOut {
 		report := vet.NewReport(patterns, analyzers, prog, diags, load, analyze)
-		if err := report.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "symbeevet:", err)
+		if err := report.WriteJSON(stdout); err != nil {
+			fmt.Fprintln(stderr, "symbeevet:", err)
 			return 2
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d.String())
+			fmt.Fprintln(stdout, d.String())
 		}
 	}
 	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "symbeevet: %d diagnostic(s)\n", len(diags))
+			fmt.Fprintf(stderr, "symbeevet: %d diagnostic(s)\n", len(diags))
 		}
 		return 1
 	}

@@ -46,7 +46,6 @@ func wrappedSentinels() map[string]error {
 		c + "ErrBadBit":          core.ErrBadBit,
 		c + "ErrFlushed":         core.ErrFlushed,
 		c + "ErrBadCompensation": core.ErrBadCompensation,
-		c + "ErrChecksum":        core.ErrChecksum,
 		c + "ErrDataTooLong":     core.ErrDataTooLong,
 		c + "ErrTruncated":       core.ErrTruncated,
 		c + "ErrEmptyMessage":    core.ErrEmptyMessage,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"symbee/internal/dsp"
+	"symbee/internal/testutil"
 )
 
 func constantSignal(n int) []complex128 {
@@ -80,7 +81,7 @@ func TestMediumCFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	y := m.Transmit(constantSignal(4096))
-	spec := dsp.SpectrumPower(y[:4096])
+	spec := testutil.SpectrumPower(y[:4096])
 	best := 0
 	for k, p := range spec {
 		if p > spec[best] {

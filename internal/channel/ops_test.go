@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"symbee/internal/dsp"
+	"symbee/internal/testutil"
 )
 
 func TestAddAWGNPower(t *testing.T) {
@@ -45,7 +46,7 @@ func TestApplyCFOShiftsSpectrum(t *testing.T) {
 		x[i] = 1 // DC tone
 	}
 	ApplyCFO(x, 3e6, 20e6)
-	spec := dsp.SpectrumPower(x)
+	spec := testutil.SpectrumPower(x)
 	best := 0
 	for k, p := range spec {
 		if p > spec[best] {

@@ -11,6 +11,8 @@ package channel
 // ppm must be finite and greater than −1e6: at −1e6 or below the
 // receiver clock stops or runs backwards and the source position goes
 // negative, which no resampling describes.
+//
+//symbee:ignore reach -- the reference resampler the medium engine's SFO render is pinned against in tests
 func ApplySFO(x []complex128, ppm float64) []complex128 {
 	if ppm == 0 {
 		return x

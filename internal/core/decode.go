@@ -12,7 +12,7 @@ import (
 // codeword produces at the idle listening: 4π/5 (§IV-B).
 const StablePhase = 4 * math.Pi / 5
 
-// Decoding errors (ErrNoPreamble, ErrBadVersion, ErrCRC/ErrChecksum,
+// Decoding errors (ErrNoPreamble, ErrBadVersion, ErrCRC,
 // ErrTruncated) are defined in errors.go.
 
 // Decoder turns WiFi idle-listening phase streams back into SymBee bits

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"symbee/internal/channel"
-	"symbee/internal/dsp"
 	"symbee/internal/wifi"
 )
 
@@ -372,6 +371,24 @@ func TestDecoderDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// quantizePhase snaps phi to the nearest multiple of step and reports
+// the integer multiple: the check behind the Appendix A alphabet.
+func quantizePhase(phi, step float64) (snapped float64, multiple int) {
+	m := math.Round(phi / step)
+	return m * step, int(m)
+}
+
+func TestQuantizePhase(t *testing.T) {
+	step := math.Pi / 10
+	snapped, m := quantizePhase(4*math.Pi/5+0.01, step)
+	if m != 8 {
+		t.Errorf("multiple = %d, want 8", m)
+	}
+	if math.Abs(snapped-4*math.Pi/5) > 1e-12 {
+		t.Errorf("snapped = %v, want 4π/5", snapped)
+	}
+}
+
 func TestPhaseAlphabet17Values(t *testing.T) {
 	// Appendix A: a noiseless cross-observed ZigBee signal only produces
 	// ∠p[n] = i·π/10. Verify over a random full packet.
@@ -390,7 +407,7 @@ func TestPhaseAlphabet17Values(t *testing.T) {
 	phases = phases[16 : len(phases)-32]
 	seen := map[int]bool{}
 	for i, phi := range phases {
-		snapped, mult := dsp.QuantizePhase(phi, math.Pi/10)
+		snapped, mult := quantizePhase(phi, math.Pi/10)
 		if math.Abs(phi-snapped) > 1e-6 {
 			t.Fatalf("phase[%d] = %v is not a multiple of π/10", i, phi)
 		}

@@ -117,7 +117,7 @@ func TestDecodeBroadcastPayloadErrors(t *testing.T) {
 		} else {
 			payload[idx] = 0x67
 		}
-		if _, err := DecodeBroadcastPayload(payload); !errors.Is(err, ErrChecksum) {
+		if _, err := DecodeBroadcastPayload(payload); !errors.Is(err, ErrCRC) {
 			t.Errorf("err = %v", err)
 		}
 	})

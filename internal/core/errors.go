@@ -8,10 +8,9 @@ import (
 // Canonical error sentinels of the decode/encode pipeline. Every error
 // the package returns wraps exactly one of these (or one of the
 // messenger sentinels in messenger.go), so callers discriminate with
-// errors.Is instead of string matching. The original, more specific
-// names (ErrChecksum, ErrDataTooLong, ErrTruncated) remain exported and
-// still satisfy errors.Is against both themselves and the canonical
-// sentinel they wrap.
+// errors.Is instead of string matching. The more specific names
+// (ErrDataTooLong, ErrTruncated) satisfy errors.Is against both
+// themselves and the canonical sentinel they wrap.
 var (
 	// ErrNoPreamble: no SymBee preamble was found in the stream.
 	ErrNoPreamble = errors.New("core: no SymBee preamble captured")
@@ -38,8 +37,6 @@ var (
 // wraps its canonical counterpart: errors.Is(err, ErrDataTooLong) and
 // errors.Is(err, ErrBadLength) are both true for an oversized frame.
 var (
-	// ErrChecksum is the historical name of ErrCRC.
-	ErrChecksum = ErrCRC
 	// ErrDataTooLong is returned when frame data exceeds MaxDataBytes.
 	ErrDataTooLong = fmt.Errorf("%w: frame data exceeds capacity", ErrBadLength)
 	// ErrTruncated is returned when the phase stream (or bit string)

@@ -143,7 +143,7 @@ type huntCase struct {
 // equal ends draws nothing from rng.
 func transmitPhases(t testing.TB, l *Link, rng *rand.Rand, snrLo, snrHi float64, padLo, padHi int, frames ...*Frame) []float64 {
 	t.Helper()
-	p := l.Params()
+	p := l.Decoder().Params()
 	var phases []float64
 	for _, f := range frames {
 		sig, err := l.TransmitFrame(f)

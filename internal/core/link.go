@@ -13,7 +13,6 @@ import (
 // decoder. A channel model (package channel) is applied by the caller
 // between Transmit* and Receive*.
 type Link struct {
-	params  Params
 	mod     *zigbee.Modulator
 	fe      *wifi.FrontEnd
 	decoder *Decoder
@@ -41,11 +40,8 @@ func NewLink(p Params, compensation float64) (*Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Link{params: p, mod: mod, fe: fe, decoder: dec}, nil
+	return &Link{mod: mod, fe: fe, decoder: dec}, nil
 }
-
-// Params returns the link's parameter set.
-func (l *Link) Params() Params { return l.params }
 
 // Decoder returns the link's phase decoder.
 func (l *Link) Decoder() *Decoder { return l.decoder }
@@ -110,6 +106,8 @@ func (l *Link) TransmitFrame(f *Frame) ([]complex128, error) {
 // normal send path produces. The WiFi-side decoder needs no change: the
 // MAC header is just nine more non-codeword bytes for the preamble
 // capture to skip.
+//
+//symbee:ignore reach -- EXPERIMENTS.md extension 5 (MAC framing) and its tests send with it
 func (l *Link) TransmitFrameMAC(f *Frame, src uint16, macSeq byte) ([]complex128, error) {
 	payload, err := EncodeFrame(f)
 	if err != nil {

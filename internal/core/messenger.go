@@ -87,6 +87,8 @@ func (m *Messenger) FragmentSize(msg []byte, segSize int) ([]*Frame, error) {
 
 // Signals fragments msg and modulates every fragment into its ZigBee
 // baseband transmission.
+//
+//symbee:ignore reach -- README's Messenger example calls it, and its tests pin the fragments
 func (m *Messenger) Signals(msg []byte) ([][]complex128, error) {
 	frames, err := m.Fragment(msg)
 	if err != nil {

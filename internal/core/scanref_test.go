@@ -4,21 +4,21 @@ import "symbee/internal/dsp"
 
 // refScanner is the per-sample preamble scan the batched kernel
 // (huntbatch.go) is pinned to. It consumes one phase at a time through
-// a dsp.SlidingFolder over the last foldSpan phases and one ring of the
-// last StableLen fold sums (shared by the windowed mean and the sign
-// count), and re-anchors the window sum where the kernel re-derives its
-// state. It embeds the production scanner, so consider, finish, locked
-// and selectionSpanEnd are the production code.
+// a slidingFolder (fold_test.go) over the last foldSpan phases and one
+// ring of the last StableLen fold sums (shared by the windowed mean and
+// the sign count), and re-anchors the window sum where the kernel
+// re-derives its state. It embeds the production scanner, so consider,
+// finish, locked and selectionSpanEnd are the production code.
 type refScanner struct {
 	*preambleScanner
-	folder               *dsp.SlidingFolder
+	folder               *slidingFolder
 	sums                 []float64
 	sumPos, sumFill, neg int
 	sum                  float64
 }
 
 func newRefScanner(d *Decoder) *refScanner {
-	folder, err := dsp.NewSlidingFolder(d.p.BitPeriod, PreambleBits)
+	folder, err := newSlidingFolder(d.p.BitPeriod, PreambleBits)
 	if err != nil {
 		panic(err) // unreachable: NewDecoder validated BitPeriod > 0
 	}
@@ -31,7 +31,7 @@ func newRefScanner(d *Decoder) *refScanner {
 
 func (r *refScanner) reset(start int) {
 	r.preambleScanner.reset(start)
-	r.folder.Reset()
+	r.folder.reset()
 	r.sumPos, r.sumFill, r.neg, r.sum = 0, 0, 0, 0
 }
 
@@ -44,7 +44,7 @@ func (r *refScanner) push(phi float64) bool {
 		return true
 	}
 	s.i++
-	f, ok := r.folder.Push(phi)
+	f, ok := r.folder.push(phi)
 	if !ok {
 		return false
 	}

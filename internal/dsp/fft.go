@@ -83,21 +83,3 @@ func NextPow2(n int) int {
 	}
 	return 1 << bits.Len(uint(n-1))
 }
-
-// SpectrumPower returns the power spectrum |FFT(x)|²/N of x zero-padded
-// to the next power of two. Used by diagnostics and tests to confirm the
-// ZigBee baseband occupies ~2 MHz and that the (6,7)/(E,F) stable regions
-// concentrate at ±0.5 MHz.
-func SpectrumPower(x []complex128) []float64 {
-	n := NextPow2(len(x))
-	buf := make([]complex128, n)
-	copy(buf, x)
-	FFT(buf)
-	out := make([]float64, n)
-	inv := 1 / float64(n)
-	for i, v := range buf {
-		re, im := real(v), imag(v)
-		out[i] = (re*re + im*im) * inv
-	}
-	return out
-}

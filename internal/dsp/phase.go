@@ -96,15 +96,6 @@ func CompensatePhases(phases []float64, offset float64) []float64 {
 	return phases
 }
 
-// QuantizePhase snaps phi to the nearest multiple of step and reports the
-// integer multiple. Appendix A shows a noiseless cross-observed ZigBee
-// signal only produces phases i·π/10 for i in [-8, 8]; tests use this to
-// verify the 17-value phase alphabet.
-func QuantizePhase(phi, step float64) (snapped float64, multiple int) {
-	m := math.Round(phi / step)
-	return m * step, int(m)
-}
-
 // PhaseDistance returns the absolute angular distance between two phases,
 // accounting for wrap-around; the result is in [0, π].
 func PhaseDistance(a, b float64) float64 {

@@ -97,17 +97,6 @@ func TestCompensatePhases(t *testing.T) {
 	}
 }
 
-func TestQuantizePhase(t *testing.T) {
-	step := math.Pi / 10
-	snapped, m := QuantizePhase(4*math.Pi/5+0.01, step)
-	if m != 8 {
-		t.Errorf("multiple = %d, want 8", m)
-	}
-	if math.Abs(snapped-4*math.Pi/5) > 1e-12 {
-		t.Errorf("snapped = %v, want 4π/5", snapped)
-	}
-}
-
 func TestLongestStableRun(t *testing.T) {
 	phases := []float64{0, 0, 1.0, 1.01, 1.02, 0.99, 1.0, 2.5, 2.5}
 	start, length := LongestStableRun(phases, 0.05)

@@ -43,31 +43,6 @@ func TestMediumLinkEquivalence(t *testing.T) {
 	}
 }
 
-// TestMediumLinkEquivalenceOddChunk re-pins equivalence at an awkward
-// chunk size (the render window and receive chunk are the same knob in
-// the engine; neither may shift the outcome).
-func TestMediumLinkEquivalenceOddChunk(t *testing.T) {
-	cfg := medium.Defaults()
-	cfg.Senders = 4
-	cfg.FramesPerSender = 3
-	cfg.Seed = 17
-	cfg.MeanGapAirtimes = 1
-	cfg.CFOJitterHz, cfg.GainSpreadDB = 15e3, 2
-	cfg.ChunkSamples = 1009 // prime, never aligned with airtime
-	want, err := referenceMultiSender(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := runComparable(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("odd chunk: engine report differs from dense reference:\nengine:    %+v\nreference: %+v",
-			got, want)
-	}
-}
-
 // testMediumCaptureEquivalence compares the capture the engine renders
 // chunk by chunk with the dense reference's superposed capture, bit
 // pattern by bit pattern: a sign-flipped zero would change the phase
@@ -75,58 +50,53 @@ func TestMediumLinkEquivalenceOddChunk(t *testing.T) {
 // engine renders each transmission's stretch of every chunk on demand,
 // carrying the CFO rotator across chunks; a stretch rendered from the
 // wrong source samples, or a rotator carried wrongly, shows up here even
-// when it does not change a decode. A 64-sample chunk puts
-// transmission starts and rotator reseeds mid-chunk, many chunks into
-// a frame; 2e5 ppm makes a chunk's source stretch longer than the chunk
-// (clock ratios up to 1.2) and gives fast-clock frames a resampler
-// zero tail of thousands of samples. Every capture is rendered at
-// GOMAXPROCS 1, 2, 3 and 7: the engine splits each render window into
-// one part per core, and a part that starts inside a frame pre-steps
-// its rotator, so a part boundary placed anywhere must leave every bit
-// unchanged.
+// when it does not change a decode. 2e5 ppm makes a chunk's source
+// stretch longer than the chunk (clock ratios up to 1.2) and gives
+// fast-clock frames a resampler zero tail of thousands of samples.
+// Every capture is rendered at GOMAXPROCS 1, 2, 3 and 7: the engine
+// splits each render window into one part per core, and a part that
+// starts inside a frame pre-steps its rotator, so a part boundary
+// placed anywhere must leave every bit unchanged.
 func testMediumCaptureEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, n := range []int{1, 8} {
 		for _, sfo := range []float64{0, 10, 40, 2e5} {
-			for _, chunk := range []int{4096, 1009, 64} {
-				cfg := medium.Defaults()
-				cfg.Senders = n
-				cfg.FramesPerSender = 4
-				cfg.Seed = 3
-				cfg.MeanGapAirtimes = 1.5
-				cfg.CFOJitterHz, cfg.SFOppm, cfg.GainSpreadDB = 20e3, sfo, 3
-				cfg.ChunkSamples = chunk
-				phy, err := core.NewLink(cfg.Params, 0)
+			cfg := medium.Defaults()
+			cfg.Senders = n
+			cfg.FramesPerSender = 4
+			cfg.Seed = 3
+			cfg.MeanGapAirtimes = 1.5
+			cfg.CFOJitterHz, cfg.SFOppm, cfg.GainSpreadDB = 20e3, sfo, 3
+			phy, err := core.NewLink(cfg.Params, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			txs, err := refBuildSchedules(cfg, phy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refSuperpose(cfg, cfg.Params, txs)
+			rec := recordingSink{capture: make([]complex128, 0, len(want))}
+			for _, procs := range []int{1, 2, 3, 7} {
+				runtime.GOMAXPROCS(procs)
+				eng, err := medium.NewEngine(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				txs, err := refBuildSchedules(cfg, phy)
-				if err != nil {
+				rec.capture = rec.capture[:0]
+				if _, err := eng.Run(&rec); err != nil {
 					t.Fatal(err)
 				}
-				want := refSuperpose(cfg, cfg.Params, txs)
-				rec := recordingSink{capture: make([]complex128, 0, len(want))}
-				for _, procs := range []int{1, 2, 3, 7} {
-					runtime.GOMAXPROCS(procs)
-					eng, err := medium.NewEngine(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rec.capture = rec.capture[:0]
-					if _, err := eng.Run(&rec); err != nil {
-						t.Fatal(err)
-					}
-					if len(rec.capture) != len(want) {
-						t.Fatalf("N=%d sfo=%v chunk=%d procs=%d: capture has %d samples, reference %d",
-							n, sfo, chunk, procs, len(rec.capture), len(want))
-					}
-					for i, v := range rec.capture {
-						w := want[i]
-						if math.Float64bits(real(v)) != math.Float64bits(real(w)) ||
-							math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
-							t.Fatalf("N=%d sfo=%v chunk=%d procs=%d: sample %d = %v, reference %v",
-								n, sfo, chunk, procs, i, v, w)
-						}
+				if len(rec.capture) != len(want) {
+					t.Fatalf("N=%d sfo=%v procs=%d: capture has %d samples, reference %d",
+						n, sfo, procs, len(rec.capture), len(want))
+				}
+				for i, v := range rec.capture {
+					w := want[i]
+					if math.Float64bits(real(v)) != math.Float64bits(real(w)) ||
+						math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
+						t.Fatalf("N=%d sfo=%v procs=%d: sample %d = %v, reference %v",
+							n, sfo, procs, i, v, w)
 					}
 				}
 			}
@@ -207,8 +177,6 @@ func TestRunMediumRejectsInvalidConfig(t *testing.T) {
 		{"nan cfo", func(c *medium.Config) { c.CFOJitterHz = math.NaN() }},
 		{"inf gap", func(c *medium.Config) { c.MeanGapAirtimes = math.Inf(1) }},
 		{"nan snr", func(c *medium.Config) { c.SNRdB = math.NaN() }},
-		// Run would allocate its render window from this.
-		{"chunk 2^62", func(c *medium.Config) { c.ChunkSamples = 1 << 62 }},
 	} {
 		cfg := medium.Defaults()
 		cfg.Senders, cfg.FramesPerSender, cfg.Seed = 4, 1, 1

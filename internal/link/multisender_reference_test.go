@@ -53,7 +53,7 @@ func referenceMultiSender(cfg medium.Config) (*medium.Report, error) {
 	}
 	refMarkCollisions(txs)
 	capture := refSuperpose(cfg, p, txs)
-	if err := refReceiveAll(cfg, p, capture, txs); err != nil {
+	if err := refReceiveAll(p, capture, txs); err != nil {
 		return nil, err
 	}
 	return refReport(cfg, p, capture, txs), nil
@@ -98,7 +98,7 @@ func refBuildSchedules(cfg medium.Config, phy *core.Link) ([]*refTransmission, e
 				sig = channel.ApplySFO(sig, sfo)
 			}
 			if cfo != 0 {
-				channel.ApplyCFO(sig, cfo, phy.Params().SampleRate)
+				channel.ApplyCFO(sig, cfo, phy.Decoder().Params().SampleRate)
 			}
 			airtime := len(sig)
 			gap := int(rng.ExpFloat64() * cfg.MeanGapAirtimes * float64(airtime))
@@ -165,9 +165,13 @@ func refSuperpose(cfg medium.Config, p core.Params, txs []*refTransmission) []co
 	return capture
 }
 
+// refChunkSamples is the chunk size refReceiveAll pushes, the one the
+// engine hands its sink.
+const refChunkSamples = 4096
+
 // refReceiveAll runs the capture through one streaming Stack in
 // chunks and matches decoded frames back to their transmissions.
-func refReceiveAll(cfg medium.Config, p core.Params, capture []complex128, txs []*refTransmission) error {
+func refReceiveAll(p core.Params, capture []complex128, txs []*refTransmission) error {
 	dec, err := core.NewDecoder(p, wifi.CanonicalCompensation)
 	if err != nil {
 		return err
@@ -191,8 +195,8 @@ func refReceiveAll(cfg medium.Config, p core.Params, capture []complex128, txs [
 			}
 		}
 	}
-	for off := 0; off < len(capture); off += cfg.ChunkSamples {
-		end := off + cfg.ChunkSamples
+	for off := 0; off < len(capture); off += refChunkSamples {
+		end := off + refChunkSamples
 		if end > len(capture) {
 			end = len(capture)
 		}

@@ -173,4 +173,6 @@ func (s *Stack) Drain() []Event {
 }
 
 // Buffered returns the machine's retained history length in phases.
+//
+//symbee:ignore reach -- public as symbee.Receiver; FuzzReceiverPushIQ and stream's equivalence test pin the bounded history with it
 func (s *Stack) Buffered() int { return s.machine.Buffered() }

@@ -52,25 +52,24 @@ type Config struct {
 	// Byte 0 carries the low identity byte, byte 1 the sequence number,
 	// byte 2 (when present) the high identity byte.
 	DataBytes int
-	// ChunkSamples is the receive chunk size in samples (1..2^27): the
-	// granularity at which the sink sees the capture. Run renders a
-	// window of whole chunks at a time, about 2^16 samples and at least
-	// one chunk, so it also bounds the renderer's memory.
-	ChunkSamples int
 }
 
+// chunkSamples is the receive chunk size in samples: the granularity at
+// which the sink sees the capture, and the stretch the renderer mixes
+// each transmission into at a time.
+const chunkSamples = 4096
+
 // Defaults returns the baseline scenario configuration: 20 Msps
-// receiver, 20 dB SNR, mean gap of 4 airtimes, 4 payload bytes, 4096
-// sample chunks. Senders, FramesPerSender and Seed are left zero; the
-// caller must set the first two (Validate rejects them unset, on
-// purpose — there is no implicit population size).
+// receiver, 20 dB SNR, mean gap of 4 airtimes, 4 payload bytes.
+// Senders, FramesPerSender and Seed are left zero; the caller must set
+// the first two (Validate rejects them unset, on purpose — there is no
+// implicit population size).
 func Defaults() Config {
 	return Config{
 		Params:          core.Params20(),
 		SNRdB:           20,
 		MeanGapAirtimes: 4,
 		DataBytes:       4,
-		ChunkSamples:    4096,
 	}
 }
 
@@ -85,14 +84,7 @@ var (
 	errJitter    = errors.New("medium: negative impairment spread")
 	errSFORange  = errors.New("medium: SFOppm must be below 1e6 (a sender's clock would stop or run backwards)")
 	errNonFinite = errors.New("medium: non-finite scenario parameter")
-	errChunk     = errors.New("medium: ChunkSamples out of range")
 )
-
-// maxChunkSamples bounds ChunkSamples at 2^27 samples, the bound
-// ctc.MediumConfig puts on a run: Run allocates its render window and
-// source scratch from it, and without a bound a huge value made that
-// allocation panic.
-const maxChunkSamples = 1 << 27
 
 // maxSFOppm bounds SFOppm: a sender draws its offset in ±SFOppm, and
 // channel.ApplySFO needs every offset above −1e6 ppm.
@@ -137,8 +129,6 @@ func (c Config) Validate() error {
 			c.CFOJitterHz, c.SFOppm, c.GainSpreadDB)
 	case c.SFOppm >= maxSFOppm:
 		return fmt.Errorf("%w: %v", errSFORange, c.SFOppm)
-	case c.ChunkSamples <= 0 || c.ChunkSamples > maxChunkSamples:
-		return fmt.Errorf("%w: %d, want 1..%d", errChunk, c.ChunkSamples, maxChunkSamples)
 	}
 	return nil
 }

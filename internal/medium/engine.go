@@ -70,7 +70,7 @@ type Report struct {
 	// DeliveryRate is Delivered over total transmissions.
 	DeliveryRate float64 `json:"delivery_rate"`
 	// PeakOverlap is the most transmissions whose airtime overlaps one
-	// ChunkSamples chunk of the capture: a function of overlap width,
+	// 4,096-sample chunk of the capture: a function of overlap width,
 	// independent of FramesPerSender and capture length. It bounds the
 	// renderer's per-transmission state; the renderer holds no
 	// waveform, it renders each stretch of an active transmission on
@@ -187,6 +187,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // Airtime returns the constant per-frame airtime in samples.
+//
+//symbee:ignore reach -- bench/gen_test.go compares crowd frame airtimes across seeds with it
 func (e *Engine) Airtime() int { return e.airtime }
 
 // Run synthesizes the scenario into sink chunk-by-chunk and returns
@@ -202,7 +204,7 @@ func (e *Engine) Run(sink Sink) (*Report, error) {
 		return nil, errRan
 	}
 	e.ran = true
-	r := newRenderer(e.mod, e.cfg.ChunkSamples, e.cfg.SFOppm)
+	r := newRenderer(e.mod, e.cfg.SFOppm)
 	defer r.stop()
 	win := len(r.window)
 	cur := 0
@@ -250,8 +252,8 @@ func (e *Engine) Run(sink Sink) (*Report, error) {
 //
 //symbee:hotpath
 func (e *Engine) push(sink Sink, win []complex128, cur int) error {
-	for lo := 0; lo < len(win); lo += e.cfg.ChunkSamples {
-		buf := win[lo:min(lo+e.cfg.ChunkSamples, len(win))]
+	for lo := 0; lo < len(win); lo += chunkSamples {
+		buf := win[lo:min(lo+chunkSamples, len(win))]
 		channel.AddAWGN(buf, 1, e.noise)
 		from := cur + lo
 		e.pushed = from + len(buf)

@@ -65,8 +65,6 @@ func TestConfigValidation(t *testing.T) {
 		{"too much data", func(c *Config) { c.DataBytes = 99 }, errDataBytes},
 		{"negative gap", func(c *Config) { c.MeanGapAirtimes = -1 }, errGap},
 		{"negative cfo", func(c *Config) { c.CFOJitterHz = -1 }, errJitter},
-		{"no chunk", func(c *Config) { c.ChunkSamples = 0 }, errChunk},
-		{"chunk over 2^27", func(c *Config) { c.ChunkSamples = 1<<27 + 1 }, errChunk},
 		// A sender draws its SFO in ±SFOppm: at 1e6 ppm or more its
 		// resample ratio can reach zero or below.
 		{"sfo 1e6", func(c *Config) { c.SFOppm = 1e6 }, errSFORange},
@@ -98,9 +96,8 @@ func TestConfigValidation(t *testing.T) {
 	good.SNRdB = 0           // a genuine 0 dB scenario
 	good.MeanGapAirtimes = 0 // back-to-back transmission
 	good.SFOppm = 999999     // every drawn clock still runs forwards
-	good.ChunkSamples = 1 << 27
 	if err := good.Validate(); err != nil {
-		t.Errorf("0 dB / zero-gap / large-SFO / 2^27-chunk config rejected: %v", err)
+		t.Errorf("0 dB / zero-gap / large-SFO config rejected: %v", err)
 	}
 }
 
@@ -150,8 +147,8 @@ func TestZeroGapZeroSNR(t *testing.T) {
 	if sink.samples != rep.TotalSamples {
 		t.Errorf("sink saw %d samples, report says %d", sink.samples, rep.TotalSamples)
 	}
-	if sink.maxLen > cfg.ChunkSamples {
-		t.Errorf("chunk of %d samples exceeds configured %d", sink.maxLen, cfg.ChunkSamples)
+	if sink.maxLen > chunkSamples {
+		t.Errorf("chunk of %d samples exceeds %d", sink.maxLen, chunkSamples)
 	}
 }
 

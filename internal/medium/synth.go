@@ -13,11 +13,9 @@ import (
 // absolute phase, which bounds its drift.
 const rotReseed = 4096
 
-// windowSamples is the render window Run aims for: a window is the
-// largest whole number of chunks that fits in it, and at least one.
-// Near 2^16 samples a window splits into parts several reseed periods
-// long, so a part's rotator pre-step (rotatorAt) stays a few percent
-// of its work.
+// windowSamples is the render window: 16 chunks. A window of 2^16
+// samples splits into parts several reseed periods long, so a part's
+// rotator pre-step (rotatorAt) stays a few percent of its work.
 const windowSamples = 1 << 16
 
 // minPartSamples is the shortest part a window is split into: one
@@ -32,11 +30,7 @@ const minPartSamples = rotReseed
 // additions in the same order whatever the part count. Part 0 renders
 // on Run's goroutine, the others on workers that live for one Run.
 type renderer struct {
-	mod *zigbee.Modulator
-	// step is the most samples a part renders at a time: one chunk,
-	// but at most windowSamples, so a huge ChunkSamples does not
-	// multiply its source scratch by the part count.
-	step   int
+	mod    *zigbee.Modulator
 	window []complex128
 	parts  []part
 
@@ -54,10 +48,10 @@ type renderer struct {
 // state rendering it needs of its own.
 type part struct {
 	lo, hi int
-	// src is the part's source scratch (mixTx): a stretch of n ≤ step
-	// output samples reads at most (n−1)·ratio + 3 source samples, and
-	// no sender's clock ratio exceeds 1 + SFOppm·1e-6. The +4 leaves
-	// one sample for the rounding of the float positions.
+	// src is the part's source scratch (mixTx): a stretch of n ≤
+	// chunkSamples output samples reads at most (n−1)·ratio + 3 source
+	// samples, and no sender's clock ratio exceeds 1 + SFOppm·1e-6. The
+	// +4 leaves one sample for the rounding of the float positions.
 	src []complex128
 	// rot holds each active transmission's rotator phasor for the next
 	// sample this part renders, in the order of renderer.active.
@@ -67,18 +61,16 @@ type part struct {
 // newRenderer allocates the window and one part per core the window
 // has room for, and starts a worker for every part past the first.
 // The caller must stop it.
-func newRenderer(mod *zigbee.Modulator, chunk int, sfoPPM float64) *renderer {
-	w := max(1, windowSamples/chunk) * chunk
+func newRenderer(mod *zigbee.Modulator, sfoPPM float64) *renderer {
 	r := &renderer{
 		mod:    mod,
-		step:   min(chunk, windowSamples),
-		window: make([]complex128, w),
-		parts:  make([]part, max(1, min(runtime.GOMAXPROCS(0), w/minPartSamples))),
+		window: make([]complex128, windowSamples),
+		parts:  make([]part, min(runtime.GOMAXPROCS(0), windowSamples/minPartSamples)),
 		work:   make(chan *part),
 		done:   make(chan struct{}),
 	}
 	for i := range r.parts {
-		r.parts[i].src = make([]complex128, int(float64(r.step)*(1+sfoPPM*1e-6))+4)
+		r.parts[i].src = make([]complex128, int(float64(chunkSamples)*(1+sfoPPM*1e-6))+4)
 	}
 	for range len(r.parts) - 1 {
 		r.wg.Add(1)
@@ -139,9 +131,9 @@ func (r *renderer) render(n int, active []*activeTx, cur int) []complex128 {
 	return win
 }
 
-// renderPart renders p's stretch of the window chunk by chunk (step
-// samples at a time): zero the chunk, then mix every active
-// transmission's overlap in admission (schedule) order. That is exactly
+// renderPart renders p's stretch of the window chunk by chunk: zero the
+// chunk, then mix every active transmission's overlap in admission
+// (schedule) order. That is exactly
 // the per-sample addition order of the dense reference (which
 // superposes whole waveforms in sorted order and AWGNs the finished
 // capture; Run adds the noise last), so the lazily-rendered capture is
@@ -158,8 +150,8 @@ func (r *renderer) renderPart(p *part) {
 		}
 		p.rot = append(p.rot, rot)
 	}
-	for lo := p.lo; lo < p.hi; lo += r.step {
-		dst := r.window[lo:min(lo+r.step, p.hi)]
+	for lo := p.lo; lo < p.hi; lo += chunkSamples {
+		dst := r.window[lo:min(lo+chunkSamples, p.hi)]
 		clear(dst)
 		for i, a := range r.active {
 			p.rot[i] = mixTx(dst, p.src, a, r.cur+lo, r.mod, p.rot[i])

@@ -16,14 +16,15 @@ import (
 type SimConfig struct {
 	// Params is the receiver parameter set.
 	Params core.Params
-	// Faults is the channel fault profile (see ProfileSoak/ProfileHarsh
+	// Faults is the channel fault profile (see ProfileSoak/ProfileBidir
 	// for ready-made ones; the zero value is a clean channel).
 	Faults channel.FaultConfig
 	// Downlink selects the reverse-channel model carrying acks back.
 	Downlink DownlinkScheme
 	// AckRepeat transmits each committed ack this many times (≥ 1).
 	AckRepeat int
-	// Metrics optionally shares a registry; nil allocates a private one.
+	// Metrics optionally shares a registry; nil leaves the link
+	// uninstrumented.
 	Metrics *link.Metrics
 }
 
@@ -93,9 +94,6 @@ func NewSimLink(cfg SimConfig) (*SimLink, error) {
 		return nil, fmt.Errorf("reliable: %w", err)
 	}
 	m := cfg.Metrics
-	if m == nil {
-		m = link.NewMetrics()
-	}
 	inj, err := channel.NewFaultInjector(cfg.Faults)
 	if err != nil {
 		return nil, fmt.Errorf("reliable: %w", err)
@@ -111,7 +109,9 @@ func NewSimLink(cfg SimConfig) (*SimLink, error) {
 	// ack loss or collisions never shifts the forward fault schedule.
 	dropCopy := func() bool {
 		if l.inj.DropAck() {
-			l.metrics.AcksLost.Add(1)
+			if l.metrics != nil {
+				l.metrics.AcksLost.Add(1)
+			}
 			return true
 		}
 		return false
@@ -135,13 +135,12 @@ func NewSimLink(cfg SimConfig) (*SimLink, error) {
 	return l, nil
 }
 
-// Metrics returns the link's registry.
-func (l *SimLink) Metrics() *link.Metrics { return l.metrics }
-
 // Messages drains the fully reassembled messages delivered so far.
 func (l *SimLink) Messages() [][]byte { return l.arq.Messages() }
 
 // FaultStats reports the injector's lost/jammed/drifted frame counts.
+//
+//symbee:ignore reach -- bench/equiv_test.go and the harsh-profile soak test read the fault counts with it
 func (l *SimLink) FaultStats() (lost, jammed, drifted int) { return l.inj.Stats() }
 
 // Duplex returns the duplex pipeline the link runs over (for ledger
@@ -187,7 +186,7 @@ func (l *SimLink) Send(now time.Duration, f *core.Frame, coded bool) (time.Durat
 	}
 	end := now + airtime
 	if l.duplex.ForwardCollides(now, end) {
-		l.metrics.FramesLost.Add(1)
+		l.lose()
 		return airtime, nil
 	}
 	wave, err := l.modulate(payload)
@@ -196,17 +195,25 @@ func (l *SimLink) Send(now time.Duration, f *core.Frame, coded bool) (time.Durat
 	}
 	capture, ok := l.inj.Apply(wave)
 	if !ok {
-		l.metrics.FramesLost.Add(1)
+		l.lose()
 		return airtime, nil
 	}
 	frame := l.receive(capture)
 	if frame == nil {
-		l.metrics.FramesLost.Add(1)
+		l.lose()
 		return airtime, nil
 	}
 	next, _ := l.arq.Deliver(frame)
 	l.duplex.Down().Generate(end, next, false)
 	return airtime, nil
+}
+
+// lose counts a forward frame the receiver never got, when the link is
+// instrumented.
+func (l *SimLink) lose() {
+	if l.metrics != nil {
+		l.metrics.FramesLost.Add(1)
+	}
 }
 
 // modulate renders payload's waveform, bit for bit
@@ -320,19 +327,4 @@ func ProfileBidir(seed int64) channel.FaultConfig {
 	cfg := ProfileSoak(seed)
 	cfg.AckLoss = 0.10
 	return cfg
-}
-
-// ProfileHarsh piles CFO drift ramps and heavier loss on top of the
-// soak profile — the regime that forces escalation.
-func ProfileHarsh(seed int64) channel.FaultConfig {
-	return channel.FaultConfig{
-		Seed:       seed,
-		FrameLoss:  0.15,
-		BurstEvery: 48,
-		BurstLen:   8,
-		BurstSNRdB: -20,
-		DriftEvery: 16,
-		DriftRate:  4e-7,
-		AckLoss:    0.10,
-	}
 }

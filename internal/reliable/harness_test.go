@@ -118,7 +118,7 @@ func TestSimLinkSendHeap(t *testing.T) {
 func TestSimLinkHeldBuffersMatchAllocatingPath(t *testing.T) {
 	const seed, frames = 3, 200
 	cfg := DefaultSimConfig()
-	cfg.Faults = ProfileHarsh(seed)
+	cfg.Faults = profileHarsh(seed)
 	cfg.Downlink = DownlinkIdeal
 	l, err := NewSimLink(cfg)
 	if err != nil {

@@ -358,6 +358,21 @@ func TestARQOverheadCleanChannel(t *testing.T) {
 	}
 }
 
+// profileHarsh piles CFO drift ramps and heavier loss on top of the
+// soak profile — the regime that forces escalation.
+func profileHarsh(seed int64) channel.FaultConfig {
+	return channel.FaultConfig{
+		Seed:       seed,
+		FrameLoss:  0.15,
+		BurstEvery: 48,
+		BurstLen:   8,
+		BurstSNRdB: -20,
+		DriftEvery: 16,
+		DriftRate:  4e-7,
+		AckLoss:    0.10,
+	}
+}
+
 // Under the harsh profile (drift ramps, heavier loss) the transfer must
 // still complete; this is the path that exercises escalation against
 // the real coded decoder.
@@ -367,7 +382,7 @@ func TestARQHarshProfile(t *testing.T) {
 	}
 	m := link.NewMetrics()
 	cfg := DefaultSimConfig()
-	cfg.Faults = ProfileHarsh(3)
+	cfg.Faults = profileHarsh(3)
 	cfg.Metrics = m
 	sl, err := NewSimLink(cfg)
 	if err != nil {

@@ -2,6 +2,8 @@
 // is imported only from _test.go files.
 package testutil
 
+//symbee:ignore-file reach -- only _test.go files import testutil, so no production file reaches this one
+
 import (
 	"runtime"
 	"sort"

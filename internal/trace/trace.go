@@ -126,6 +126,11 @@ func Read(r io.Reader) (*Trace, error) {
 	if ver != version {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
+	// Every consumer derives sample counts from the rate, and each
+	// comparison it makes is false for NaN.
+	if math.IsNaN(rate) || math.IsInf(rate, 0) || rate <= 0 {
+		return nil, fmt.Errorf("trace: sample rate %v must be finite and positive", rate)
+	}
 	t := &Trace{Kind: Kind(kind), SampleRate: rate}
 	const maxSamples = 1 << 30 // 1 Gi entries: refuse absurd headers
 	if n > maxSamples {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -151,6 +152,18 @@ func TestReadErrors(t *testing.T) {
 			t.Errorf("err = %v", err)
 		}
 	})
+	for _, rate := range []float64{math.NaN(), math.Inf(1), 0, -20e6} {
+		t.Run(fmt.Sprintf("rate %v", rate), func(t *testing.T) {
+			tr := &Trace{Kind: KindIQ, SampleRate: rate, IQ: make([]complex128, 4)}
+			var buf bytes.Buffer
+			if err := tr.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "sample rate") {
+				t.Errorf("Read = %+v, %v; want a sample-rate error", got, err)
+			}
+		})
+	}
 	t.Run("missing file", func(t *testing.T) {
 		if _, err := Load(filepath.Join(t.TempDir(), "missing.sbtr")); err == nil {
 			t.Error("expected error for missing file")

@@ -7,7 +7,7 @@ import (
 // BenchmarkVetRun is the self-bench the nightly workflow tracks: one
 // whole-module load up front (amortized — the load dominates wall time
 // and the JSON report splits it out as load_ms), then b.N runs of the
-// full 8-analyzer suite over every unit. The parallel fan-out in Run
+// full 9-analyzer suite over every unit. The parallel fan-out in Run
 // makes this scale with GOMAXPROCS; regressions here mean an analyzer
 // grew a super-linear walk.
 func BenchmarkVetRun(b *testing.B) {

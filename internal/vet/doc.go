@@ -1,7 +1,8 @@
 // Package vet is the project's static-analysis framework: a pure-stdlib
 // (go/parser + go/types + go/importer) loader and diagnostic model
-// behind cmd/symbeevet, plus the four project-specific analyzers that
-// machine-enforce invariants earlier PRs established by convention:
+// behind cmd/symbeevet, plus the nine project-specific analyzers that
+// machine-enforce invariants earlier PRs established by convention
+// (DESIGN.md §9). The first four:
 //
 //   - hotpath-alloc: functions annotated //symbee:hotpath — and
 //     everything they statically call within the module — must not
@@ -18,8 +19,11 @@
 //     err.Error() string comparisons, sentinel errors consumed only via
 //     errors.Is/errors.As (§9.3).
 //   - floatcmp: no ==/!= between floating-point operands (exact-zero
-//     tests, self-comparisons and constant folds excepted) — use
-//     dsp.ApproxEqual or an explicit tolerance (§9.4).
+//     tests, self-comparisons and constant folds excepted) — use an
+//     explicit tolerance (§9.4).
+//
+// The others are layering, rngstream, confvalid, concurrency and reach
+// (§9.5–§9.9).
 //
 // Suppression: a diagnostic is silenced by a //symbee:ignore <rules>
 // comment on the flagged line or the line directly above it, or a

@@ -33,7 +33,7 @@ func AnalyzerFloatcmp() *Analyzer {
 	}
 }
 
-const floatFix = "use dsp.ApproxEqual(a, b, tol) or an explicit |a-b| <= tol with a documented tolerance"
+const floatFix = "use an explicit |a-b| <= tol with a documented tolerance"
 
 func runFloatcmp(prog *Program, u *Unit) []Diagnostic {
 	var out []Diagnostic

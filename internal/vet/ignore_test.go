@@ -11,9 +11,9 @@ import (
 // not, a comment two lines up is out of range, and ignore-file (with
 // the "all" wildcard) silences the whole file.
 func TestIgnoreSemantics(t *testing.T) {
-	prog, err := LoadDir(filepath.Join("testdata", "ignore"), "fixture/ignore")
+	prog, err := loadDir(filepath.Join("testdata", "ignore"), "fixture/ignore")
 	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
+		t.Fatalf("loadDir: %v", err)
 	}
 	diags := Run(prog, []*Analyzer{AnalyzerDeterminism()})
 
@@ -86,9 +86,9 @@ func fixtureFuncLines(t *testing.T, prog *Program, file string) map[string][2]in
 // comma-separated rule list silences several rules firing on the same
 // line, while the unsuppressed control keeps both diagnostics.
 func TestIgnoreMultiRule(t *testing.T) {
-	prog, err := LoadDir(filepath.Join("testdata", "ignoremulti"), "fixture/ignoremulti")
+	prog, err := loadDir(filepath.Join("testdata", "ignoremulti"), "fixture/ignoremulti")
 	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
+		t.Fatalf("loadDir: %v", err)
 	}
 	diags := Run(prog, []*Analyzer{AnalyzerRngstream(), AnalyzerConcurrency()})
 

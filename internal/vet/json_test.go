@@ -11,9 +11,9 @@ import (
 // TestReportShape pins the JSON schema CI consumes: field names, the
 // count/diagnostics duplication, and []-not-null for clean runs.
 func TestReportShape(t *testing.T) {
-	prog, err := LoadDir(filepath.Join("testdata", "floatcmp"), "fixture/floatcmp")
+	prog, err := loadDir(filepath.Join("testdata", "floatcmp"), "fixture/floatcmp")
 	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
+		t.Fatalf("loadDir: %v", err)
 	}
 	analyzers := []*Analyzer{AnalyzerFloatcmp()}
 	diags := Run(prog, analyzers)
@@ -68,9 +68,9 @@ func TestReportShape(t *testing.T) {
 // TestReportEmptyDiagnostics pins that a clean run serializes
 // diagnostics as [] rather than null.
 func TestReportEmptyDiagnostics(t *testing.T) {
-	prog, err := LoadDir(filepath.Join("testdata", "floatcmp"), "fixture/floatcmp")
+	prog, err := loadDir(filepath.Join("testdata", "floatcmp"), "fixture/floatcmp")
 	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
+		t.Fatalf("loadDir: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := NewReport([]string{"./..."}, Analyzers(), prog, nil, 0, 0).WriteJSON(&buf); err != nil {

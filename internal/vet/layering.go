@@ -34,10 +34,10 @@ coding:
 dsp:
 mac:
 splitmix:
-testutil:
 trace:
 vet:
 zigbee:
+testutil: dsp
 wifi: dsp
 ctc: splitmix
 channel: dsp splitmix wifi

@@ -39,6 +39,8 @@ type Program struct {
 
 	decls    map[*types.Func]*ast.FuncDecl
 	declUnit map[*types.Func]*Unit
+	// reach is nil unless the load covered every package of the module.
+	reach *reachIndex
 }
 
 // Decl returns the syntax of fn and the unit declaring it, when fn is
@@ -46,11 +48,6 @@ type Program struct {
 // methods, function values).
 func (p *Program) Decl(fn *types.Func) (*ast.FuncDecl, *Unit) {
 	return p.decls[fn], p.declUnit[fn]
-}
-
-// Position resolves a token position against the program's file set.
-func (p *Program) Position(pos token.Pos) token.Position {
-	return p.Fset.Position(pos)
 }
 
 // pkgSource is a parsed-but-not-yet-checked package directory.
@@ -135,17 +132,10 @@ func Load(dir string, patterns []string) (*Program, error) {
 	// Wildcard patterns never reach into testdata (discover skips those
 	// trees, mirroring the go tool), but an explicitly named directory
 	// should still load — that is how the golden fixtures are run from
-	// the command line.
+	// the command line. Such a load is not the module.
+	modPkgs := len(srcs)
 	if err := addExplicitDirs(fset, root, modPath, patterns, srcs); err != nil {
 		return nil, err
-	}
-	l := &loader{
-		fset:     fset,
-		srcs:     srcs,
-		units:    make(map[string]*Unit),
-		checking: make(map[string]bool),
-		gc:       importer.Default(),
-		source:   importer.ForCompiler(fset, "source", nil),
 	}
 	matched := make([]*pkgSource, 0, len(srcs))
 	for _, s := range srcs {
@@ -157,9 +147,26 @@ func Load(dir string, patterns []string) (*Program, error) {
 		return nil, fmt.Errorf("vet: no packages match %v", patterns)
 	}
 	sort.Slice(matched, func(i, j int) bool { return matched[i].path < matched[j].path })
+	return newLoader(fset, srcs).program(matched, len(matched) == modPkgs && len(srcs) == modPkgs)
+}
 
+func newLoader(fset *token.FileSet, srcs map[string]*pkgSource) *loader {
+	return &loader{
+		fset:     fset,
+		srcs:     srcs,
+		units:    make(map[string]*Unit),
+		checking: make(map[string]bool),
+		gc:       importer.Default(),
+		source:   importer.ForCompiler(fset, "source", nil),
+	}
+}
+
+// program type-checks the matched sources, in the order given, into
+// the Program's Units. whole marks a load of every package of the
+// module, the only kind on which the reach rule sees every importer.
+func (l *loader) program(matched []*pkgSource, whole bool) (*Program, error) {
 	prog := &Program{
-		Fset:     fset,
+		Fset:     l.fset,
 		ignores:  make(map[string]*fileIgnores),
 		decls:    make(map[*types.Func]*ast.FuncDecl),
 		declUnit: make(map[*types.Func]*Unit),
@@ -178,73 +185,8 @@ func Load(dir string, patterns []string) (*Program, error) {
 	for _, u := range l.units {
 		prog.indexUnit(u)
 	}
-	return prog, nil
-}
-
-// LoadDir type-checks a standalone directory tree (no module context)
-// under the given synthetic import path. It exists for the
-// golden-fixture tests, whose packages live under testdata and import
-// only the standard library — or each other: subdirectories holding Go
-// files become sibling packages at path+"/"+subdir, resolvable from
-// the root fixture's imports (the layering and rngstream fixtures model
-// multi-package programs this way).
-func LoadDir(dir, path string) (*Program, error) {
-	fset := token.NewFileSet()
-	srcs := make(map[string]*pkgSource)
-	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() || strings.HasPrefix(d.Name(), ".") {
-			return nil
-		}
-		files, err := parseDir(fset, p)
-		if err != nil || len(files) == 0 {
-			return err
-		}
-		rel, err := filepath.Rel(dir, p)
-		if err != nil {
-			return err
-		}
-		imp := path
-		if rel != "." {
-			imp = path + "/" + filepath.ToSlash(rel)
-		}
-		srcs[imp] = &pkgSource{path: imp, dir: p, files: files}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(srcs) == 0 {
-		return nil, fmt.Errorf("vet: no Go files in %s", dir)
-	}
-	l := &loader{
-		fset:     fset,
-		srcs:     srcs,
-		units:    make(map[string]*Unit),
-		checking: make(map[string]bool),
-		gc:       importer.Default(),
-		source:   importer.ForCompiler(fset, "source", nil),
-	}
-	paths := make([]string, 0, len(srcs))
-	for p := range srcs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	prog := &Program{
-		Fset:     fset,
-		ignores:  make(map[string]*fileIgnores),
-		decls:    make(map[*types.Func]*ast.FuncDecl),
-		declUnit: make(map[*types.Func]*Unit),
-	}
-	for _, p := range paths {
-		u, err := l.check(srcs[p])
-		if err != nil {
-			return nil, err
-		}
-		prog.Units = append(prog.Units, u)
-		prog.indexUnit(u)
+	if whole {
+		prog.reach = indexReach(l.units)
 	}
 	return prog, nil
 }

@@ -59,6 +59,7 @@ func Analyzers() []*Analyzer {
 		AnalyzerRngstream(),
 		AnalyzerConfvalid(),
 		AnalyzerConcurrency(),
+		AnalyzerReach(),
 	}
 }
 
@@ -203,13 +204,18 @@ func funcDisplayName(fn *types.Func) string {
 		pkg = fn.Pkg().Name() + "."
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
+		if named := namedOf(sig.Recv().Type()); named != nil {
 			return pkg + named.Obj().Name() + "." + fn.Name()
 		}
 	}
 	return pkg + fn.Name()
+}
+
+// namedOf returns the named type t is or points to, or nil.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
 }

@@ -2,11 +2,61 @@ package vet
 
 import (
 	"fmt"
+	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// loadDir type-checks a standalone directory tree (no module context)
+// under the given synthetic import path, for the golden-fixture tests,
+// whose packages live under testdata and import only the standard
+// library — or each other: subdirectories holding Go files become
+// sibling packages at path+"/"+subdir, resolvable from the root
+// fixture's imports (the layering, rngstream and reach fixtures model
+// multi-package programs this way). The tree is the whole program, so
+// the reach rule runs on it.
+func loadDir(dir, path string) (*Program, error) {
+	fset := token.NewFileSet()
+	srcs := make(map[string]*pkgSource)
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() || strings.HasPrefix(d.Name(), ".") {
+			return nil
+		}
+		files, err := parseDir(fset, p)
+		if err != nil || len(files) == 0 {
+			return err
+		}
+		rel, err := filepath.Rel(dir, p)
+		if err != nil {
+			return err
+		}
+		imp := path
+		if rel != "." {
+			imp = path + "/" + filepath.ToSlash(rel)
+		}
+		srcs[imp] = &pkgSource{path: imp, dir: p, files: files}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(srcs) == 0 {
+		return nil, fmt.Errorf("vet: no Go files in %s", dir)
+	}
+	all := make([]*pkgSource, 0, len(srcs))
+	for _, s := range srcs {
+		all = append(all, s)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].path < all[j].path })
+	return newLoader(fset, srcs).program(all, true)
+}
 
 // golden runs one analyzer over a testdata fixture package and checks
 // its diagnostics against the fixture's `// want "regexp"` comments:
@@ -15,9 +65,9 @@ import (
 func golden(t *testing.T, fixture string, az *Analyzer) {
 	t.Helper()
 	dir := filepath.Join("testdata", fixture)
-	prog, err := LoadDir(dir, "fixture/"+fixture)
+	prog, err := loadDir(dir, "fixture/"+fixture)
 	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", dir, err)
+		t.Fatalf("loadDir(%s): %v", dir, err)
 	}
 	diags := Run(prog, []*Analyzer{az})
 
@@ -92,6 +142,7 @@ func TestGoldenFloatcmp(t *testing.T)     { golden(t, "floatcmp", AnalyzerFloatc
 func TestGoldenRngstream(t *testing.T)    { golden(t, "rngstream", AnalyzerRngstream()) }
 func TestGoldenConfvalid(t *testing.T)    { golden(t, "confvalid", AnalyzerConfvalid()) }
 func TestGoldenConcurrency(t *testing.T)  { golden(t, "concurrency", AnalyzerConcurrency()) }
+func TestGoldenReach(t *testing.T)        { golden(t, "reach", AnalyzerReach()) }
 
 // fixtureLayerManifest mirrors the shape of repoLayerManifest over the
 // layering fixture's subpackages: a and f are leaves, b/c/e each may
@@ -113,11 +164,11 @@ func TestGoldenLayering(t *testing.T) {
 func TestFixturesHaveCoverage(t *testing.T) {
 	for _, fixture := range []string{
 		"hotpath", "determinism", "errwrap", "floatcmp",
-		"layering", "rngstream", "confvalid", "concurrency",
+		"layering", "rngstream", "confvalid", "concurrency", "reach",
 	} {
-		prog, err := LoadDir(filepath.Join("testdata", fixture), "fixture/"+fixture)
+		prog, err := loadDir(filepath.Join("testdata", fixture), "fixture/"+fixture)
 		if err != nil {
-			t.Fatalf("LoadDir(%s): %v", fixture, err)
+			t.Fatalf("loadDir(%s): %v", fixture, err)
 		}
 		positives, negatives := 0, 0
 		for _, u := range prog.Units {
@@ -145,7 +196,7 @@ func TestFixturesHaveCoverage(t *testing.T) {
 func TestAnalyzersRegistered(t *testing.T) {
 	want := []string{
 		"hotpath-alloc", "determinism", "errwrap", "floatcmp",
-		"layering", "rngstream", "confvalid", "concurrency",
+		"layering", "rngstream", "confvalid", "concurrency", "reach",
 	}
 	got := Analyzers()
 	if len(got) != len(want) {
@@ -211,5 +262,25 @@ func TestLoadExplicitTestdataDir(t *testing.T) {
 	// The wildcard over the same subtree must keep skipping testdata.
 	if _, err := Load(".", []string{"./internal/vet/testdata/..."}); err == nil {
 		t.Error("wildcard into testdata matched packages; want no-packages error")
+	}
+}
+
+// TestReachNeedsWholeModule pins that reach runs only on a load of
+// exactly the module: the reach fixture's lib has unreached names, but
+// a load of lib alone cannot see its importers, and a load that adds
+// lib to ./... is not the module.
+func TestReachNeedsWholeModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-module load")
+	}
+	const lib = "./internal/vet/testdata/reach/internal/lib"
+	for _, patterns := range [][]string{{lib}, {"./...", lib}} {
+		prog, err := Load(".", patterns)
+		if err != nil {
+			t.Fatalf("Load(%v): %v", patterns, err)
+		}
+		if diags := Run(prog, []*Analyzer{AnalyzerReach()}); len(diags) != 0 {
+			t.Errorf("Load(%v) reported %d reach findings, want 0: %v", patterns, len(diags), diags)
+		}
 	}
 }

@@ -3,8 +3,6 @@ package wifi
 import (
 	"fmt"
 	"math"
-
-	"symbee/internal/dsp"
 )
 
 // 2.4 GHz ISM band channel plans.
@@ -20,11 +18,6 @@ const (
 	// channel page (channels 11-26).
 	MinZigBeeChannel = 11
 	MaxZigBeeChannel = 26
-
-	// WiFiBandwidth20 is the occupied bandwidth of a 20 MHz WiFi channel.
-	WiFiBandwidth20 = 20e6
-	// ZigBeeBandwidth is the occupied bandwidth of a ZigBee channel.
-	ZigBeeBandwidth = 2e6
 )
 
 // WiFiChannelFreq returns the center frequency in Hz of 2.4 GHz WiFi
@@ -45,23 +38,11 @@ func ZigBeeChannelFreq(k int) (float64, error) {
 	return 2405e6 + 5e6*float64(k-MinZigBeeChannel), nil
 }
 
-// Overlaps reports whether ZigBee channel zk falls inside WiFi channel
-// wc's 20 MHz passband (the condition for cross-observability).
-func Overlaps(wc, zk int) (bool, error) {
-	fw, err := WiFiChannelFreq(wc)
-	if err != nil {
-		return false, err
-	}
-	fz, err := ZigBeeChannelFreq(zk)
-	if err != nil {
-		return false, err
-	}
-	return math.Abs(fz-fw) <= (WiFiBandwidth20+ZigBeeBandwidth)/2, nil
-}
-
 // FreqOffset returns fΔ = fZigBee − fWiFi in Hz for the given channel
 // pair: the frequency at which the ZigBee signal appears in the WiFi
 // receiver's baseband.
+//
+//symbee:ignore reach -- the Appendix B tests of wifi and the CFO sweeps of core and stream call it; testutil cannot hold it, since wifi's own tests would import a package importing wifi
 func FreqOffset(wc, zk int) (float64, error) {
 	fw, err := WiFiChannelFreq(wc)
 	if err != nil {
@@ -72,16 +53,6 @@ func FreqOffset(wc, zk int) (float64, error) {
 		return 0, err
 	}
 	return fz - fw, nil
-}
-
-// CompensationPhase returns the constant that must be added to every
-// measured ∠p[n] to undo the channel frequency offset fDelta:
-// wrap(2π·fΔ·0.8 µs). Appendix B proves this is +4π/5 for every
-// overlapping WiFi/ZigBee channel pair, because all offsets are
-// congruent to 3 MHz modulo the 5 MHz channel spacing and a 5 MHz
-// offset rotates an exact 4 cycles over the 0.8 µs lag.
-func CompensationPhase(fDelta float64) float64 {
-	return dsp.WrapPhase(2 * math.Pi * fDelta * AutocorrLag)
 }
 
 // CanonicalCompensation is the channel-independent CFO compensation of

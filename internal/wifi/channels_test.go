@@ -32,6 +32,37 @@ func TestChannelFrequencies(t *testing.T) {
 	}
 }
 
+// wifiBandwidth20 and zigbeeBandwidth are the occupied bandwidths of a
+// 20 MHz WiFi channel and a ZigBee channel.
+const (
+	wifiBandwidth20 = 20e6
+	zigbeeBandwidth = 2e6
+)
+
+// overlaps reports whether ZigBee channel zk falls inside WiFi channel
+// wc's 20 MHz passband (the condition for cross-observability).
+func overlaps(wc, zk int) (bool, error) {
+	fw, err := WiFiChannelFreq(wc)
+	if err != nil {
+		return false, err
+	}
+	fz, err := ZigBeeChannelFreq(zk)
+	if err != nil {
+		return false, err
+	}
+	return math.Abs(fz-fw) <= (wifiBandwidth20+zigbeeBandwidth)/2, nil
+}
+
+// compensationPhase returns the constant that must be added to every
+// measured ∠p[n] to undo the channel frequency offset fDelta:
+// wrap(2π·fΔ·0.8 µs). Appendix B proves this is +4π/5 for every
+// overlapping WiFi/ZigBee channel pair, because all offsets are
+// congruent to 3 MHz modulo the 5 MHz channel spacing and a 5 MHz
+// offset rotates an exact 4 cycles over the 0.8 µs lag.
+func compensationPhase(fDelta float64) float64 {
+	return dsp.WrapPhase(2 * math.Pi * fDelta * AutocorrLag)
+}
+
 func TestPaperChannelExample(t *testing.T) {
 	// Appendix B example: ZigBee ch 12 (2.410 GHz) is 2 MHz below WiFi
 	// ch 1 (2.412 GHz).
@@ -49,7 +80,7 @@ func TestOffsetsCongruentTo3Mod5MHz(t *testing.T) {
 	// ZigBee channel is (3 + 5m) MHz.
 	for wc := MinWiFiChannel; wc <= MaxWiFiChannel; wc++ {
 		for zk := MinZigBeeChannel; zk <= MaxZigBeeChannel; zk++ {
-			ov, err := Overlaps(wc, zk)
+			ov, err := overlaps(wc, zk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,11 +107,11 @@ func TestCFOCompensationConstant(t *testing.T) {
 	checked := 0
 	for wc := MinWiFiChannel; wc <= MaxWiFiChannel; wc++ {
 		for zk := MinZigBeeChannel; zk <= MaxZigBeeChannel; zk++ {
-			if ov, _ := Overlaps(wc, zk); !ov {
+			if ov, _ := overlaps(wc, zk); !ov {
 				continue
 			}
 			off, _ := FreqOffset(wc, zk)
-			comp := CompensationPhase(off)
+			comp := compensationPhase(off)
 			if math.Abs(dsp.WrapPhase(comp-want)) > 1e-6 {
 				t.Errorf("WiFi %d / ZigBee %d: compensation %v, want 4π/5", wc, zk, comp)
 			}
@@ -99,7 +130,7 @@ func TestEveryWiFiChannelOverlapsFourZigBeeChannels(t *testing.T) {
 	for wc := MinWiFiChannel; wc <= MaxWiFiChannel; wc++ {
 		count := 0
 		for zk := MinZigBeeChannel; zk <= MaxZigBeeChannel; zk++ {
-			if ov, _ := Overlaps(wc, zk); ov {
+			if ov, _ := overlaps(wc, zk); ov {
 				count++
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"symbee/internal/dsp"
+	"symbee/internal/testutil"
 )
 
 func TestSTSPeriodicity(t *testing.T) {
@@ -90,7 +91,7 @@ func TestFrameOccupiesWideBand(t *testing.T) {
 	// signal concentrates within ±1 MHz. Check the OFDM side.
 	tx := NewTransmitter(rand.New(rand.NewSource(4)))
 	frame, _ := tx.Frame(8)
-	spec := dsp.SpectrumPower(frame[PreambleLen:])
+	spec := testutil.SpectrumPower(frame[PreambleLen:])
 	n := len(spec)
 	// Fraction of power beyond ±2 MHz (bins n*2/20 away from DC).
 	edge := n / 10

@@ -20,15 +20,6 @@ const (
 
 	// SymbolDuration is 32 chips at 2 Mchip/s = 16 µs.
 	SymbolDuration = ChipsPerSymbol / ChipRate
-
-	// SymbolRate is the 62.5 ksymbol/s symbol rate.
-	SymbolRate = 1 / SymbolDuration
-
-	// BitsPerSymbol is the number of data bits carried per symbol.
-	BitsPerSymbol = 4
-
-	// BitRate is the ZigBee data rate: 62.5 ksym/s × 4 bit = 250 kbps.
-	BitRate = SymbolRate * BitsPerSymbol
 )
 
 // symbol0 is the chip sequence for data symbol 0 from IEEE 802.15.4
@@ -63,28 +54,9 @@ func buildChipTable() [NumSymbols][ChipsPerSymbol]byte {
 	return t
 }
 
-// ChipSequence returns a copy of the 32-chip spreading sequence for
-// symbol s. A symbol is a nibble by construction, so only the low four
-// bits of s are significant; higher bits are masked off.
-func ChipSequence(s byte) []byte {
-	seq := make([]byte, ChipsPerSymbol)
-	copy(seq, chipTable[s&0x0F][:])
-	return seq
-}
-
-// ChipString renders the chip sequence of symbol s as a 32-character
-// binary string, matching the notation of the paper's Table I.
-func ChipString(s byte) string {
-	seq := ChipSequence(s)
-	buf := make([]byte, ChipsPerSymbol)
-	for i, c := range seq {
-		buf[i] = '0' + c
-	}
-	return string(buf)
-}
-
 // SpreadSymbols concatenates the chip sequences of the given symbols.
-// As in ChipSequence, only the low nibble of each symbol is used.
+// A symbol is a nibble by construction, so only the low four bits of
+// each are significant; higher bits are masked off.
 func SpreadSymbols(symbols []byte) []byte {
 	chips := make([]byte, 0, len(symbols)*ChipsPerSymbol)
 	for _, s := range symbols {

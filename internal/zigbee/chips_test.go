@@ -8,11 +8,18 @@ import (
 func TestChipTableMatchesPaperTableI(t *testing.T) {
 	// Table I of the paper spells out symbols 0 and F; they anchor the
 	// whole table since 1-7 are rotations and 8-15 inversions.
-	if got := ChipString(0); got != "11011001110000110101001000101110" {
-		t.Errorf("symbol 0 chips = %s", got)
-	}
-	if got := ChipString(0xF); got != "11001001011000000111011110111000" {
-		t.Errorf("symbol F chips = %s", got)
+	for _, tc := range []struct {
+		s     byte
+		chips string
+	}{
+		{0, "11011001110000110101001000101110"},
+		{0xF, "11001001011000000111011110111000"},
+	} {
+		for k, c := range chipTable[tc.s] {
+			if c != tc.chips[k]-'0' {
+				t.Errorf("symbol %X chip %d = %d, want %c", tc.s, k, c, tc.chips[k])
+			}
+		}
 	}
 }
 
@@ -20,7 +27,7 @@ func TestChipTableRotationStructure(t *testing.T) {
 	// Symbols 1-7 are right cyclic shifts by 4 chips of the previous
 	// symbol (IEEE 802.15.4 Table 73 structure).
 	for s := byte(1); s < 8; s++ {
-		prev, cur := ChipSequence(s-1), ChipSequence(s)
+		prev, cur := chipTable[s-1], chipTable[s]
 		for k := 0; k < ChipsPerSymbol; k++ {
 			if cur[k] != prev[(k+ChipsPerSymbol-4)%ChipsPerSymbol] {
 				t.Fatalf("symbol %d is not a 4-chip rotation of %d", s, s-1)
@@ -33,7 +40,7 @@ func TestChipTableConjugateStructure(t *testing.T) {
 	// Symbols 8-15 equal 0-7 with odd-indexed chips inverted, which
 	// conjugates the OQPSK waveform (negated quadrature rail).
 	for s := byte(8); s < NumSymbols; s++ {
-		base, cur := ChipSequence(s-8), ChipSequence(s)
+		base, cur := chipTable[s-8], chipTable[s]
 		for k := 0; k < ChipsPerSymbol; k++ {
 			want := base[k]
 			if k%2 == 1 {
@@ -49,7 +56,7 @@ func TestChipTableConjugateStructure(t *testing.T) {
 func TestChipSequencesDistinctAndBalanced(t *testing.T) {
 	seen := make(map[string]byte, NumSymbols)
 	for s := byte(0); s < NumSymbols; s++ {
-		str := ChipString(s)
+		str := string(chipTable[s][:])
 		if prev, dup := seen[str]; dup {
 			t.Errorf("symbols %X and %X share a chip sequence", prev, s)
 		}
@@ -62,7 +69,7 @@ func TestChipSequenceQuasiOrthogonality(t *testing.T) {
 	// 32 chip positions, the property the ML receiver relies on.
 	for a := byte(0); a < NumSymbols; a++ {
 		for b := a + 1; b < NumSymbols; b++ {
-			sa, sb := ChipSequence(a), ChipSequence(b)
+			sa, sb := chipTable[a], chipTable[b]
 			dist := 0
 			for k := range sa {
 				if sa[k] != sb[k] {
@@ -81,7 +88,7 @@ func TestSpreadSymbols(t *testing.T) {
 	if len(chips) != 64 {
 		t.Fatalf("len = %d", len(chips))
 	}
-	want6, want7 := ChipSequence(6), ChipSequence(7)
+	want6, want7 := chipTable[6], chipTable[7]
 	for k := 0; k < 32; k++ {
 		if chips[k] != want6[k] || chips[32+k] != want7[k] {
 			t.Fatal("SpreadSymbols concatenation wrong")
@@ -121,8 +128,5 @@ func TestBytesToSymbolsOrder(t *testing.T) {
 func TestConstants(t *testing.T) {
 	if SymbolDuration != 16e-6 {
 		t.Errorf("SymbolDuration = %v, want 16µs", SymbolDuration)
-	}
-	if BitRate != 250e3 {
-		t.Errorf("BitRate = %v, want 250kbps", BitRate)
 	}
 }

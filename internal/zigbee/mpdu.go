@@ -17,9 +17,9 @@ type FrameType byte
 
 // MAC frame types.
 const (
-	FrameBeacon FrameType = iota
+	FrameBeacon FrameType = iota //symbee:ignore reach -- an 802.15.4 frame type ParseMPDU accepts; it names a value of the wire format
 	FrameData
-	FrameAck
+	FrameAck //symbee:ignore reach -- an 802.15.4 frame type ParseMPDU accepts; it names a value of the wire format
 	FrameCommand
 )
 

@@ -77,9 +77,6 @@ func NewModulator(sampleRate float64) (*Modulator, error) {
 // SamplesPerSlot returns the number of samples in one 0.5 µs chip slot.
 func (m *Modulator) SamplesPerSlot() int { return m.samplesPerSlot }
 
-// SamplesPerSymbol returns the number of samples in one 16 µs symbol.
-func (m *Modulator) SamplesPerSymbol() int { return m.samplesPerSlot * ChipsPerSymbol }
-
 // ModulateChips shapes a chip stream into complex baseband. Chip value 1
 // maps to a positive half-sine and 0 to a negative one (the standard
 // polarity; the paper's Fig. 2 text uses the opposite naming, which only

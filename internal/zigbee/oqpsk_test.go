@@ -37,9 +37,6 @@ func TestNewModulatorRates(t *testing.T) {
 		if m.SamplesPerSlot() != tt.wantSPS {
 			t.Errorf("rate %v: sps = %d, want %d", tt.rate, m.SamplesPerSlot(), tt.wantSPS)
 		}
-		if m.SamplesPerSymbol() != tt.wantSPS*32 {
-			t.Errorf("rate %v: samples/symbol = %d", tt.rate, m.SamplesPerSymbol())
-		}
 	}
 }
 

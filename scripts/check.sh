@@ -1,6 +1,6 @@
 #!/bin/sh
 # Repo-wide verification: formatting gate, build, vet, the project's own
-# static-analysis suite (symbeevet), full test suite, vet and tests of the
+# static-analysis suite (symbeevet, nine rules), full test suite, vet and tests of the
 # bench/ module, the panic gate for
 # library code, then the race detector over every goroutine-spawning or
 # RNG-owning package (the audit and the resulting list live in

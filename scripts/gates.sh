@@ -77,7 +77,10 @@ ARQ_SOAK_RUN='TestARQSoak|TestARQBidirectionalSoak'
 # before it returns), link (only in metrics_test.go, which updates one
 # registry from several goroutines) and cmd/symbeestream (the only
 # cmd/ spawner: one producer goroutine per replayed stream, driven by
-# its two-trace replay test).
+# its two-trace replay test). cmd/symbeevet's test is not listed: the
+# only goroutines it starts are vet.Run's fan-out, which the race run
+# of ./internal/vet/... already covers. cmd/symbeerx's test runs the
+# built commands as processes and shares no memory with them.
 # RNG owners: the root package, channel, ctc, link (the downlink's
 # collision RNG, DownSpec.Collide), mac, medium, reliable, sim,
 # splitmix and wifi. reliable starts no goroutine and, since the ARQ
